@@ -41,12 +41,17 @@ from .sets import (
     dilation_level,
     escape_margin,
     escapes,
-    sample_in_set,
+    escapes_many,
     scan_horizontal_segments,
     theta_grid,
 )
 
 DEGENERATE_TAU_GRID = (0.25, 0.5, 2.0, 4.0)
+# falsify_ch draws pairs in chunks of this many, each from its own stream;
+# it is also the size of the boundary pool
+PAIR_CHUNK = 256
+# rows (pair, tau) whose curve points are evaluated at once
+CURVE_TILE = 64
 
 
 @dataclass
@@ -113,6 +118,52 @@ class EnvelopeReport:
         return self.solid_min_margin >= -slack and self.cap_min_margin >= -slack
 
 
+def solve_tau_many(xi0, xi1, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """solve_tau for n pairs at once; xi0 and xi1 are (x, y, t) arrays of length n.
+
+    Returns (tau, discriminant, degenerate): tau is (n, 4), each row the
+    admissible levels of that pair in ascending order, padded with NaN;
+    discriminant and degenerate are per pair.  Every branch of solve_tau
+    runs as a mask with the same arithmetic, so row i equals
+    solve_tau(xi0[i], xi1[i]) bit for bit.
+    """
+    x0, y0, t0 = (np.asarray(c, dtype=float) for c in xi0)
+    x1, y1, t1 = (np.asarray(c, dtype=float) for c in xi1)
+    cross = x0 * y1 - x1 * y0
+    scale = 1.0 + abs(t0) + abs(t1) + abs(cross)
+    res_bound = tol.eps_eq * (1.0 + abs(t0) + abs(t1))
+
+    def verified(tau):
+        # every returned root must replay the quadratic; this rejects the
+        # Vieta complement when clamping or cancellation corrupted it
+        ok = np.isfinite(tau) & (tau > tol.eps_eq)
+        return ok & (abs(t1 * tau * tau + 2.0 * cross * tau - t0) <= res_bound)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        linear = t1 == 0.0
+        disc = cross * cross + t0 * t1
+        disc = np.where((disc < 0.0) & (disc >= -tol.eps_eq * scale * scale), 0.0, disc)
+        root = np.sqrt(disc)
+        # stable quadratic: avoid cancellation between -cross and the root
+        q = np.where(cross >= 0.0, -(cross + root), -(cross - root))
+        first = np.where(q != 0.0, q / t1, root / t1)
+        second = np.where(q != 0.0, -t0 / q, np.nan)
+        first = np.where(linear, t0 / (2.0 * cross), first)
+        second = np.where(linear, np.nan, second)
+        disc = np.where(linear, cross * cross, disc)
+        ok1 = verified(first)
+        ok2 = verified(second) & ~(ok1 & (abs(second - first) <= tol.eps_eq * scale))
+    first = np.where(ok1, first, np.nan)
+    second = np.where(ok2, second, np.nan)
+    tau = np.full((len(x0), len(DEGENERATE_TAU_GRID)), np.nan)
+    tau[:, 0] = np.fmin(first, second)
+    tau[:, 1] = np.where(ok1 & ok2, np.maximum(first, second), np.nan)
+    degenerate = linear & (cross == 0.0) & (t0 == 0.0)
+    tau[degenerate] = DEGENERATE_TAU_GRID
+    disc[degenerate] = math.inf
+    return tau, disc, degenerate
+
+
 def solve_tau(
     xi0: Point3,
     xi1: Point3,
@@ -124,57 +175,34 @@ def solve_tau(
     condition that xi0^{-1} o dilate(tau, xi1) has no vertical component.
     The linear (t1 = 0) and the all-tau-admissible (both points planar
     through e, zero cross term) degenerations are handled; the latter
-    returns the fixed probe grid flagged degenerate.
+    returns the fixed probe grid flagged degenerate.  This is the one-row
+    case of solve_tau_many.
     """
-    x0, y0, t0 = xi0
-    x1, y1, t1 = xi1
-    cross = x0 * y1 - x1 * y0
-    scale = 1.0 + abs(t0) + abs(t1) + abs(cross)
-    res_bound = tol.eps_eq * (1.0 + abs(t0) + abs(t1))
-
-    def make(tau: float, disc: float, degenerate: bool = False) -> TauSolution:
-        return TauSolution(tau, HVec(tau * x1 - x0, tau * y1 - y0), disc, degenerate)
-
-    def verified(tau: float) -> bool:
-        # every returned root must replay the quadratic; this rejects the
-        # Vieta complement when clamping or cancellation corrupted it
-        if not (math.isfinite(tau) and tau > tol.eps_eq):
-            return False
-        return abs(t1 * tau * tau + 2.0 * cross * tau - t0) <= res_bound
-
-    if t1 == 0.0:
-        if cross == 0.0:
-            if t0 == 0.0:
-                return [make(tau, math.inf, degenerate=True) for tau in DEGENERATE_TAU_GRID]
-            return []
-        tau = t0 / (2.0 * cross)
-        return [make(tau, cross * cross)] if verified(tau) else []
-
-    disc = cross * cross + t0 * t1
-    if disc < 0.0:
-        if disc >= -tol.eps_eq * scale * scale:
-            disc = 0.0
-        else:
-            return []
-    root = math.sqrt(disc)
-    # stable quadratic: avoid cancellation between -cross and the root
-    if cross >= 0.0:
-        q = -(cross + root)
-    else:
-        q = -(cross - root)
-    candidates = [q / t1, -t0 / q] if q != 0.0 else [root / t1]
-    out: list[TauSolution] = []
-    for tau in candidates:
-        if verified(tau) and all(abs(tau - s.tau) > tol.eps_eq * scale for s in out):
-            out.append(make(tau, disc))
-    out.sort(key=lambda s: s.tau)
-    return out
+    taus, disc, degenerate = solve_tau_many([[c] for c in xi0], [[c] for c in xi1], tol)
+    return [
+        TauSolution(tau, HVec(tau * xi1[0] - xi0[0], tau * xi1[1] - xi0[1]), float(disc[0]), bool(degenerate[0]))
+        for tau in taus[0].tolist()
+        if not math.isnan(tau)
+    ]
 
 
 def tau_residual(xi0: Point3, xi1: Point3, tau: float) -> float:
     """Residual of the connecting quadratic at tau."""
     cross = xi0.x * xi1.y - xi1.x * xi0.y
     return xi1.t * tau * tau + 2.0 * cross * tau - xi0.t
+
+
+def curve_point(x0, y0, t0, a, b, tau, theta):
+    """The interpolation curve of (xi0, v, tau) at theta, as (x, y, t).
+
+    dilate(1/tau_theta, xi0 o exp_h(theta v)) with tau_theta = (1 - theta)
+    + theta tau, in plain arithmetic: the arguments may be floats or
+    arrays that broadcast, with the same rounding either way.
+    """
+    lam = 1.0 / ((1.0 - theta) + theta * tau)
+    a = theta * a
+    b = theta * b
+    return lam * (x0 + a), lam * (y0 + b), lam * lam * (t0 + 2.0 * (a * y0 - x0 * b))
 
 
 def ch_curve(
@@ -192,14 +220,10 @@ def ch_curve(
         raise ValueError("tau must be positive")
     if m < 2:
         raise ValueError("need m >= 2 samples")
-    pts = []
-    for j in range(m):
-        th = j / (m - 1)
-        tau_th = (1.0 - th) + th * tau
-        if tau_th <= tol.eps_eq:
-            raise RuntimeError("interpolated level crossed zero")
-        pts.append(dilate(1.0 / tau_th, group_mul(xi0, exp_h(HVec(th * v.a, th * v.b)))))
-    return pts
+    # tau_theta runs between 1 and tau, reaching tau at theta = 1
+    if tau <= tol.eps_eq:
+        raise RuntimeError("interpolated level crossed zero")
+    return [Point3(*curve_point(*xi0, *v, tau, j / (m - 1))) for j in range(m)]
 
 
 def _case_of(xi0: Point3, alpha: float, beta: float, tau: float, tol: Tolerances) -> str:
@@ -285,11 +309,21 @@ def falsify_ch(
     at tau = 1, which is literally the horizontal-segment convexity check
     of the set module (same probe stream, same verdicts on equal seeds).
 
+    Pairs come in chunks of PAIR_CHUNK = 256; chunk c is drawn whole from
+    default_rng([seed, 0xC4, c]) and the near-boundary pairs pick from one
+    256-point boundary_sample pool, whatever the budget.  So pair i
+    depends only on (seed, i): a larger budget extends the search and
+    never reshuffles it.  Each chunk is screened with array operations:
+    rejection sampling and membership through K.contains_many, the levels
+    through solve_tau_many, and the curve points in tiles of CURVE_TILE
+    (pair, tau) rows through curve_point and escapes_many.
+
     Requires assumptions a and b on K (the escape predicate and the
     boundary sampler rely on them); run check_axioms first.
 
     Returns:
-        The first witness in seeded sample order, or None after budget pairs.
+        The first witness in (pair, tau, theta) order, or None after
+        budget pairs.
     """
     if budget < 1:
         raise ValueError("need budget >= 1")
@@ -300,52 +334,92 @@ def falsify_ch(
         p, v, th, pt, margin = found
         return ChWitness(p, group_mul(p, exp_h(v)), 1.0, v, th, pt, margin, pair_index=used - 1)
 
-    rng = np.random.default_rng([seed, 0xC4])
-    thetas = _interior_thetas(m)
-    pool: Optional[list[Point3]] = None
+    thetas = np.array(_interior_thetas(m))
     try:
-        pool = boundary_sample(K, min(256, max(16, budget // 16)), seed, tol)
+        pool = np.array(boundary_sample(K, PAIR_CHUNK, seed, tol))
     except (ValueError, RuntimeError):
         pool = None
-    (tlo, thi) = K.bbox[2]
-
-    def draw_uniform() -> Point3:
-        return sample_in_set(K, 1, rng)[0]
-
-    def draw_extreme() -> Point3:
-        batch = sample_in_set(K, 8, rng)
-        return max(batch, key=lambda p: abs(p.t))
-
-    for i in range(budget):
-        mode = i % 4
-        if mode == 2 and pool:
-            xi0 = pool[int(rng.integers(0, len(pool)))]
-            xi1 = pool[int(rng.integers(0, len(pool)))]
-        elif mode == 3:
-            xi0 = draw_extreme()
-            xi1 = draw_uniform()
-        else:
-            xi0 = draw_uniform()
-            xi1 = draw_uniform()
-        for sol in solve_tau(xi0, xi1, tol):
-            for th in thetas:
-                tau_th = (1.0 - th) + th * sol.tau
-                pt = dilate(
-                    1.0 / tau_th,
-                    group_mul(xi0, exp_h(HVec(th * sol.v.a, th * sol.v.b))),
+    for start in range(0, budget, PAIR_CHUNK):
+        xi0, xi1 = _chunk_pairs(K, start // PAIR_CHUNK, seed, pool)
+        xi0, xi1 = xi0[: budget - start], xi1[: budget - start]
+        taus = solve_tau_many(xi0.T, xi1.T, tol)[0]
+        # row-major order: pairs in sample order, each pair's taus ascending
+        pair, root = np.nonzero(~np.isnan(taus))
+        for s in range(0, len(pair), CURVE_TILE):
+            p = pair[s : s + CURVE_TILE]
+            tau = taus[p, root[s : s + CURVE_TILE]]
+            a = tau * xi1[p, 0] - xi0[p, 0]
+            b = tau * xi1[p, 1] - xi0[p, 1]
+            x0, y0, t0 = xi0[p].T[:, :, None]
+            px, py, pt = curve_point(x0, y0, t0, a[:, None], b[:, None], tau[:, None], thetas)
+            hits = np.flatnonzero(escapes_many(K, px, py, pt, tol))
+            if hits.size:
+                r, j = divmod(int(hits[0]), len(thetas))
+                escape = Point3(float(px[r, j]), float(py[r, j]), float(pt[r, j]))
+                return ChWitness(
+                    Point3(*xi0[p[r]].tolist()),
+                    Point3(*xi1[p[r]].tolist()),
+                    float(tau[r]),
+                    HVec(float(a[r]), float(b[r])),
+                    float(thetas[j]),
+                    escape,
+                    escape_margin(K, escape, tol),
+                    pair_index=start + int(p[r]),
                 )
-                if escapes(K, pt, tol):
-                    return ChWitness(
-                        xi0,
-                        xi1,
-                        sol.tau,
-                        sol.v,
-                        th,
-                        pt,
-                        escape_margin(K, pt, tol),
-                        pair_index=i,
-                    )
     return None
+
+
+def _uniform_points(K: SetOracle, need: int, rng: np.random.Generator) -> np.ndarray:
+    """The first need bbox-uniform draws that land in K, as a (need, 3) array.
+
+    Rounds draw max(64, 4 * missing) x, y and t values in turn, under the
+    stall guard of sample_in_set.
+    """
+    (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
+    max_tries = 1000 + 400 * need
+    kept: list[np.ndarray] = []
+    got = tries = 0
+    while got < need:
+        if tries >= max_tries:
+            raise RuntimeError(
+                f"rejection sampling stalled on {K.label}: {got}/{need} after {tries} tries"
+            )
+        m = min(max(64, 4 * (need - got)), max_tries - tries)
+        x = rng.uniform(xlo, xhi, m)
+        y = rng.uniform(ylo, yhi, m)
+        t = rng.uniform(tlo, thi, m)
+        tries += m
+        inside = K.contains_many(x, y, t)
+        kept.append(np.stack([x[inside], y[inside], t[inside]], axis=1))
+        got += len(kept[-1])
+    return np.concatenate(kept)[:need]
+
+
+def _chunk_pairs(K: SetOracle, chunk: int, seed: int, pool: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The PAIR_CHUNK pairs of one chunk, as two (PAIR_CHUNK, 3) arrays.
+
+    Pair i has mode i % 4: 0 and 1 take two uniform points, 2 two pool
+    points (two uniform ones without a pool), 3 the |t|-largest of 8
+    uniform points and one more.  Uniform points are used in the order
+    mode-0/1 xi0s, mode-0/1 xi1s, mode-3 groups of 8, mode-3 xi1s, then
+    mode-2 xi0s and xi1s when there is no pool.
+    """
+    rng = np.random.default_rng([seed, 0xC4, chunk])
+    k = PAIR_CHUNK // 4  # pairs per mode
+    pts = _uniform_points(K, 13 * k if pool is not None else 15 * k, rng)
+    xi0 = np.empty((k, 4, 3))
+    xi1 = np.empty((k, 4, 3))
+    xi0[:, :2] = pts[: 2 * k].reshape(k, 2, 3)
+    xi1[:, :2] = pts[2 * k : 4 * k].reshape(k, 2, 3)
+    groups = pts[4 * k : 12 * k].reshape(k, 8, 3)
+    xi0[:, 3] = groups[np.arange(k), np.argmax(abs(groups[:, :, 2]), axis=1)]
+    xi1[:, 3] = pts[12 * k : 13 * k]
+    if pool is None:
+        xi0[:, 2], xi1[:, 2] = pts[13 * k : 14 * k], pts[14 * k :]
+    else:
+        pick = rng.integers(0, len(pool), size=(k, 2))
+        xi0[:, 2], xi1[:, 2] = pool[pick[:, 0]], pool[pick[:, 1]]
+    return xi0.reshape(PAIR_CHUNK, 3), xi1.reshape(PAIR_CHUNK, 3)
 
 
 def transport_witness(w: ChWitness, alpha: float) -> ChWitness:
@@ -379,11 +453,7 @@ def replay_ch_witness(K: SetOracle, w: ChWitness, tol: Tolerances = DEFAULT_TOL)
     vscale = 1.0 + abs(expect_v.a) + abs(expect_v.b)
     if abs(expect_v.a - w.v.a) > tol.eps_eq * vscale or abs(expect_v.b - w.v.b) > tol.eps_eq * vscale:
         return False
-    tau_th = (1.0 - w.theta_star) + w.theta_star * w.tau
-    pt = dilate(
-        1.0 / tau_th,
-        group_mul(w.xi0, exp_h(HVec(w.theta_star * w.v.a, w.theta_star * w.v.b))),
-    )
+    pt = Point3(*curve_point(*w.xi0, *w.v, w.tau, w.theta_star))
     pscale = 1.0 + norm(pt, "euclidean")
     if max(abs(pt.x - w.escape_point.x), abs(pt.y - w.escape_point.y), abs(pt.t - w.escape_point.t)) > tol.eps_geom * pscale:
         return False

@@ -41,12 +41,14 @@ class HVec(NamedTuple):
 ORIGIN = Point3(0.0, 0.0, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     """Numeric slack shared by every check.
 
     eps_eq is equality-of-reals slack, eps_geom is membership/boundary
     slack, max_iter caps bisection loops.  Invariant: eps_geom >= eps_eq > 0.
+    Frozen: oracles capture eps_geom when they are built, so a shared
+    instance such as DEFAULT_TOL must never change afterwards.
     """
 
     eps_geom: float = 1e-7

@@ -35,6 +35,8 @@ from .core import (
 )
 
 Bbox = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
+Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+Formula = Callable[[Point3], bool]
 
 GALLERY_NAMES = (
     "koranyi_ball",
@@ -49,11 +51,16 @@ GALLERY_NAMES = (
 
 @dataclass
 class RadialProfile:
-    """A rotation-invariant set described in the (r, t) half-plane."""
+    """A rotation-invariant set described in the (r, t) half-plane.
+
+    contains2d_many, when given, is contains2d on arrays of one shape;
+    radial_to_oracle turns it into the oracle's array kernel.
+    """
 
     contains2d: Callable[[float, float], bool]
     r_max: float
     t_range: tuple[float, float]
+    contains2d_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass
@@ -63,6 +70,15 @@ class SetOracle:
     The bounding box is the compactness proxy: for compact oracles the
     predicate is false outside it.  Non-compact sets (the slab) keep a
     truncated box for sampling and are flagged is_compact=False.
+
+    contains_many(x, y, t) is the vectorized predicate: it takes coordinate
+    arrays of one shape and returns a bool array of that shape, equal to
+    contains element for element.  Every oracle this module builds has an
+    array kernel for it; an oracle built from a bare scalar predicate
+    (kernel=None) falls back to a row loop over contains.  The batch
+    falsifier (chcheck.falsify_ch) tests all its points this way, in
+    streams where pair i depends only on (seed, i) and the boundary pool
+    holds 256 points whatever the budget.
     """
 
     contains: Callable[[Point3], bool]
@@ -72,6 +88,14 @@ class SetOracle:
     is_compact: bool = True
     profile: Optional[RadialProfile] = None
     closed_form_cone: Optional[Callable[[Point3], float]] = None
+    kernel: Optional[Kernel] = None
+
+    def contains_many(self, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+        if self.kernel is not None:
+            return self.kernel(x, y, t)
+        x, y, t = np.broadcast_arrays(x, y, t)
+        rows = zip(x.ravel().tolist(), y.ravel().tolist(), t.ravel().tolist())
+        return np.array([self.contains(Point3(*row)) for row in rows], dtype=bool).reshape(x.shape)
 
 
 @dataclass
@@ -103,17 +127,24 @@ def bbox_scale(bbox: Bbox) -> float:
     return max(abs(v) for pair in bbox for v in pair)
 
 
+def _formula_oracle(inside: Formula, bbox: Bbox, label: str, **meta) -> SetOracle:
+    """An oracle whose membership is one formula in p.x, p.y, p.t.
+
+    The formula uses only arithmetic, comparisons, & and abs, so the same
+    function tests a Point3 of floats (contains) and a Point3 of arrays
+    (contains_many) with identical rounding.
+    """
+    return SetOracle(inside, bbox, label, kernel=lambda x, y, t: inside(Point3(x, y, t)), **meta)
+
+
 def box_oracle(bbox: Bbox, label: str = "box") -> SetOracle:
     """Axis-aligned box as an oracle; handy as a sampling domain."""
+    (xlo, xhi), (ylo, yhi), (tlo, thi) = bbox
 
     def inside(p: Point3) -> bool:
-        return (
-            bbox[0][0] <= p.x <= bbox[0][1]
-            and bbox[1][0] <= p.y <= bbox[1][1]
-            and bbox[2][0] <= p.t <= bbox[2][1]
-        )
+        return (xlo <= p.x) & (p.x <= xhi) & (ylo <= p.y) & (p.y <= yhi) & (tlo <= p.t) & (p.t <= thi)
 
-    return SetOracle(inside, bbox, label, is_radial=False)
+    return _formula_oracle(inside, bbox, label)
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +161,19 @@ def _sym_bbox(hx: float, hy: float, ht: float) -> Bbox:
 
 def _koranyi_ball(radius: float, tol: Tolerances) -> SetOracle:
     eps = tol.eps_geom
+    bound = (radius + eps) ** 4
 
     def inside(p: Point3) -> bool:
-        return norm(p, "koranyi") <= radius + eps
+        # |p|_K <= radius + eps, both sides raised to the fourth power
+        rho2 = p.x * p.x + p.y * p.y
+        return rho2 * rho2 + p.t * p.t <= bound
 
     profile = RadialProfile(
         contains2d=lambda r, t: (r * r * r * r + t * t) ** 0.25 <= radius + eps,
         r_max=radius,
         t_range=(-radius * radius, radius * radius),
     )
-    return SetOracle(
+    return _formula_oracle(
         inside,
         _sym_bbox(radius, radius, radius * radius),
         f"koranyi_ball(r={radius:g})",
@@ -158,16 +192,17 @@ def _euclidean_cone_value(p: Point3, radius: float) -> float:
 
 def _euclidean_ball(radius: float, tol: Tolerances) -> SetOracle:
     eps = tol.eps_geom
+    bound = (radius + eps) ** 2
 
     def inside(p: Point3) -> bool:
-        return norm(p, "euclidean") <= radius + eps
+        return p.x * p.x + p.y * p.y + p.t * p.t <= bound
 
     profile = RadialProfile(
         contains2d=lambda r, t: math.hypot(r, t) <= radius + eps,
         r_max=radius,
         t_range=(-radius, radius),
     )
-    return SetOracle(
+    return _formula_oracle(
         inside,
         _sym_bbox(radius, radius, radius),
         f"euclidean_ball(r={radius:g})",
@@ -179,16 +214,18 @@ def _euclidean_ball(radius: float, tol: Tolerances) -> SetOracle:
 
 def _cylinder(tol: Tolerances) -> SetOracle:
     eps = tol.eps_geom
+    bound = (1.0 + eps) ** 2
+    height = 1.0 + eps
 
     def inside(p: Point3) -> bool:
-        return math.hypot(p.x, p.y) <= 1.0 + eps and abs(p.t) <= 1.0 + eps
+        return (p.x * p.x + p.y * p.y <= bound) & (abs(p.t) <= height)
 
     profile = RadialProfile(
         contains2d=lambda r, t: r <= 1.0 + eps and abs(t) <= 1.0 + eps,
         r_max=1.0,
         t_range=(-1.0, 1.0),
     )
-    return SetOracle(
+    return _formula_oracle(
         inside,
         _sym_bbox(1.0, 1.0, 1.0),
         "cylinder",
@@ -201,12 +238,16 @@ def _cylinder_hat(tol: Tolerances) -> SetOracle:
     # Unit-radius cylinder capped by the Koranyi ball of radius 2; this is
     # exactly the level-1 set of max(|(x,y)|_E, |.|_G / 2).
     eps = tol.eps_geom
+    radial_bound = (1.0 + eps) ** 2
+    gauge_bound = (2.0 * (1.0 + eps)) ** 4
 
     def cone_value(p: Point3) -> float:
         return max(math.hypot(p.x, p.y), 0.5 * norm(p, "koranyi"))
 
     def inside(p: Point3) -> bool:
-        return cone_value(p) <= 1.0 + eps
+        # cone_value <= 1 + eps, each branch of the max squared out
+        rho2 = p.x * p.x + p.y * p.y
+        return (rho2 <= radial_bound) & (rho2 * rho2 + p.t * p.t <= gauge_bound)
 
     profile = RadialProfile(
         contains2d=lambda r, t: max(r, 0.5 * (r * r * r * r + t * t) ** 0.25)
@@ -214,7 +255,7 @@ def _cylinder_hat(tol: Tolerances) -> SetOracle:
         r_max=1.0,
         t_range=(-4.0, 4.0),
     )
-    return SetOracle(
+    return _formula_oracle(
         inside,
         _sym_bbox(1.0, 1.0, 4.0),
         "cylinder_hat",
@@ -246,9 +287,15 @@ def importante_defining_fn(p: Point3) -> float:
 
 def _importante(tol: Tolerances) -> SetOracle:
     eps = tol.eps_geom
+    sine_bound = (1.0 + eps + 2.0 ** 0.25) ** 4
+    gauge_bound = ((1.0 + eps) * IMPORTANTE_ANCHOR_NORM) ** 4
 
-    def inside(p: Point3) -> bool:
-        return importante_defining_fn(p) <= 1.0 + eps
+    def inside(p: Point3, sin_t) -> bool:
+        # importante_defining_fn <= 1 + eps, each branch of the max raised
+        # to the fourth power; sin(t) comes from math or numpy by caller
+        rho2 = p.x * p.x + p.y * p.y
+        quartic = rho2 * rho2
+        return (quartic + 2.0 + 0.5 * sin_t <= sine_bound) & (quartic + p.t * p.t <= gauge_bound)
 
     half_t = IMPORTANTE_ANCHOR_NORM * IMPORTANTE_ANCHOR_NORM
     profile = RadialProfile(
@@ -257,21 +304,22 @@ def _importante(tol: Tolerances) -> SetOracle:
         t_range=(-half_t, half_t),
     )
     return SetOracle(
-        inside,
+        lambda p: inside(p, math.sin(p.t)),
         _sym_bbox(IMPORTANTE_ANCHOR_NORM, IMPORTANTE_ANCHOR_NORM, half_t),
         "importante",
         is_radial=True,
         profile=profile,
+        kernel=lambda x, y, t: inside(Point3(x, y, t), np.sin(t)),
     )
 
 
 def _slab_x(tol: Tolerances) -> SetOracle:
-    eps = tol.eps_geom
+    half_width = 1.0 + tol.eps_geom
 
     def inside(p: Point3) -> bool:
-        return abs(p.x) <= 1.0 + eps
+        return abs(p.x) <= half_width
 
-    return SetOracle(
+    return _formula_oracle(
         inside,
         _sym_bbox(1.0, 4.0, 4.0),
         "slab_x",
@@ -280,19 +328,19 @@ def _slab_x(tol: Tolerances) -> SetOracle:
     )
 
 
-def _segment_distance(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
-    vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
-    vv = vx * vx + vy * vy
-    s = 0.0 if vv == 0.0 else max(0.0, min(1.0, (wx * vx + wy * vy) / vv))
-    dx, dy = wx - s * vx, wy - s * vy
-    return math.hypot(dx, dy)
+def _clip01(s: float) -> float:
+    return max(0.0, min(1.0, s))
+
+
+def _clip01_many(s: np.ndarray) -> np.ndarray:
+    return np.clip(s, 0.0, 1.0)
 
 
 def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAULT_TOL) -> RadialProfile:
     """Closed polygon in the (r, t) half-plane, even-odd membership.
 
-    Points within eps_geom of an edge count as inside (closed set).
+    Points within eps_geom of an edge count as inside (closed set).  The
+    profile carries contains2d_many, the same test on arrays.
     """
     verts = [(float(r), float(t)) for r, t in vertices]
     if len(verts) < 3:
@@ -302,31 +350,45 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
     r_max = max(r for r, _ in verts)
     t_lo = min(t for _, t in verts)
     t_hi = max(t for _, t in verts)
-    eps = tol.eps_geom
+    eps2 = tol.eps_geom * tol.eps_geom
+    edges = [(ax, ay, bx, by) for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]
 
-    def contains2d(r: float, t: float) -> bool:
-        inside = False
-        n = len(verts)
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            if _segment_distance(r, t, ax, ay, bx, by) <= eps:
-                return True
-            if (ay > t) != (by > t):
-                x_cross = ax + (t - ay) * (bx - ax) / (by - ay)
-                if x_cross > r:
-                    inside = not inside
-        return inside
+    def member(r, t, clip01):
+        # within eps of an edge, or inside by the even-odd crossing rule;
+        # clip01 is the only step that differs between floats and arrays
+        near = inside = False
+        for ax, ay, bx, by in edges:
+            vx, vy = bx - ax, by - ay
+            wx, wy = r - ax, t - ay
+            vv = vx * vx + vy * vy
+            s = 0.0 if vv == 0.0 else clip01((wx * vx + wy * vy) / vv)
+            dx, dy = wx - s * vx, wy - s * vy
+            near = near | (dx * dx + dy * dy <= eps2)
+            if ay != by:
+                crosses = (ay > t) != (by > t)
+                inside = inside ^ (crosses & (ax + (t - ay) * vx / vy > r))
+        return near | inside
 
-    return RadialProfile(contains2d=contains2d, r_max=r_max, t_range=(t_lo, t_hi))
+    return RadialProfile(
+        contains2d=lambda r, t: member(r, t, _clip01),
+        r_max=r_max,
+        t_range=(t_lo, t_hi),
+        contains2d_many=lambda r, t: member(r, t, _clip01_many),
+    )
 
 
 def radial_to_oracle(P: RadialProfile, label: str = "radial", tol: Tolerances = DEFAULT_TOL) -> SetOracle:
-    """Rotate a profile around the t-axis into a full membership oracle."""
+    """Rotate a profile around the t-axis into a full membership oracle.
+
+    The oracle gets an array kernel when the profile has contains2d_many.
+    """
 
     def inside(p: Point3) -> bool:
-        return P.contains2d(math.hypot(p.x, p.y), p.t)
+        return P.contains2d(math.sqrt(p.x * p.x + p.y * p.y), p.t)
 
+    kernel = None
+    if P.contains2d_many is not None:
+        kernel = lambda x, y, t: P.contains2d_many(np.sqrt(x * x + y * y), t)
     ht = max(abs(P.t_range[0]), abs(P.t_range[1]))
     return SetOracle(
         inside,
@@ -334,6 +396,7 @@ def radial_to_oracle(P: RadialProfile, label: str = "radial", tol: Tolerances = 
         label,
         is_radial=True,
         profile=P,
+        kernel=kernel,
     )
 
 
@@ -480,6 +543,10 @@ def dilation_bracket(
     return level - half, level + half
 
 
+def _pullback(tol: Tolerances) -> float:
+    return 1.0 / (1.0 + 10.0 * tol.eps_geom)
+
+
 def escapes(K: SetOracle, p: Point3, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Robustly outside K: p and its slight pullback toward e both fail.
 
@@ -489,8 +556,16 @@ def escapes(K: SetOracle, p: Point3, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     if K.contains(p):
         return False
-    eta = 10.0 * tol.eps_geom
-    return not K.contains(dilate(1.0 / (1.0 + eta), p))
+    return not K.contains(dilate(_pullback(tol), p))
+
+
+def escapes_many(K: SetOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """escapes on coordinate arrays of one shape, element for element."""
+    out = ~K.contains_many(x, y, t)
+    idx = out.nonzero()
+    lam = _pullback(tol)
+    out[idx] = ~K.contains_many(lam * x[idx], lam * y[idx], lam * lam * t[idx])
+    return out
 
 
 def escape_margin(K: SetOracle, p: Point3, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -509,6 +584,13 @@ def boundary_sample(
 ) -> list[Point3]:
     """n near-boundary points found by bisecting dilation rays from e.
 
+    Point k depends only on (seed, k): ray k takes the k-th accepted
+    direction of default_rng([seed, 0xB0]), so the first points do not
+    depend on n (falsify_ch always asks for 256).  All rays are bracketed
+    and bisected together through K.contains_many; each ray runs exactly
+    the steps it would run on its own, so the result is bit for bit the
+    one-ray-at-a-time loop with K.contains.
+
     Requires a compact set with the identity interior (assumption a); the
     ray parameter is the dilation scale, which is exact for sets that are
     star-shaped under dilations (assumption b).
@@ -522,33 +604,39 @@ def boundary_sample(
     if not K.contains(ORIGIN):
         raise RuntimeError(f"identity not inside {K.label}; cannot shoot rays from e")
     rng = np.random.default_rng([seed, 0xB0])
-    out: list[Point3] = []
-    while len(out) < n:
-        d = rng.normal(size=3)
-        length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        if length < 1e-12:
-            continue
-        u = Point3(float(d[0]) / length, float(d[1]) / length, float(d[2]) / length)
-        scale = max(1.0, norm(u, "koranyi"))
-        lo, hi = 0.0, 1.0
-        steps = 0
-        while K.contains(dilate(hi, u)):
-            lo = hi
-            hi *= 2.0
-            steps += 1
-            if steps > 60:
-                raise RuntimeError(f"ray from e never exits {K.label}: non-compact input?")
-        for _ in range(tol.max_iter):
-            if (hi - lo) * scale <= tol.eps_geom:
-                break
-            mid = 0.5 * (lo + hi)
-            if K.contains(dilate(mid, u)):
-                lo = mid
-            else:
-                hi = mid
-        # inner bracket end: guaranteed member, still within eps of the boundary
-        out.append(dilate(lo, u))
-    return out
+    dirs = np.empty((0, 3))
+    while len(dirs) < n:
+        # normal(size=(k, 3)) draws the same values as k draws of size 3
+        d = rng.normal(size=(n - len(dirs), 3))
+        length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+        keep = length >= 1e-12
+        dirs = np.concatenate([dirs, d[keep] / length[keep, None]])
+    ux, uy, ut = dirs.T
+    rho2 = ux * ux + uy * uy
+    scale = np.maximum(1.0, (rho2 * rho2 + ut * ut) ** 0.25)
+    lo, hi = np.zeros(n), np.ones(n)
+    rays = np.arange(n)
+    steps = 0
+    while True:
+        h = hi[rays]
+        rays = rays[K.contains_many(h * ux[rays], h * uy[rays], h * h * ut[rays])]
+        if rays.size == 0:
+            break
+        lo[rays] = hi[rays]
+        hi[rays] *= 2.0
+        steps += 1
+        if steps > 60:
+            raise RuntimeError(f"ray from e never exits {K.label}: non-compact input?")
+    for _ in range(tol.max_iter):
+        rays = np.flatnonzero((hi - lo) * scale > tol.eps_geom)
+        if rays.size == 0:
+            break
+        mid = 0.5 * (lo[rays] + hi[rays])
+        inside = K.contains_many(mid * ux[rays], mid * uy[rays], mid * mid * ut[rays])
+        lo[rays[inside]] = mid[inside]
+        hi[rays[~inside]] = mid[~inside]
+    # inner bracket end: guaranteed member, still within eps of the boundary
+    return list(map(Point3, (lo * ux).tolist(), (lo * uy).tolist(), (lo * lo * ut).tolist()))
 
 
 def sample_hvec(rng: np.random.Generator, diameter: float, floor: float = 1e-3) -> HVec:
@@ -694,6 +782,7 @@ def dilate_oracle(K: SetOracle, alpha: float) -> SetOracle:
         raise ValueError("dilation factor must be positive")
     (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
     a2 = alpha * alpha
+    lam = 1.0 / alpha
     profile = None
     if K.profile is not None:
         inner = K.profile
@@ -707,11 +796,12 @@ def dilate_oracle(K: SetOracle, alpha: float) -> SetOracle:
         inner_cone = K.closed_form_cone
         cone = lambda p: inner_cone(p) / alpha
     return SetOracle(
-        contains=lambda p: K.contains(dilate(1.0 / alpha, p)),
+        contains=lambda p: K.contains(dilate(lam, p)),
         bbox=((alpha * xlo, alpha * xhi), (alpha * ylo, alpha * yhi), (a2 * tlo, a2 * thi)),
         label=f"dilate({alpha:g}, {K.label})",
         is_radial=K.is_radial,
         is_compact=K.is_compact,
         profile=profile,
         closed_form_cone=cone,
+        kernel=lambda x, y, t: K.contains_many(lam * x, lam * y, lam * lam * t),
     )

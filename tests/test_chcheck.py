@@ -27,7 +27,9 @@ from heisconvex import (
     tau_residual,
     transport_witness,
 )
-from heisconvex.chcheck import ChWitness
+from heisconvex import chcheck
+from heisconvex.chcheck import DEGENERATE_TAU_GRID, ChWitness, TauSolution, curve_point, solve_tau_many
+from heisconvex.core import DEFAULT_TOL
 from heisconvex.sets import IMPORTANTE_R_MAX, dilate_oracle, polygon_profile, radial_to_oracle
 
 coord = st.floats(min_value=-3.0, max_value=3.0)
@@ -44,6 +46,100 @@ def test_solve_tau_residual_and_reach(x0, y0, t0, x1, y1, t1):
         assert abs(tau_residual(xi0, xi1, sol.tau)) <= 1e-9 * (1.0 + abs(t0) + abs(t1))
         v = horizontal_reach(xi0, dilate(sol.tau, xi1))
         assert v == sol.v
+
+
+def _reference_solve_tau(xi0, xi1, tol=DEFAULT_TOL):
+    """The scalar solve_tau loop that solve_tau_many must reproduce bit for bit."""
+    x0, y0, t0 = xi0
+    x1, y1, t1 = xi1
+    cross = x0 * y1 - x1 * y0
+    scale = 1.0 + abs(t0) + abs(t1) + abs(cross)
+    res_bound = tol.eps_eq * (1.0 + abs(t0) + abs(t1))
+
+    def make(tau, disc, degenerate=False):
+        return TauSolution(tau, HVec(tau * x1 - x0, tau * y1 - y0), disc, degenerate)
+
+    def verified(tau):
+        if not (math.isfinite(tau) and tau > tol.eps_eq):
+            return False
+        return abs(t1 * tau * tau + 2.0 * cross * tau - t0) <= res_bound
+
+    if t1 == 0.0:
+        if cross == 0.0:
+            if t0 == 0.0:
+                return [make(tau, math.inf, degenerate=True) for tau in DEGENERATE_TAU_GRID]
+            return []
+        tau = t0 / (2.0 * cross)
+        return [make(tau, cross * cross)] if verified(tau) else []
+
+    disc = cross * cross + t0 * t1
+    if disc < 0.0:
+        if disc >= -tol.eps_eq * scale * scale:
+            disc = 0.0
+        else:
+            return []
+    root = math.sqrt(disc)
+    q = -(cross + root) if cross >= 0.0 else -(cross - root)
+    candidates = [q / t1, -t0 / q] if q != 0.0 else [root / t1]
+    out = []
+    for tau in candidates:
+        if verified(tau) and all(abs(tau - s.tau) > tol.eps_eq * scale for s in out):
+            out.append(make(tau, disc))
+    out.sort(key=lambda s: s.tau)
+    return out
+
+
+# pairs that reach every branch: t1 = 0 (linear), cross = 0, the all-zero
+# degenerate grid, a discriminant just below 0 (clamped, double root
+# merged) and one too negative to clamp, two positive roots, NaN input
+SOLVE_TAU_CASES = [
+    (Point3(1.0, 0.0, 1.0), Point3(0.0, 1.0, 0.0)),
+    (Point3(1.0, 0.0, 1.0), Point3(2.0, 0.0, 0.0)),
+    (Point3(1.0, 0.0, 0.5), Point3(2.0, 0.0, 1.0)),
+    (Point3(1.0, 0.0, 0.0), Point3(0.5, 0.0, 0.0)),
+    (Point3(0.0, 0.0, 0.0), Point3(0.0, 0.0, 0.0)),
+    (Point3(1.0, 0.0, 1.0), Point3(0.0, 1.0, -(1.0 + 1e-12))),
+    (Point3(1.0, 0.0, 1.0), Point3(0.0, 1.0, -1.5)),
+    (Point3(1.0, 0.0, -1.0), Point3(2.0, 0.0, 1.0)),
+    (Point3(0.0, 0.5, -0.1), Point3(1.0, 0.0, 1.0)),
+    (Point3(0.0, 0.0, 1.0), Point3(0.0, 0.0, 1.0)),
+    (Point3(0.3, 0.0, 0.0), Point3(0.0, 0.2, 0.0)),
+    (Point3(float("nan"), 0.0, 1.0), Point3(0.0, 1.0, 1.0)),
+]
+
+
+def _assert_batch_matches_reference(pairs):
+    xi0 = np.array([p for p, _ in pairs]).T
+    xi1 = np.array([q for _, q in pairs]).T
+    taus, disc, degenerate = solve_tau_many(xi0, xi1)
+    for i, (p, q) in enumerate(pairs):
+        want = _reference_solve_tau(p, q)
+        assert solve_tau(p, q) == want
+        row = taus[i]
+        assert row[: len(want)].tolist() == [s.tau for s in want]
+        assert np.isnan(row[len(want):]).all()
+        if want:
+            assert disc[i] == want[0].discriminant
+            assert degenerate[i] == want[0].degenerate
+
+
+def test_solve_tau_many_branches_match_reference():
+    _assert_batch_matches_reference(SOLVE_TAU_CASES)
+    # the clamped case lands on one merged root; the unclampable one on none
+    assert len(solve_tau(*SOLVE_TAU_CASES[5])) == 1
+    assert solve_tau(*SOLVE_TAU_CASES[5])[0].discriminant == 0.0
+    assert solve_tau(*SOLVE_TAU_CASES[6]) == []
+
+
+special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+mixed = st.one_of(special, st.floats(min_value=-3.0, max_value=3.0))
+mixed_points = st.builds(Point3, mixed, mixed, mixed)
+
+
+@given(st.lists(st.tuples(mixed_points, mixed_points), min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_solve_tau_many_matches_reference(pairs):
+    _assert_batch_matches_reference(pairs)
 
 
 def test_solve_tau_branches():
@@ -152,10 +248,10 @@ def test_falsify_cylinder_frozen():
     K = gallery("cylinder")
     w = falsify_ch(K, 2000, seed=0)
     assert w is not None
-    assert w.pair_index == 30
-    assert w.tau == pytest.approx(0.923292357228, abs=1e-9)
+    assert w.pair_index == 78
+    assert w.tau == pytest.approx(0.4508658511703597, abs=1e-9)
     assert w.theta_star == 0.03125
-    assert w.margin == pytest.approx(8.943677e-05, rel=1e-3)
+    assert w.margin == pytest.approx(4.714102e-03, rel=1e-3)
     assert replay_ch_witness(K, w)
 
 
@@ -163,9 +259,41 @@ def test_falsify_euclidean_ball_frozen():
     K = gallery("euclidean_ball")
     w = falsify_ch(K, 2000, seed=0)
     assert w is not None
-    assert w.pair_index == 126
-    assert w.tau == pytest.approx(2.229226338423, abs=1e-9)
+    assert w.pair_index == 2
+    assert w.tau == pytest.approx(1.5660928085931614, abs=1e-9)
     assert replay_ch_witness(K, w)
+
+
+@pytest.mark.parametrize("name", ["cylinder", "euclidean_ball", "importante"])
+def test_falsify_prefix_stable(name):
+    # pair i depends on (seed, i) alone: raising the budget extends the
+    # search and never reshuffles it
+    K = gallery(name)
+    w = falsify_ch(K, 100000, seed=0)
+    assert w is not None
+    for budget in (w.pair_index + 1, 2000):
+        assert falsify_ch(K, budget, seed=0) == w
+    assert falsify_ch(K, w.pair_index, seed=0) is None
+    # the stored escape point is the scalar curve formula, bit for bit
+    assert Point3(*curve_point(*w.xi0, *w.v, w.tau, w.theta_star)) == w.escape_point
+
+
+def test_falsify_pairs_shared_across_chunk_boundary(monkeypatch):
+    seen = []
+
+    def spy(xi0, xi1, tol):
+        seen.append(np.concatenate([xi0, xi1]).T.copy())
+        return solve_tau_many(xi0, xi1, tol)
+
+    monkeypatch.setattr(chcheck, "solve_tau_many", spy)
+    runs = {}
+    for budget in (256, 257, 600):
+        seen.clear()
+        assert falsify_ch(gallery("koranyi_ball"), budget, seed=4) is None
+        runs[budget] = np.concatenate(seen)
+        assert len(runs[budget]) == budget
+    assert (runs[257][:256] == runs[256]).all()
+    assert (runs[600][:257] == runs[257]).all()
 
 
 def test_falsify_clean_sets():

@@ -61,8 +61,8 @@ def test_ch_witness_and_curve(tmp_path):
     assert code == 2
     rep = read_report(tmp_path / "ch_cylinder.json")
     w = rep["ch"]["witness"]
-    assert w["pair_index"] == 30
-    assert w["tau"] == pytest.approx(0.923292357228)
+    assert w["pair_index"] == 78
+    assert w["tau"] == pytest.approx(0.4508658511703597)
     curve = import_curve(tmp_path / "ch_curve_cylinder.csv")
     assert len(curve) == 101
     assert curve[0].x == pytest.approx(w["xi0"][0])
@@ -137,7 +137,7 @@ def test_gallery_matches_expectations(tmp_path):
     assert code == 0
     rep = read_report(tmp_path / "gallery.json")
     assert rep["all_match"]
-    assert rep["gallery"]["cylinder"]["ch_witness"]["pair_index"] == 30
+    assert rep["gallery"]["cylinder"]["ch_witness"]["pair_index"] == 78
     assert rep["gallery"]["importante"]["radial"] == [False, False]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from heisconvex import (
     proj_pair,
     x_axis,
 )
-from heisconvex.core import ORIGIN
+from heisconvex.core import DEFAULT_TOL, ORIGIN
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 points = st.builds(Point3, coord, coord, coord)
@@ -133,6 +134,9 @@ def test_tolerances_invariant():
         Tolerances(eps_geom=1e-7, eps_eq=0.0)
     with pytest.raises(ValueError):
         Tolerances(max_iter=0)
+    # oracles capture eps_geom when built, so the shared default must not change
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DEFAULT_TOL.eps_geom = 1e-3
 
 
 def test_horizontal_line_normalizes():

@@ -23,8 +23,10 @@ from heisconvex.sets import (
     GALLERY_NAMES,
     IMPORTANTE_R_FLAT,
     IMPORTANTE_R_MAX,
+    SetOracle,
     box_oracle,
     dilate_oracle,
+    escapes_many,
     polygon_profile,
     radial_to_oracle,
     scan_horizontal_segments,
@@ -259,3 +261,136 @@ def test_cylinder_hat_closed_form_matches_oracle():
         f = K.closed_form_cone(p)
         if abs(f - 1.0) > 1e-6:
             assert K.contains(p) == (f <= 1.0)
+
+
+def _all_oracles():
+    """Every kind of oracle this package builds, by name."""
+    base = {name: plus_set() if name == "radial_custom" else gallery(name) for name in GALLERY_NAMES}
+    out = dict(base)
+    out["box"] = box_oracle(((-1.0, 1.0), (-2.0, 2.0), (-3.0, 3.0)), "b")
+    for alpha in (0.5, 2.0):
+        for name, K in base.items():
+            out[f"dilate({alpha:g}, {name})"] = dilate_oracle(K, alpha)
+    return out
+
+
+ORACLES = _all_oracles()
+FINE_TOL = Tolerances(eps_geom=1e-300, eps_eq=1e-300, max_iter=200)
+
+
+def _edge_points(K, seed):
+    """Points within a few ulps of the membership boundary: rays bisected
+    down to adjacent floats, then each coordinate stepped one ulp each way."""
+    if K.is_compact:
+        pts = np.array(boundary_sample(K, 256, seed, FINE_TOL))
+    else:
+        # the slabs: bisect x between the t-axis and the box face instead
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(64):
+            y, t = (rng.uniform(lo, hi) for lo, hi in K.bbox[1:])
+            lo, hi = 0.0, K.bbox[0][1]
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if K.contains(Point3(mid, y, t)) else (lo, mid)
+            rows.append((lo, y, t))
+        pts = np.array(rows)
+    steps = [pts]
+    for axis in range(3):
+        for direction in (-np.inf, np.inf):
+            q = pts.copy()
+            q[:, axis] = np.nextafter(q[:, axis], direction)
+            steps.append(q)
+    return np.concatenate(steps)
+
+
+def _assert_same_membership(K, pts):
+    got = K.contains_many(pts[:, 0], pts[:, 1], pts[:, 2])
+    want = [K.contains(Point3(*p)) for p in pts.tolist()]
+    assert got.dtype == bool and got.shape == (len(pts),)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_contains_many_matches_contains(name):
+    K = ORACLES[name]
+    rng = np.random.default_rng(7)
+    uniform = np.column_stack([rng.uniform(lo, hi, 2000) for lo, hi in K.bbox])
+    _assert_same_membership(K, uniform)
+    edge = _edge_points(K, 3)
+    _assert_same_membership(K, edge)
+    # the edge set straddles the boundary, so both answers occur
+    inside = K.contains_many(edge[:, 0], edge[:, 1], edge[:, 2])
+    assert inside.any() and not inside.all()
+    # any shape goes in, the same shape comes out
+    grid = edge[:60].reshape(4, 15, 3)
+    assert K.contains_many(grid[..., 0], grid[..., 1], grid[..., 2]).shape == (4, 15)
+
+
+@given(
+    st.sampled_from(sorted(ORACLES)),
+    st.lists(st.tuples(*[st.floats(min_value=-1.3, max_value=1.3)] * 3), min_size=1, max_size=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_contains_many_matches_contains_property(name, unit):
+    K = ORACLES[name]
+    u = np.array(unit)
+    centre = np.array([0.5 * (lo + hi) for lo, hi in K.bbox])
+    half = np.array([0.5 * (hi - lo) for lo, hi in K.bbox])
+    _assert_same_membership(K, centre + u * half)
+
+
+def test_contains_many_row_loop_fallback():
+    inner = gallery("koranyi_ball")
+    K = SetOracle(inner.contains, inner.bbox, "bare")
+    _assert_same_membership(K, _edge_points(inner, 5))
+
+
+def test_escapes_many_matches_escapes():
+    for name in ("koranyi_ball", "cylinder", "importante", "radial_custom"):
+        K = ORACLES[name]
+        pts = _edge_points(K, 2)
+        # pushed out a little: some escape robustly, some stay within slack
+        pts = np.concatenate([pts, pts * np.array([1.0 + 1e-5, 1.0 + 1e-5, (1.0 + 1e-5) ** 2])])
+        got = escapes_many(K, pts[:, 0], pts[:, 1], pts[:, 2])
+        assert got.tolist() == [escapes(K, Point3(*p)) for p in pts.tolist()]
+        assert got.any() and not got.all()
+
+
+def _reference_boundary_sample(K, n, seed, tol=Tolerances()):
+    """The one-ray-at-a-time loop boundary_sample must reproduce bit for bit."""
+    rng = np.random.default_rng([seed, 0xB0])
+    out = []
+    while len(out) < n:
+        d = rng.normal(size=3)
+        length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        if length < 1e-12:
+            continue
+        u = Point3(float(d[0]) / length, float(d[1]) / length, float(d[2]) / length)
+        scale = max(1.0, norm(u, "koranyi"))
+        lo, hi = 0.0, 1.0
+        steps = 0
+        while K.contains(dilate(hi, u)):
+            lo = hi
+            hi *= 2.0
+            steps += 1
+            if steps > 60:
+                raise RuntimeError("ray never exits")
+        for _ in range(tol.max_iter):
+            if (hi - lo) * scale <= tol.eps_geom:
+                break
+            mid = 0.5 * (lo + hi)
+            if K.contains(dilate(mid, u)):
+                lo = mid
+            else:
+                hi = mid
+        out.append(dilate(lo, u))
+    return out
+
+
+@pytest.mark.parametrize("name", ["koranyi_ball", "euclidean_ball", "cylinder", "cylinder_hat", "importante"])
+def test_boundary_sample_matches_per_ray_loop(name):
+    K = gallery(name)
+    for seed in (0, 1, 2):
+        assert boundary_sample(K, 256, seed) == _reference_boundary_sample(K, 256, seed)
+    # the first points do not depend on how many are asked for
+    assert boundary_sample(K, 10, 0) == boundary_sample(K, 256, 0)[:10]
