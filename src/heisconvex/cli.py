@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .chcheck import (
@@ -31,8 +31,8 @@ from .chcheck import (
     radial_necessary,
 )
 from .cones import make_cone, cone_validate, compare_closed_form
-from .core import DEFAULT_TOL, HVec, Point3, Tolerances, dilate
-from .sets import GALLERY_NAMES, SetOracle, check_axioms, gallery
+from .core import DEFAULT_TOL, HVec, Point3, Tolerances
+from .sets import GALLERY, GALLERY_NAMES, SetOracle, check_axioms, gallery
 
 MESH_KINDS = ("mesh", "curve")
 
@@ -121,7 +121,6 @@ def _report_skeleton(cfg: RunConfig) -> dict:
             "eps_eq": cfg.tolerances.eps_eq,
             "max_iter": cfg.tolerances.max_iter,
         },
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 
 
@@ -171,13 +170,8 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
     ts = [tau * tau * pad * (tlo + (thi - tlo) * i / (resolution - 1)) for i in range(resolution)]
 
     inv = 1.0 / tau
-    field_ = [
-        [
-            [K.contains(dilate(inv, Point3(x, y, t))) for t in ts]
-            for y in ys
-        ]
-        for x in xs
-    ]
+    X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
+    field_ = K.contains_many(inv * X, inv * Y, inv * inv * T).tolist()
 
     verts: dict[tuple, int] = {}
     vert_list: list[tuple[float, float, float]] = []
@@ -414,53 +408,13 @@ def _cmd_radial(cfg: RunConfig) -> int:
     return 0 if ok else 2
 
 
-# measured outcomes of the reference suite; the gallery command re-runs
-# them and flags any drift (None = informational, not enforced)
-GALLERY_EXPECTATIONS: dict[str, dict] = {
-    "koranyi_ball": {
-        "axioms": (True, True, True),
-        "ch_witness": False,
-        "radial": (True, True),
-        "cone_verdict_prefix": "candidate",
-    },
-    "euclidean_ball": {
-        "axioms": (True, True, True),
-        "ch_witness": True,
-        "radial": (False, True),
-        "cone_verdict_prefix": None,
-    },
-    "cylinder": {
-        "axioms": (True, True, True),
-        "ch_witness": True,
-        "radial": (True, True),
-        "cone_verdict_prefix": None,
-    },
-    "cylinder_hat": {
-        "axioms": (True, True, True),
-        "ch_witness": False,
-        "radial": (True, True),
-        "cone_verdict_prefix": "candidate",
-    },
-    "importante": {
-        "axioms": (True, True, True),
-        "ch_witness": True,
-        "radial": (False, False),
-        "cone_verdict_prefix": None,
-    },
-    "slab_x": {
-        "axioms": (False, True, True),
-        "ch_witness": False,
-        "radial": None,
-        "cone_verdict_prefix": None,
-    },
-}
-
-
 def _cmd_gallery(cfg: RunConfig) -> int:
     report = _report_skeleton(cfg)
     all_match = True
     blocks = {}
-    for name, expect in GALLERY_EXPECTATIONS.items():
+    # a registry entry without expected verdicts is not in the suite
+    suite = {name: entry.expect for name, entry in GALLERY.items() if entry.expect is not None}
+    for name, expect in suite.items():
         K = gallery(name, None, cfg.tolerances)
         block: dict = {}
         mismatches: list[str] = []
@@ -468,33 +422,27 @@ def _cmd_gallery(cfg: RunConfig) -> int:
         ax = check_axioms(K, cfg.samples, cfg.seed, cfg.tolerances)
         got_ax = (ax.a_holds, ax.b_holds, ax.c_holds)
         block["axioms"] = list(got_ax)
-        if expect["axioms"] is not None and got_ax != expect["axioms"]:
-            mismatches.append(f"axioms: expected {expect['axioms']}, got {got_ax}")
+        if got_ax != expect.axioms:
+            mismatches.append(f"axioms: expected {expect.axioms}, got {got_ax}")
 
         w = falsify_ch(K, cfg.budget, seed=cfg.seed, tol=cfg.tolerances)
         block["ch_witness"] = _witness_dict(w)
-        if expect["ch_witness"] is not None and (w is not None) != expect["ch_witness"]:
-            mismatches.append(
-                f"ch: expected witness={expect['ch_witness']}, got {w is not None}"
-            )
+        if (w is not None) != expect.ch_witness:
+            mismatches.append(f"ch: expected witness={expect.ch_witness}, got {w is not None}")
 
         if K.is_radial and K.profile is not None:
             rad = radial_necessary(K.profile, cfg.samples, cfg.seed, cfg.tolerances)
             block["radial"] = [rad.thm_i_ok, rad.thm_ii_ok]
             block["radial_witness"] = _pt(rad.thm_ii_witness or rad.thm_i_witness)
-            if expect["radial"] is not None and (rad.thm_i_ok, rad.thm_ii_ok) != expect["radial"]:
-                mismatches.append(
-                    f"radial: expected {expect['radial']}, got {(rad.thm_i_ok, rad.thm_ii_ok)}"
-                )
+            if (rad.thm_i_ok, rad.thm_ii_ok) != expect.radial:
+                mismatches.append(f"radial: expected {expect.radial}, got {(rad.thm_i_ok, rad.thm_ii_ok)}")
 
-        if expect["cone_verdict_prefix"] is not None:
+        if expect.cone_prefix is not None:
             C = make_cone(K, "heisenberg", cfg.tolerances, seed=cfg.seed)
             verdict = cone_validate(C, min(cfg.samples, 800), cfg.seed).verdict
             block["cone_verdict"] = verdict
-            if not verdict.startswith(expect["cone_verdict_prefix"]):
-                mismatches.append(
-                    f"cone: expected prefix {expect['cone_verdict_prefix']!r}, got {verdict!r}"
-                )
+            if not verdict.startswith(expect.cone_prefix):
+                mismatches.append(f"cone: expected prefix {expect.cone_prefix!r}, got {verdict!r}")
 
         block["mismatches"] = mismatches
         blocks[name] = block

@@ -29,7 +29,6 @@ from .sets import (
     SetOracle,
     box_oracle,
     check_axioms,
-    dilation_bracket,
     dilation_level,
     sample_in_set,
 )
@@ -120,11 +119,6 @@ def cone_eval(C: ConeFunction, xi: Point3) -> float:
     to 0, so cone_eval(e) = 0 exactly.
     """
     return dilation_level(C.source, xi, C.tol, scaling=C.kind)
-
-
-def cone_eval_bracket(C: ConeFunction, xi: Point3) -> tuple[float, float]:
-    """The (lo, hi) bracket around the returned level, for interval tests."""
-    return dilation_bracket(C.source, xi, C.tol, scaling=C.kind)
 
 
 def cone_fn_oracle(C: ConeFunction) -> FnOracle:

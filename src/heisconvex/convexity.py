@@ -26,7 +26,7 @@ from .core import (
     exp_h,
     group_mul,
 )
-from .sets import SetOracle, bbox_diameter, sample_hvec, sample_in_set, theta_grid
+from .sets import SetOracle, horizontal_probes, theta_grid
 
 
 @dataclass
@@ -82,23 +82,9 @@ def _segment_scan(
     # convex check at a seed implies passing the quasiconvex check there.
     if n < 1 or grid < 1:
         raise ValueError("need n >= 1 samples and grid >= 1")
-    rng = np.random.default_rng([seed, 0xF])
-    diam = bbox_diameter(domain.bbox)
     thetas = [th for th in theta_grid(max(grid, 2)) if 0.0 < th < 1.0]
     produced = 0
-    tries = 0
-    max_tries = 1000 + 400 * n
-    while produced < n:
-        if tries >= max_tries:
-            raise RuntimeError(
-                f"domain {domain.label} too thin: {produced}/{n} probes after {tries} tries"
-            )
-        tries += 1
-        p = sample_in_set(domain, 1, rng)[0]
-        v = sample_hvec(rng, diam)
-        q = group_mul(p, exp_h(v))
-        if not domain.contains(q):
-            continue
+    for p, v, q in horizontal_probes(domain, n, seed, 0xF):
         produced += 1
         f0 = f.eval(p)
         f1 = f.eval(q)
@@ -107,6 +93,8 @@ def _segment_scan(
             rhs = max(f0, f1) if quasi else (1.0 - th) * f0 + th * f1
             if lhs > rhs + tol.eps_eq:
                 return ConvexityWitness(p, v, th, lhs, rhs, "quasi" if quasi else "convex")
+    if produced < n:
+        raise RuntimeError(f"domain {domain.label} too thin: {produced}/{n} probes found")
     return None
 
 

@@ -9,9 +9,7 @@ dilations delta_lam(x, y, t) = (lam*x, lam*y, lam^2*t) are group
 homomorphisms.  Horizontal vectors v = (a, b) exponentiate onto the plane
 t = 0; left translating gives the horizontal plane of a point, the set it
 can reach in one horizontal step.  On top of that this module provides the
-homogeneous norms, the Euclidean projection pair onto a horizontal line
-through the origin, and membership in the intrinsic open cones built from
-that pair.
+homogeneous norms and the shared numeric tolerances.
 
 Everything here is pure scalar arithmetic on small tuples; no state.
 """
@@ -66,40 +64,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass
-class HorizontalLine:
-    """A horizontal line: base point plus a unit horizontal direction.
-
-    The direction is normalized on construction; a zero direction is
-    rejected.
-    """
-
-    direction: HVec
-    base: Point3 = ORIGIN
-
-    def __post_init__(self):
-        a, b = self.direction
-        n = math.hypot(a, b)
-        if n == 0.0 or not math.isfinite(n):
-            raise ValueError("horizontal line needs a nonzero finite direction")
-        self.direction = HVec(a / n, b / n)
-
-    def through_origin(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """Whether the line passes through the group identity.
-
-        The line {base o exp_h(s * direction)} hits e iff the base's
-        planar part is parallel to the direction and its t part vanishes.
-        """
-        bx, by, bt = self.base
-        wa, wb = self.direction
-        scale = 1.0 + abs(bx) + abs(by)
-        return abs(bx * wb - by * wa) <= tol.eps_eq * scale and abs(bt) <= tol.eps_eq
-
-
-def x_axis() -> HorizontalLine:
-    return HorizontalLine(HVec(1.0, 0.0))
 
 
 def group_mul(p: Point3, q: Point3) -> Point3:
@@ -169,50 +133,3 @@ def norm(p: Point3, kind: str = "koranyi") -> float:
     if kind == "euclidean":
         return math.sqrt(p.x * p.x + p.y * p.y + p.t * p.t)
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def proj_pair(r: HorizontalLine, p: Point3, tol: Tolerances = DEFAULT_TOL) -> tuple[Point3, Point3]:
-    """Split p across a horizontal line through the origin.
-
-    Args:
-        r: line through e (validated).
-        p: point to split.
-
-    Returns:
-        (proj, perp) where proj is the Euclidean orthogonal projection of
-        p onto the line and perp is the unique group element with
-        p = perp o proj.
-    """
-    if not r.through_origin(tol):
-        raise ValueError("projection pair requires a line through the origin")
-    wa, wb = r.direction
-    s = p.x * wa + p.y * wb
-    proj = Point3(s * wa, s * wb, 0.0)
-    perp = group_mul(p, group_inv(proj))
-    return proj, perp
-
-
-def cone_contains(
-    vertex: Point3,
-    r: HorizontalLine,
-    alpha: float,
-    h: float,
-    p: Point3,
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
-    """Membership in the open cone with the given vertex, axis, aperture, height.
-
-    For vertex e the cone is the set of points whose quasi-norm split
-    against the axis satisfies |perp|_q < alpha * |proj|_q < alpha * h;
-    a general vertex left-translates p back first.  Inequalities are
-    strict minus eps_eq, so boundary points never flicker in.
-    """
-    if alpha <= 0.0 or h <= 0.0:
-        raise ValueError("cone aperture and height must be positive")
-    q = group_mul(group_inv(vertex), p)
-    proj, perp = proj_pair(r, q, tol)
-    a_proj = alpha * norm(proj, "quasi")
-    return (
-        norm(perp, "quasi") < a_proj - tol.eps_eq
-        and a_proj < alpha * h - tol.eps_eq
-    )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,16 +37,6 @@ from .core import (
 Bbox = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 Formula = Callable[[Point3], bool]
-
-GALLERY_NAMES = (
-    "koranyi_ball",
-    "euclidean_ball",
-    "cylinder",
-    "cylinder_hat",
-    "importante",
-    "slab_x",
-    "radial_custom",
-)
 
 
 @dataclass
@@ -159,27 +149,27 @@ def _sym_bbox(hx: float, hy: float, ht: float) -> Bbox:
     return ((-_pad(hx), _pad(hx)), (-_pad(hy), _pad(hy)), (-_pad(ht), _pad(ht)))
 
 
-def _koranyi_ball(radius: float, tol: Tolerances) -> SetOracle:
+def _koranyi_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
     eps = tol.eps_geom
-    bound = (radius + eps) ** 4
+    bound = (r + eps) ** 4
 
     def inside(p: Point3) -> bool:
-        # |p|_K <= radius + eps, both sides raised to the fourth power
+        # |p|_K <= r + eps, both sides raised to the fourth power
         rho2 = p.x * p.x + p.y * p.y
         return rho2 * rho2 + p.t * p.t <= bound
 
     profile = RadialProfile(
-        contains2d=lambda r, t: (r * r * r * r + t * t) ** 0.25 <= radius + eps,
-        r_max=radius,
-        t_range=(-radius * radius, radius * radius),
+        contains2d=lambda rho, t: (rho * rho * rho * rho + t * t) ** 0.25 <= r + eps,
+        r_max=r,
+        t_range=(-r * r, r * r),
     )
     return _formula_oracle(
         inside,
-        _sym_bbox(radius, radius, radius * radius),
-        f"koranyi_ball(r={radius:g})",
+        _sym_bbox(r, r, r * r),
+        f"koranyi_ball(r={r:g})",
         is_radial=True,
         profile=profile,
-        closed_form_cone=lambda p: norm(p, "koranyi") / radius,
+        closed_form_cone=lambda p: norm(p, "koranyi") / r,
     )
 
 
@@ -190,25 +180,25 @@ def _euclidean_cone_value(p: Point3, radius: float) -> float:
     return math.sqrt((rho2 + inner) / (2.0 * radius * radius))
 
 
-def _euclidean_ball(radius: float, tol: Tolerances) -> SetOracle:
+def _euclidean_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
     eps = tol.eps_geom
-    bound = (radius + eps) ** 2
+    bound = (r + eps) ** 2
 
     def inside(p: Point3) -> bool:
         return p.x * p.x + p.y * p.y + p.t * p.t <= bound
 
     profile = RadialProfile(
-        contains2d=lambda r, t: math.hypot(r, t) <= radius + eps,
-        r_max=radius,
-        t_range=(-radius, radius),
+        contains2d=lambda rho, t: math.hypot(rho, t) <= r + eps,
+        r_max=r,
+        t_range=(-r, r),
     )
     return _formula_oracle(
         inside,
-        _sym_bbox(radius, radius, radius),
-        f"euclidean_ball(r={radius:g})",
+        _sym_bbox(r, r, r),
+        f"euclidean_ball(r={r:g})",
         is_radial=True,
         profile=profile,
-        closed_form_cone=lambda p: _euclidean_cone_value(p, radius),
+        closed_form_cone=lambda p: _euclidean_cone_value(p, r),
     )
 
 
@@ -400,36 +390,74 @@ def radial_to_oracle(P: RadialProfile, label: str = "radial", tol: Tolerances = 
     )
 
 
+def _radial_custom(tol: Tolerances, vertices: Optional[Sequence[Sequence[float]]] = None) -> SetOracle:
+    if vertices is None:
+        raise ValueError("radial_custom requires params['vertices']")
+    return radial_to_oracle(polygon_profile(vertices, tol), "radial_custom", tol)
+
+
+class Verdicts(NamedTuple):
+    """What the gallery command expects of a set at its default params.
+
+    radial is None for a set without a profile; cone_prefix None skips the
+    cone build.
+    """
+
+    axioms: tuple[bool, bool, bool]
+    ch_witness: bool
+    radial: Optional[tuple[bool, bool]]
+    cone_prefix: Optional[str]
+
+
+class GalleryEntry(NamedTuple):
+    """One reference set: build(tol, **params), the params it accepts, and
+    the verdicts the gallery command checks (None: not in the suite)."""
+
+    build: Callable[..., SetOracle]
+    params: tuple[str, ...]
+    expect: Optional[Verdicts]
+
+
+_ALL_HOLD = (True, True, True)
+
+GALLERY: dict[str, GalleryEntry] = {
+    "koranyi_ball": GalleryEntry(_koranyi_ball, ("r",), Verdicts(_ALL_HOLD, False, (True, True), "candidate")),
+    "euclidean_ball": GalleryEntry(_euclidean_ball, ("r",), Verdicts(_ALL_HOLD, True, (False, True), None)),
+    "cylinder": GalleryEntry(_cylinder, (), Verdicts(_ALL_HOLD, True, (True, True), None)),
+    "cylinder_hat": GalleryEntry(_cylinder_hat, (), Verdicts(_ALL_HOLD, False, (True, True), "candidate")),
+    "importante": GalleryEntry(_importante, (), Verdicts(_ALL_HOLD, True, (False, False), None)),
+    "slab_x": GalleryEntry(_slab_x, (), Verdicts((False, True, True), False, None, None)),
+    "radial_custom": GalleryEntry(_radial_custom, ("vertices",), None),
+}
+GALLERY_NAMES = tuple(GALLERY)
+
+
 def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_TOL) -> SetOracle:
     """Build one of the named reference sets.
 
     Args:
-        name: one of GALLERY_NAMES.
-        params: per-set parameters; koranyi_ball/euclidean_ball accept
-            {"r": radius}, radial_custom requires {"vertices": [[r, t], ...]}.
+        name: a key of GALLERY.
+        params: the set's params, see GALLERY[name].params; koranyi_ball
+            and euclidean_ball accept {"r": radius}, finite and > 0,
+            radial_custom requires {"vertices": [[r, t], ...]}.
 
     Raises:
-        ValueError: unknown name or missing/invalid params.
+        ValueError: unknown name, unknown param keys, or missing/invalid params.
     """
+    entry = GALLERY.get(name)
+    if entry is None:
+        raise ValueError(f"unknown gallery set {name!r}; known: {', '.join(GALLERY)}")
     params = dict(params or {})
-    if name == "koranyi_ball":
-        return _koranyi_ball(float(params.pop("r", 1.0)), tol)
-    if name == "euclidean_ball":
-        return _euclidean_ball(float(params.pop("r", 1.0)), tol)
-    if name == "cylinder":
-        return _cylinder(tol)
-    if name == "cylinder_hat":
-        return _cylinder_hat(tol)
-    if name == "importante":
-        return _importante(tol)
-    if name == "slab_x":
-        return _slab_x(tol)
-    if name == "radial_custom":
-        if "vertices" not in params:
-            raise ValueError("radial_custom requires params['vertices']")
-        profile = polygon_profile(params.pop("vertices"), tol)
-        return radial_to_oracle(profile, "radial_custom", tol)
-    raise ValueError(f"unknown gallery set {name!r}; known: {', '.join(GALLERY_NAMES)}")
+    unknown = sorted(set(params) - set(entry.params))
+    if unknown:
+        accepted = ", ".join(entry.params) or "none"
+        raise ValueError(f"{name} does not accept params {unknown}; accepted: {accepted}")
+    if "r" in params:
+        r = params["r"]
+        if isinstance(r, bool) or not isinstance(r, (int, float)) or not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"{name} needs a finite r > 0, got {r!r}")
+        params["r"] = float(r)
+    return entry.build(tol, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +512,12 @@ def dilation_level(
             plain scalar scaling.
 
     Raises:
+        ValueError: q has a non-finite coordinate, or unknown scaling.
         RuntimeError: bracketing runs away (identity not interior, or the
             set is not star-shaped under dilations: assumption b fails).
     """
+    if not (math.isfinite(q.x) and math.isfinite(q.y) and math.isfinite(q.t)):
+        raise ValueError(f"dilation level of a non-finite point {tuple(q)} on {K.label}")
     if scaling == "heisenberg":
         def member(tau: float) -> bool:
             return K.contains(dilate(1.0 / tau, q))
@@ -527,20 +558,6 @@ def dilation_level(
             lo = mid
     level = 0.5 * (lo + hi)
     return 0.0 if level < tol.eps_geom else level
-
-
-def dilation_bracket(
-    K: SetOracle,
-    q: Point3,
-    tol: Tolerances = DEFAULT_TOL,
-    scaling: str = "heisenberg",
-) -> tuple[float, float]:
-    """The final (lo, hi) bisection bracket around the dilation level."""
-    level = dilation_level(K, q, tol, scaling)
-    if level == 0.0:
-        return 0.0, tol.eps_geom
-    half = 0.5 * tol.eps_geom * max(1.0, level)
-    return level - half, level + half
 
 
 def _pullback(tol: Tolerances) -> float:
@@ -657,19 +674,16 @@ def theta_grid(m: int) -> list[float]:
     return grid
 
 
-def horizontal_probes(
-    K: SetOracle,
-    n: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-):
+def horizontal_probes(K: SetOracle, n: int, seed: int, tag: int = 0xC):
     """Yield up to n seeded probes (p, v, q) with p, q = p o exp_h(v) in K.
 
-    This is the shared sampling core of the horizontal-segment axiom check
-    and of the tau=1 restriction of the family falsifier, so the two
-    deliver identical verdicts on identical seeds.
+    The stream is default_rng([seed, tag]), given up after 1000 + 400 n
+    tries.  Tag 0xC is the horizontal-segment axiom check, which the tau=1
+    restriction of the family falsifier shares, so the two deliver
+    identical verdicts on identical seeds; tag 0xF is the function
+    falsifiers of the convexity module.
     """
-    rng = np.random.default_rng([seed, 0xC])
+    rng = np.random.default_rng([seed, tag])
     diam = bbox_diameter(K.bbox)
     produced = 0
     tries = 0
@@ -698,7 +712,7 @@ def scan_horizontal_segments(
     """
     thetas = [th for th in theta_grid(grid) if 0.0 < th < 1.0]
     used = 0
-    for p, v, _q in horizontal_probes(K, n, seed, tol):
+    for p, v, _q in horizontal_probes(K, n, seed):
         used += 1
         for th in thetas:
             pt = group_mul(p, exp_h(HVec(th * v.a, th * v.b)))

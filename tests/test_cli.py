@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -15,9 +17,7 @@ from heisconvex.cli import (
 
 
 def read_report(path):
-    data = json.loads(path.read_text())
-    data.pop("timestamp")
-    return data
+    return json.loads(path.read_text())
 
 
 def test_parse_descriptor_forms(tmp_path):
@@ -79,9 +79,8 @@ def test_ch_reports_are_deterministic(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):
         assert main(["ch", "--set", "cylinder", "--budget", "1500", "--out", str(d)]) == 2
-    a = read_report(a_dir / "ch_cylinder.json")
-    b = read_report(b_dir / "ch_cylinder.json")
-    assert a == b
+    # the whole report body, byte for byte: no wall-clock field
+    assert (a_dir / "ch_cylinder.json").read_bytes() == (b_dir / "ch_cylinder.json").read_bytes()
     assert (a_dir / "ch_curve_cylinder.csv").read_bytes() == (
         b_dir / "ch_curve_cylinder.csv"
     ).read_bytes()
@@ -263,6 +262,32 @@ def test_export_levelset_validates():
         export_levelset(K, 1.0, 4, "/tmp/never.obj")
     with pytest.raises(ValueError):
         export_levelset(gallery("slab_x"), 1.0, 16, "/tmp/never.obj")
+
+
+@pytest.mark.parametrize("name", ["koranyi_ball", "cylinder_hat", "importante"])
+def test_export_mesh_batch_field_matches_row_loop(tmp_path, name):
+    # the batch membership field gives the same mesh as the scalar
+    # contains of the same oracle (kernel=None falls back to a row loop)
+    K = gallery(name)
+    bare = dataclasses.replace(K, kernel=None)
+    a = export_levelset(K, 0.7, 20, tmp_path / "batch.obj").read_bytes()
+    b = export_levelset(bare, 0.7, 20, tmp_path / "rows.obj").read_bytes()
+    assert a == b
+    # the tau-dilate fits inside the padded grid, so the mesh is closed:
+    # every edge is shared by exactly two faces
+    faces = [l.split()[1:] for l in a.decode().splitlines() if l.startswith("f ")]
+    edges = Counter(frozenset(e) for f0, f1, f2 in faces for e in ((f0, f1), (f1, f2), (f2, f0)))
+    assert faces and set(edges.values()) == {2}
+
+
+def test_bad_params_exit_1(tmp_path, capsys):
+    out = ["--samples", "50", "--out", str(tmp_path)]
+    for params in ('{"radius": 3}', '{"r": NaN}', '{"r": -1}', '{"r": Infinity}', '{"r": 0}'):
+        assert main(["axioms", "--set", "koranyi_ball", "--params", params] + out) == 1
+        assert "heisconvex: error: koranyi_ball" in capsys.readouterr().err
+    assert main(["axioms", "--set", "cylinder", "--params", '{"r": 2}'] + out) == 1
+    assert "cylinder does not accept params ['r']" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_export_curve_requires_rows(tmp_path):

@@ -9,7 +9,6 @@ from heisconvex import (
     ConeFunction,
     Point3,
     cone_eval,
-    cone_eval_bracket,
     cone_fn_oracle,
     cone_validate,
     compare_closed_form,
@@ -53,11 +52,10 @@ def test_koranyi_cone_is_gauge(koranyi_cone):
     assert cone_eval(koranyi_cone, Point3(0.0, 0.0, 0.0)) == 0.0
 
 
-def test_bracket_sandwiches_level(koranyi_cone):
-    p = Point3(0.8, -0.2, 1.4)
-    lo, hi = cone_eval_bracket(koranyi_cone, p)
-    assert lo <= cone_eval(koranyi_cone, p) <= hi
-    assert hi - lo <= 2e-7
+def test_cone_eval_rejects_non_finite(koranyi_cone):
+    for p in (Point3(math.nan, 0.0, 0.0), Point3(0.0, 0.0, math.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            cone_eval(koranyi_cone, p)
 
 
 @given(st.floats(min_value=0.25, max_value=4.0))

@@ -59,6 +59,27 @@ def test_replay_recomputes_from_fields():
     assert not replay_witness(planar, fabricated)
 
 
+def test_euclidean_ball_gauge_witness_frozen():
+    # the seed-0 stream (default_rng([0, 0xF]) through horizontal_probes)
+    # pinned: criterion 2 proves this witness exactly
+    f = FnOracle(eval=gallery("euclidean_ball").closed_form_cone, label="euclidean-ball-cone")
+    box15 = box_oracle(((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)), "box15")
+    w = check_hconvex_fn(f, box15, 100000, grid=9, seed=0)
+    assert w is not None and w.kind == "convex"
+    assert w.base == Point3(0.07471291803638813, 0.86563216466058, -0.39143185807813685)
+    assert w.v == HVec(-0.029152402802567225, 0.08777560843307426)
+    assert w.theta == 0.125
+
+
+def test_thin_domain_raises():
+    # no horizontal step of length >= 1e-3 stays inside a slab 2e-9 wide
+    sliver = box_oracle(((-1e-9, 1e-9), (-1.0, 1.0), (-1.0, 1.0)), "sliver")
+    with pytest.raises(RuntimeError, match="sliver too thin: 0/3 probes"):
+        check_hconvex_fn(planar, sliver, 3, seed=0)
+    with pytest.raises(RuntimeError, match="too thin"):
+        check_hquasiconvex_fn(planar, sliver, 3, seed=0)
+
+
 def test_hconvex_implies_hquasiconvex_on_shared_seeds():
     for f in (planar, gauge):
         for seed in (0, 1, 7):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heisconvex
 from heisconvex import (
     HVec,
-    HorizontalLine,
     Point3,
     Tolerances,
-    cone_contains,
     dilate,
     exp_h,
     group_inv,
@@ -18,8 +17,6 @@ from heisconvex import (
     horizontal_plane_t,
     horizontal_reach,
     norm,
-    proj_pair,
-    x_axis,
 )
 from heisconvex.core import DEFAULT_TOL, ORIGIN
 
@@ -139,67 +136,8 @@ def test_tolerances_invariant():
         DEFAULT_TOL.eps_geom = 1e-3
 
 
-def test_horizontal_line_normalizes():
-    r = HorizontalLine(HVec(3.0, 4.0))
-    assert math.hypot(r.direction.a, r.direction.b) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        HorizontalLine(HVec(0.0, 0.0))
-
-
-def test_line_through_origin():
-    assert x_axis().through_origin()
-    assert HorizontalLine(HVec(1.0, 0.0), Point3(2.0, 0.0, 0.0)).through_origin()
-    assert not HorizontalLine(HVec(1.0, 0.0), Point3(0.0, 1.0, 0.0)).through_origin()
-    assert not HorizontalLine(HVec(1.0, 0.0), Point3(2.0, 0.0, 0.3)).through_origin()
-
-
-def test_proj_pair_splits():
-    r = x_axis()
-    p = Point3(0.5, 0.6, 0.0)
-    proj, perp = proj_pair(r, p)
-    assert proj == Point3(0.5, 0.0, 0.0)
-    assert group_mul(perp, proj) == pytest.approx(p)
-    # perp carries the planar rest plus the twist -2*(proj.x*p.y)
-    assert perp.y == pytest.approx(0.6)
-    assert perp.t == pytest.approx(-0.6)
-    assert norm(perp, "quasi") == pytest.approx(math.sqrt(0.6))
-
-
-def test_proj_pair_requires_origin_line():
-    off = HorizontalLine(HVec(1.0, 0.0), Point3(0.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        proj_pair(off, Point3(1.0, 1.0, 0.0))
-
-
-@given(points)
-@settings(max_examples=50)
-def test_proj_pair_reconstructs(p):
-    r = HorizontalLine(HVec(0.6, -0.8))
-    proj, perp = proj_pair(r, p)
-    q = group_mul(perp, proj)
-    scale = 1.0 + norm(p, "euclidean")
-    assert abs(q.x - p.x) <= 1e-9 * scale
-    assert abs(q.y - p.y) <= 1e-9 * scale
-    assert abs(q.t - p.t) <= 1e-7 * scale
-    assert proj.t == 0.0
-
-
-def test_cone_contains():
-    r = x_axis()
-    # on-axis points are inside once aperture*|proj| clears the perp part
-    assert cone_contains(ORIGIN, r, 1.0, 2.0, Point3(1.0, 0.0, 0.0))
-    # perp quasi-norm sqrt(0.6) ~ 0.775 > 0.5 excludes at aperture 1, height 2
-    p = Point3(0.5, 0.6, 0.0)
-    assert not cone_contains(ORIGIN, r, 1.0, 2.0, p)
-    assert cone_contains(ORIGIN, r, 2.0, 2.0, p)
-    # height cut: past h along the axis falls out
-    assert not cone_contains(ORIGIN, r, 1.0, 2.0, Point3(2.5, 0.0, 0.0))
-    # vertex translation
-    vx = Point3(1.0, 1.0, 1.0)
-    assert cone_contains(vx, r, 1.0, 2.0, group_mul(vx, Point3(1.0, 0.0, 0.0)))
-    with pytest.raises(ValueError):
-        cone_contains(ORIGIN, r, 0.0, 1.0, p)
-
-
-def test_vertex_never_in_own_cone():
-    assert not cone_contains(ORIGIN, x_axis(), 1.0, 1.0, ORIGIN)
+def test_all_exports_resolve():
+    # a stale name in __all__ breaks "from heisconvex import *"
+    missing = [name for name in heisconvex.__all__ if not hasattr(heisconvex, name)]
+    assert missing == []
+    assert len(set(heisconvex.__all__)) == len(heisconvex.__all__)

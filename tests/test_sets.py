@@ -11,7 +11,6 @@ from heisconvex import (
     boundary_sample,
     check_axioms,
     dilate,
-    dilation_bracket,
     dilation_level,
     escape_margin,
     escapes,
@@ -46,7 +45,7 @@ PLUS_VERTICES = [
 
 
 def plus_set():
-    return gallery("radial_custom", {"vertices": PLUS_VERTICES, "t_half": 0.5})
+    return gallery("radial_custom", {"vertices": PLUS_VERTICES})
 
 
 def test_gallery_names_resolve():
@@ -66,6 +65,29 @@ def test_gallery_params():
     K = gallery("koranyi_ball", {"r": 2.0})
     assert K.contains(Point3(1.9, 0.0, 0.0))
     assert not K.contains(Point3(2.1, 0.0, 0.0))
+
+
+def test_gallery_rejects_bad_params():
+    # unknown keys name the set and the keys it accepts
+    with pytest.raises(ValueError, match=r"koranyi_ball does not accept params \['radius'\]; accepted: r"):
+        gallery("koranyi_ball", {"radius": 3})
+    with pytest.raises(ValueError, match="cylinder does not accept params .*accepted: none"):
+        gallery("cylinder", {"r": 2.0})
+    with pytest.raises(ValueError, match="accepted: vertices"):
+        gallery("radial_custom", {"vertices": PLUS_VERTICES, "t_half": 0.5})
+    for r in (math.nan, math.inf, -1.0, 0.0, True, "2"):
+        with pytest.raises(ValueError, match="euclidean_ball needs a finite r > 0"):
+            gallery("euclidean_ball", {"r": r})
+    assert gallery("euclidean_ball", {"r": 2}).label == "euclidean_ball(r=2)"
+
+
+def test_dilation_level_rejects_non_finite():
+    K = gallery("koranyi_ball")
+    for p in (Point3(math.nan, 0.0, 0.0), Point3(0.0, math.inf, 0.0), Point3(0.0, 0.0, -math.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            dilation_level(K, p)
+        with pytest.raises(ValueError, match="non-finite"):
+            dilation_level(K, p, scaling="euclidean")
 
 
 def test_membership_spot_checks():
@@ -118,15 +140,6 @@ def test_dilation_level_euclidean_scaling():
     assert dilation_level(K, p, scaling="euclidean") == pytest.approx(
         norm(p, "euclidean"), abs=1e-6
     )
-
-
-def test_dilation_bracket_sandwiches():
-    K = gallery("cylinder")
-    p = Point3(0.4, 0.3, -0.8)
-    lo, hi = dilation_bracket(K, p)
-    lvl = dilation_level(K, p)
-    assert lo <= lvl <= hi
-    assert hi - lo <= 2e-7
 
 
 def test_dilation_level_unbounded_direction():
