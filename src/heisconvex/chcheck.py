@@ -331,8 +331,8 @@ def falsify_ch(
         found, used = scan_horizontal_segments(K, budget, m, seed, tol)
         if found is None:
             return None
-        p, v, th, pt, margin = found
-        return ChWitness(p, group_mul(p, exp_h(v)), 1.0, v, th, pt, margin, pair_index=used - 1)
+        p, v = found.base, found.v
+        return ChWitness(p, group_mul(p, exp_h(v)), 1.0, v, found.theta, found.escape_point, found.margin, used - 1)
 
     thetas = np.array(_interior_thetas(m))
     try:

@@ -2,7 +2,8 @@
 
 Subcommands run the library pipelines on a named or JSON-described set
 and write JSON reports (plus CSV curves and OBJ meshes) to an output
-directory.  Exit codes: 0 checks passed / no witness, 2 witness found or
+directory.  A report block is the library's result dataclass written
+field by field, so a witness rebuilds from its JSON alone.  Exit codes: 0 checks passed / no witness, 2 witness found or
 an expected verdict missed, 1 usage or precondition error.
 
 Set descriptors are JSON objects {"set": <name>, "params": {...}}
@@ -16,20 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .chcheck import (
-    ChWitness,
-    ch_curve,
-    envelope_check,
-    falsify_ch,
-    radial_necessary,
-)
+from .chcheck import ch_curve, envelope_check, falsify_ch, radial_necessary
 from .cones import make_cone, cone_validate, compare_closed_form
 from .core import DEFAULT_TOL, HVec, Point3, Tolerances
 from .sets import GALLERY, GALLERY_NAMES, SetOracle, check_axioms, gallery
@@ -39,7 +34,11 @@ MESH_KINDS = ("mesh", "curve")
 
 @dataclass
 class RunConfig:
-    """One CLI invocation, fully determined (reports replay byte-for-byte)."""
+    """One CLI invocation, fully determined (reports replay byte-for-byte).
+
+    Each field is the parsed option of the same dest, except tolerances,
+    which main builds from --eps-geom and --eps-eq.
+    """
 
     command: str
     set_descriptor: str = "koranyi_ball"
@@ -85,49 +84,37 @@ def _resolve_set(cfg: RunConfig, extra_params: Optional[dict] = None) -> SetOrac
     return gallery(name, params, cfg.tolerances)
 
 
-def _pt(p: Optional[Point3]) -> Optional[list[float]]:
-    return None if p is None else [p.x, p.y, p.t]
+def _encode(obj) -> dict:
+    """JSON encoding of the library's result dataclasses, field by field.
+
+    Point3 and HVec are NamedTuples, which json writes as lists; any
+    other value json cannot write is a TypeError.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"cannot write {type(obj).__name__} to a report")
 
 
-def _hv(v: Optional[HVec]) -> Optional[list[float]]:
-    return None if v is None else [v.a, v.b]
+def _write_report(cfg: RunConfig, stem: str, **blocks) -> Path:
+    """Write the run header plus blocks as stem.json.
 
-
-def _witness_dict(w: Optional[ChWitness]) -> Optional[dict]:
-    if w is None:
-        return None
-    return {
-        "xi0": _pt(w.xi0),
-        "xi1": _pt(w.xi1),
-        "tau": w.tau,
-        "v": _hv(w.v),
-        "theta_star": w.theta_star,
-        "escape_point": _pt(w.escape_point),
-        "margin": w.margin,
-        "pair_index": w.pair_index,
-    }
-
-
-def _report_skeleton(cfg: RunConfig) -> dict:
-    return {
+    Raises:
+        TypeError: a value is neither JSON-native nor a dataclass; nothing is written.
+    """
+    report = {
         "version": __version__,
         "command": cfg.command,
         "set": cfg.set_descriptor,
         "seed": cfg.seed,
         "budget": cfg.budget,
         "samples": cfg.samples,
-        "tolerances": {
-            "eps_geom": cfg.tolerances.eps_geom,
-            "eps_eq": cfg.tolerances.eps_eq,
-            "max_iter": cfg.tolerances.max_iter,
-        },
+        "tolerances": cfg.tolerances,
+        **blocks,
     }
-
-
-def _write_report(cfg: RunConfig, stem: str, report: dict) -> Path:
+    text = json.dumps(report, sort_keys=True, indent=2, default=_encode) + "\n"
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / f"{stem}.json"
-    out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    out.write_text(text)
     return out
 
 
@@ -260,27 +247,8 @@ def import_curve(path: Path) -> list[Point3]:
 def _cmd_axioms(cfg: RunConfig) -> int:
     K = _resolve_set(cfg)
     rep = check_axioms(K, cfg.samples, cfg.seed, cfg.tolerances)
-    report = _report_skeleton(cfg)
-    report["axioms"] = {
-        "a_holds": rep.a_holds,
-        "b_holds": rep.b_holds,
-        "c_holds": rep.c_holds,
-        "samples_used": rep.samples_used,
-        "b_witness": None
-        if rep.b_witness is None
-        else {"point": _pt(rep.b_witness[0]), "tau": rep.b_witness[1]},
-        "hconvex_witness": None
-        if rep.hconvex_witness is None
-        else {
-            "base": _pt(rep.hconvex_witness[0]),
-            "v": _hv(rep.hconvex_witness[1]),
-            "theta": rep.hconvex_witness[2],
-            "escape_point": _pt(rep.escape_point),
-            "margin": rep.escape_margin,
-        },
-    }
     ok = rep.a_holds and rep.b_holds and rep.c_holds
-    out = _write_report(cfg, f"axioms_{_slug(K.label)}", report)
+    out = _write_report(cfg, f"axioms_{_slug(K.label)}", axioms={**_encode(rep), "c_holds": rep.c_holds})
     print(f"axioms {K.label}: a={rep.a_holds} b={rep.b_holds} c={rep.c_holds} -> {out}")
     return 0 if ok else 2
 
@@ -289,42 +257,10 @@ def _cmd_cone(cfg: RunConfig) -> int:
     K = _resolve_set(cfg)
     C = make_cone(K, cfg.cone_kind, cfg.tolerances, n=min(cfg.samples, 1000), seed=cfg.seed)
     validation = cone_validate(C, cfg.samples, cfg.seed)
-    report = _report_skeleton(cfg)
-    fam = validation.family
-    report["cone"] = {
-        "kind": C.kind,
-        "family_axioms": {
-            "i": fam.axiom_i_ok,
-            "ii": fam.axiom_ii_ok,
-            "iii": fam.axiom_iii_ok,
-            "nesting_witness": None
-            if fam.nesting_witness is None
-            else {
-                "tau1": fam.nesting_witness[0],
-                "tau2": fam.nesting_witness[1],
-                "point": _pt(fam.nesting_witness[2]),
-            },
-        },
-        "homogeneity": None
-        if validation.homogeneity is None
-        else {"ok": validation.homogeneity.ok, "max_dev": validation.homogeneity.max_dev},
-        "convexity_witness": None
-        if validation.convexity_witness is None
-        else {
-            "base": _pt(validation.convexity_witness.base),
-            "v": _hv(validation.convexity_witness.v),
-            "theta": validation.convexity_witness.theta,
-            "lhs": validation.convexity_witness.lhs,
-            "rhs": validation.convexity_witness.rhs,
-        },
-        "verdict": validation.verdict,
-    }
+    cone = {"kind": C.kind, **_encode(validation)}
     if cfg.compare_closed_form:
-        if K.closed_form_cone is None:
-            raise ValueError(f"{K.label} has no closed-form cone to compare against")
-        dev = compare_closed_form(C, cfg.samples, cfg.seed)
-        report["cone"]["closed_form_max_dev"] = dev
-    out = _write_report(cfg, f"cone_{_slug(K.label)}_{C.kind}", report)
+        cone["closed_form_max_dev"] = compare_closed_form(C, cfg.samples, cfg.seed)
+    out = _write_report(cfg, f"cone_{_slug(K.label)}_{C.kind}", cone=cone)
     print(f"cone {K.label} [{C.kind}]: {validation.verdict} -> {out}")
     return 0 if validation.verdict.startswith("candidate") else 2
 
@@ -332,9 +268,7 @@ def _cmd_cone(cfg: RunConfig) -> int:
 def _cmd_ch(cfg: RunConfig) -> int:
     K = _resolve_set(cfg)
     w = falsify_ch(K, cfg.budget, seed=cfg.seed, tol=cfg.tolerances, tau_one=cfg.tau_one)
-    report = _report_skeleton(cfg)
-    report["ch"] = {"tau_one": cfg.tau_one, "witness": _witness_dict(w)}
-    out = _write_report(cfg, f"ch_{_slug(K.label)}", report)
+    out = _write_report(cfg, f"ch_{_slug(K.label)}", ch={"tau_one": cfg.tau_one, "witness": w})
     if w is None:
         print(f"ch {K.label}: no witness in {cfg.budget} pairs -> {out}")
         return 0
@@ -373,33 +307,11 @@ def _cmd_radial(cfg: RunConfig) -> int:
     if not K.is_radial or K.profile is None:
         raise ValueError(f"{K.label} is not radial: the necessary conditions do not apply")
     rep = radial_necessary(K.profile, cfg.samples, cfg.seed, cfg.tolerances)
-    report = _report_skeleton(cfg)
-    report["radial"] = {
-        "thm_i_ok": rep.thm_i_ok,
-        "thm_ii_ok": rep.thm_ii_ok,
-        "thm_i_witness": _pt(rep.thm_i_witness),
-        "thm_ii_witness": _pt(rep.thm_ii_witness),
-        "caps_checked": rep.caps_checked,
-        "solids_checked": rep.solids_checked,
-        "r_flat": rep.r_flat,
-        "r_sup": rep.r_sup,
-    }
-    envelope_ok = True
-    envelopes = []
-    for anchor in _anchor_points(K):
-        env = envelope_check(K, anchor, max(64, cfg.samples // 8), cfg.tolerances)
-        envelopes.append(
-            {
-                "anchor": _pt(anchor),
-                "solid_min_margin": env.solid_min_margin,
-                "cap_min_margin": env.cap_min_margin,
-                "solid_failure": _pt(env.solid_failure),
-                "cap_failure": _pt(env.cap_failure),
-            }
-        )
-        envelope_ok = envelope_ok and env.ok()
-    report["radial"]["envelopes"] = envelopes
-    out = _write_report(cfg, f"radial_{_slug(K.label)}", report)
+    n_env = max(64, cfg.samples // 8)
+    checks = [(anchor, envelope_check(K, anchor, n_env, cfg.tolerances)) for anchor in _anchor_points(K)]
+    envelope_ok = all(env.ok() for _, env in checks)
+    envelopes = [{"anchor": anchor, **_encode(env)} for anchor, env in checks]
+    out = _write_report(cfg, f"radial_{_slug(K.label)}", radial={**_encode(rep), "envelopes": envelopes})
     ok = rep.thm_i_ok and rep.thm_ii_ok and envelope_ok
     print(
         f"radial {K.label}: thm_i={rep.thm_i_ok} thm_ii={rep.thm_ii_ok} "
@@ -409,7 +321,6 @@ def _cmd_radial(cfg: RunConfig) -> int:
 
 
 def _cmd_gallery(cfg: RunConfig) -> int:
-    report = _report_skeleton(cfg)
     all_match = True
     blocks = {}
     # a registry entry without expected verdicts is not in the suite
@@ -426,14 +337,14 @@ def _cmd_gallery(cfg: RunConfig) -> int:
             mismatches.append(f"axioms: expected {expect.axioms}, got {got_ax}")
 
         w = falsify_ch(K, cfg.budget, seed=cfg.seed, tol=cfg.tolerances)
-        block["ch_witness"] = _witness_dict(w)
+        block["ch_witness"] = w
         if (w is not None) != expect.ch_witness:
             mismatches.append(f"ch: expected witness={expect.ch_witness}, got {w is not None}")
 
         if K.is_radial and K.profile is not None:
             rad = radial_necessary(K.profile, cfg.samples, cfg.seed, cfg.tolerances)
             block["radial"] = [rad.thm_i_ok, rad.thm_ii_ok]
-            block["radial_witness"] = _pt(rad.thm_ii_witness or rad.thm_i_witness)
+            block["radial_witness"] = rad.thm_ii_witness or rad.thm_i_witness
             if (rad.thm_i_ok, rad.thm_ii_ok) != expect.radial:
                 mismatches.append(f"radial: expected {expect.radial}, got {(rad.thm_i_ok, rad.thm_ii_ok)}")
 
@@ -450,9 +361,7 @@ def _cmd_gallery(cfg: RunConfig) -> int:
         status = "ok" if not mismatches else "MISMATCH"
         print(f"gallery {name}: {status}" + (f" ({'; '.join(mismatches)})" if mismatches else ""))
 
-    report["gallery"] = blocks
-    report["all_match"] = all_match
-    out = _write_report(cfg, "gallery", report)
+    out = _write_report(cfg, "gallery", gallery=blocks, all_match=all_match)
     print(f"gallery: {'all expectations matched' if all_match else 'MISMATCHES found'} -> {out}")
     return 0 if all_match else 2
 
@@ -523,6 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_set:
             p.add_argument(
                 "--set",
+                dest="set_descriptor",
+                metavar="SET",
                 default="koranyi_ball",
                 help=f"gallery name, inline JSON, or JSON file (names: {', '.join(GALLERY_NAMES)})",
             )
@@ -532,13 +443,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=2000, help="sample count for checks")
         p.add_argument("--eps-geom", type=float, default=DEFAULT_TOL.eps_geom)
         p.add_argument("--eps-eq", type=float, default=DEFAULT_TOL.eps_eq)
-        p.add_argument("--out", default=".", help="output directory for reports")
+        p.add_argument("--out", dest="output_dir", metavar="OUT", default=".", help="output directory for reports")
 
     common(sub.add_parser("axioms", help="check assumptions a/b/c on a set"))
 
     cone = sub.add_parser("cone", help="build and validate the cone function of a set")
     common(cone)
-    cone.add_argument("--kind", choices=("heisenberg", "euclidean"), default="heisenberg")
+    cone.add_argument("--kind", dest="cone_kind", choices=("heisenberg", "euclidean"), default="heisenberg")
     cone.add_argument(
         "--compare-closed-form",
         action="store_true",
@@ -555,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("export", help="export a level-set mesh or an interpolation curve")
     common(exp)
-    exp.add_argument("--kind", choices=MESH_KINDS, default="mesh")
+    exp.add_argument("--kind", dest="export_kind", choices=MESH_KINDS, default="mesh")
     exp.add_argument("--tau", type=float, default=1.0, help="dilation level of the exported set")
     exp.add_argument("--resolution", type=int, default=32, help="grid resolution (>= 8)")
     exp.add_argument("--curve-json", default="", help="witness JSON (from ch) or curve spec")
@@ -563,37 +474,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # every option's dest is a RunConfig field, except the three below
+    opts = vars(_build_parser().parse_args(argv))
     try:
-        tol = Tolerances(eps_geom=args.eps_geom, eps_eq=args.eps_eq)
-        params = {}
-        if getattr(args, "params", ""):
-            params = json.loads(args.params)
-            if not isinstance(params, dict):
-                raise ValueError("--params must be a JSON object")
-        descriptor = getattr(args, "set", "koranyi_ball")
+        tol = Tolerances(eps_geom=opts.pop("eps_geom"), eps_eq=opts.pop("eps_eq"))
+        params = json.loads(opts.pop("params", "") or "{}")
+        if not isinstance(params, dict):
+            raise ValueError("--params must be a JSON object")
         if params:
-            name, base = parse_descriptor(descriptor)
+            name, base = parse_descriptor(opts["set_descriptor"])
             base.update(params)
-            descriptor = json.dumps({"set": name, "params": base})
-        cfg = RunConfig(
-            command=args.command,
-            set_descriptor=descriptor,
-            seed=args.seed,
-            budget=args.budget,
-            samples=args.samples,
-            tolerances=tol,
-            output_dir=Path(args.out),
-            compare_closed_form=getattr(args, "compare_closed_form", False),
-            tau_one=getattr(args, "tau_one", False),
-            cone_kind=getattr(args, "kind", "heisenberg") if args.command == "cone" else "heisenberg",
-            export_kind=getattr(args, "kind", "mesh") if args.command == "export" else "mesh",
-            tau=getattr(args, "tau", 1.0),
-            resolution=getattr(args, "resolution", 32),
-            curve_json=getattr(args, "curve_json", ""),
-        )
-        return run(cfg)
+            opts["set_descriptor"] = json.dumps({"set": name, "params": base})
+        return run(RunConfig(tolerances=tol, **opts))
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"heisconvex: error: {exc}", file=sys.stderr)
         return 1

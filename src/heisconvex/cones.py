@@ -56,13 +56,22 @@ class ConeFunction:
 
 
 @dataclass
+class NestingWitness:
+    """A point of the tau1-copy of the set outside its tau2-copy, tau1 < tau2."""
+
+    tau1: float
+    tau2: float
+    point: Point3
+
+
+@dataclass
 class FamilyReport:
     """Sampled outcomes of the level-family axioms for one cone."""
 
     axiom_i_ok: bool
     axiom_ii_ok: bool
     axiom_iii_ok: bool
-    nesting_witness: Optional[tuple[float, float, Point3]]
+    nesting_witness: Optional[NestingWitness]
     samples: int
     seed: int
     coverage_failure: Optional[Point3] = None
@@ -175,7 +184,7 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
             tau2 = tau1 * 1.5
         if not K.contains(_scale(C, tau1 / tau2, p)):
             axiom_ii_ok = False
-            nesting_witness = (tau1, tau2, _scale(C, tau1, p))
+            nesting_witness = NestingWitness(tau1, tau2, _scale(C, tau1, p))
             break
 
     axiom_iii_ok = True

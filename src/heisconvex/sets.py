@@ -89,17 +89,38 @@ class SetOracle:
 
 
 @dataclass
+class SegmentEscape:
+    """A horizontal segment leaving K.
+
+    escape_point = base o exp_h(theta v) escapes K; margin is how far
+    outside, in dilation-level units (inf when the level bisection diverges).
+    """
+
+    base: Point3
+    v: HVec
+    theta: float
+    escape_point: Point3
+    margin: float
+
+
+@dataclass
+class DilationEscape:
+    """A point of K whose dilate by tau in (0, 1) is not in K."""
+
+    point: Point3
+    tau: float
+
+
+@dataclass
 class AxiomReport:
     """Outcome of the a/b/c assumption checks on one set."""
 
     a_holds: bool
     b_holds: bool
-    hconvex_witness: Optional[tuple[Point3, HVec, float]]
+    hconvex_witness: Optional[SegmentEscape]
     samples_used: int
     seed: int
-    b_witness: Optional[tuple[Point3, float]] = None
-    escape_point: Optional[Point3] = None
-    escape_margin: Optional[float] = None
+    b_witness: Optional[DilationEscape] = None
 
     @property
     def c_holds(self) -> bool:
@@ -318,6 +339,10 @@ def _slab_x(tol: Tolerances) -> SetOracle:
     )
 
 
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _clip01(s: float) -> float:
     return max(0.0, min(1.0, s))
 
@@ -331,7 +356,15 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
 
     Points within eps_geom of an edge count as inside (closed set).  The
     profile carries contains2d_many, the same test on arrays.
+
+    Raises:
+        ValueError: vertices not a list of [r, t] pairs of finite numbers,
+            fewer than 3 of them, or one with r < 0.
     """
+    if not isinstance(vertices, (list, tuple)) or not all(
+        isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_number, v)) for v in vertices
+    ):
+        raise ValueError(f"polygon profile vertices must be [r, t] pairs of finite numbers, got {vertices!r}")
     verts = [(float(r), float(t)) for r, t in vertices]
     if len(verts) < 3:
         raise ValueError("polygon profile needs at least 3 vertices")
@@ -442,7 +475,8 @@ def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_
             radial_custom requires {"vertices": [[r, t], ...]}.
 
     Raises:
-        ValueError: unknown name, unknown param keys, or missing/invalid params.
+        ValueError: unknown name, unknown param keys, missing/invalid params,
+            or params too large for the set's floating-point bounds.
     """
     entry = GALLERY.get(name)
     if entry is None:
@@ -452,12 +486,18 @@ def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_
     if unknown:
         accepted = ", ".join(entry.params) or "none"
         raise ValueError(f"{name} does not accept params {unknown}; accepted: {accepted}")
-    if "r" in params:
-        r = params["r"]
-        if isinstance(r, bool) or not isinstance(r, (int, float)) or not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"{name} needs a finite r > 0, got {r!r}")
-        params["r"] = float(r)
-    return entry.build(tol, **params)
+    try:
+        if "r" in params:
+            r = params["r"]
+            if not (_finite_number(r) and r > 0.0):
+                raise ValueError(f"{name} needs a finite r > 0, got {r!r}")
+            params["r"] = float(r)
+        K = entry.build(tol, **params)
+        if not math.isfinite(bbox_diameter(K.bbox)):
+            raise OverflowError("bounding box diameter is not finite")
+    except OverflowError as exc:
+        raise ValueError(f"{name} params overflow its floating-point bounds ({exc})") from None
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +744,11 @@ def scan_horizontal_segments(
     grid: int,
     seed: int,
     tol: Tolerances = DEFAULT_TOL,
-) -> tuple[Optional[tuple[Point3, HVec, float, Point3, float]], int]:
+) -> tuple[Optional[SegmentEscape], int]:
     """Hunt for a horizontal segment leaving K.
 
-    Returns ((p, v, theta, escape_point, margin) or None, probes_used);
-    the first escape in seeded sample order wins.
+    Returns (the escape or None, probes_used); the first escape in seeded
+    sample order wins.
     """
     thetas = [th for th in theta_grid(grid) if 0.0 < th < 1.0]
     used = 0
@@ -723,7 +763,7 @@ def scan_horizontal_segments(
                     # margin needs the level bisection; on sets violating
                     # assumption b it diverges, but the escape still stands
                     margin = math.inf
-                return (p, v, th, pt, margin), used
+                return SegmentEscape(p, v, th, pt, margin), used
     return None, used
 
 
@@ -769,25 +809,13 @@ def check_axioms(
             tau = rng.uniform(0.0, 1.0)
             if not K.contains(dilate(tau, p)):
                 b_holds = False
-                b_witness = (p, tau)
+                b_witness = DilationEscape(p, tau)
                 break
     else:
         b_holds = False
 
     found, used = scan_horizontal_segments(K, n, grid, seed, tol)
-    if found is None:
-        return AxiomReport(a_holds, b_holds, None, used, seed, b_witness)
-    p, v, th, pt, margin = found
-    return AxiomReport(
-        a_holds,
-        b_holds,
-        (p, v, th),
-        used,
-        seed,
-        b_witness,
-        escape_point=pt,
-        escape_margin=margin,
-    )
+    return AxiomReport(a_holds, b_holds, found, used, seed, b_witness)
 
 
 def dilate_oracle(K: SetOracle, alpha: float) -> SetOracle:

@@ -1,18 +1,49 @@
 import dataclasses
+import functools
 import json
 import math
+import typing
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from heisconvex import Point3, gallery
+from heisconvex import (
+    ChWitness,
+    ConeFunction,
+    ConvexityWitness,
+    FamilyReport,
+    HVec,
+    NestingWitness,
+    Point3,
+    RadialNecessityReport,
+    SegmentEscape,
+    Tolerances,
+    check_axioms,
+    cone_fn_oracle,
+    cone_validate,
+    escapes,
+    exp_h,
+    falsify_ch,
+    gallery,
+    group_mul,
+    make_cone,
+    radial_necessary,
+    replay_ch_witness,
+    replay_witness,
+)
 from heisconvex.cli import (
     RunConfig,
+    _write_report,
     export_curve,
     export_levelset,
     import_curve,
     main,
     parse_descriptor,
+)
+
+PLUS_PARAMS = json.dumps(
+    {"vertices": [[0, 2], [0.2, 2], [0.2, 0.2], [2, 0.2], [2, -0.2], [0.2, -0.2], [0.2, -2], [0, -2]]}
 )
 
 
@@ -104,7 +135,7 @@ def test_cone_command_with_closed_form(tmp_path):
     cone = rep["cone"]
     assert cone["verdict"].startswith("candidate")
     assert cone["closed_form_max_dev"] <= 1e-6
-    assert cone["family_axioms"]["i"] and cone["family_axioms"]["ii"]
+    assert cone["family"]["axiom_i_ok"] and cone["family"]["axiom_ii_ok"]
 
 
 def test_cone_falsified_exit(tmp_path):
@@ -282,14 +313,137 @@ def test_export_mesh_batch_field_matches_row_loop(tmp_path, name):
 
 def test_bad_params_exit_1(tmp_path, capsys):
     out = ["--samples", "50", "--out", str(tmp_path)]
-    for params in ('{"radius": 3}', '{"r": NaN}', '{"r": -1}', '{"r": Infinity}', '{"r": 0}'):
+    for params in ('{"radius": 3}', '{"r": NaN}', '{"r": -1}', '{"r": Infinity}', '{"r": 0}', '{"r": 1e300}'):
         assert main(["axioms", "--set", "koranyi_ball", "--params", params] + out) == 1
         assert "heisconvex: error: koranyi_ball" in capsys.readouterr().err
     assert main(["axioms", "--set", "cylinder", "--params", '{"r": 2}'] + out) == 1
     assert "cylinder does not accept params ['r']" in capsys.readouterr().err
+    assert main(["axioms", "--set", "euclidean_ball", "--params", '{"r": 1e300}'] + out) == 1
+    assert "heisconvex: error: euclidean_ball params overflow" in capsys.readouterr().err
+    for vertices in ("5", '[[0, 0], [1, 0], [1, "a"]]'):
+        assert main(["axioms", "--set", "radial_custom", "--params", f'{{"vertices": {vertices}}}'] + out) == 1
+        assert "heisconvex: error: polygon profile vertices must be [r, t] pairs" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
 def test_export_curve_requires_rows(tmp_path):
     with pytest.raises(ValueError):
         export_curve([], tmp_path / "empty.csv")
+
+
+def _cone_witness(K, tol):
+    # the cone command's build and validation at --samples 1000
+    return cone_validate(make_cone(K, "heisenberg", tol, n=1000, seed=0), 1000, 0).convexity_witness
+
+
+def _cone_replay(K, w, tol):
+    # cone_validate scans with slack a hundredfold above the bisection noise
+    slack = max(100.0 * tol.eps_geom, tol.eps_eq)
+    loose = Tolerances(eps_geom=max(tol.eps_geom, slack), eps_eq=slack, max_iter=tol.max_iter)
+    return replay_witness(cone_fn_oracle(ConeFunction(K, "heisenberg", tol)), w, loose)
+
+
+def _segment_replay(K, w, tol):
+    step = HVec(w.theta * w.v.a, w.theta * w.v.b)
+    return group_mul(w.base, exp_h(step)) == w.escape_point and escapes(K, w.escape_point, tol)
+
+
+# (argv, report file, witness block, its dataclass, in-process result, replay)
+REPORT_CASES = {
+    "ch_cylinder": (
+        ["ch", "--set", "cylinder"],
+        "ch_cylinder.json",
+        "ch.witness",
+        ChWitness,
+        lambda K, tol: falsify_ch(K, 2000, seed=0, tol=tol),
+        replay_ch_witness,
+    ),
+    "ch_tau_one_plus": (
+        ["ch", "--set", "radial_custom", "--params", PLUS_PARAMS, "--tau-one"],
+        "ch_radial_custom.json",
+        "ch.witness",
+        ChWitness,
+        lambda K, tol: falsify_ch(K, 2000, seed=0, tol=tol, tau_one=True),
+        replay_ch_witness,
+    ),
+    "cone_euclidean_ball": (
+        ["cone", "--set", "euclidean_ball", "--samples", "1000", "--compare-closed-form"],
+        "cone_euclidean_ball_r_1_heisenberg.json",
+        "cone.convexity_witness",
+        ConvexityWitness,
+        _cone_witness,
+        _cone_replay,
+    ),
+    "axioms_plus": (
+        ["axioms", "--set", "radial_custom", "--params", PLUS_PARAMS, "--samples", "800"],
+        "axioms_radial_custom.json",
+        "axioms.hconvex_witness",
+        SegmentEscape,
+        lambda K, tol: check_axioms(K, 800, 0, tol).hconvex_witness,
+        _segment_replay,
+    ),
+    # no replay for the radial theorems: the rebuilt report must equal the run
+    "radial_importante": (
+        ["radial", "--set", "importante", "--samples", "1000"],
+        "radial_importante.json",
+        "radial",
+        RadialNecessityReport,
+        lambda K, tol: radial_necessary(K.profile, 1000, 0, tol),
+        None,
+    ),
+}
+
+# every key bench/workloads.py reads from a report of that command
+BENCH_KEYS = {
+    "ch": [f"ch.witness.{k}" for k in ("xi0", "xi1", "tau", "v", "theta_star", "escape_point", "margin", "pair_index")],
+    "cone": ["cone.verdict", "cone.closed_form_max_dev"]
+    + [f"cone.convexity_witness.{k}" for k in ("base", "v", "theta", "lhs", "rhs")],
+    "radial": ["radial.thm_i_ok", "radial.thm_ii_ok"],
+    "axioms": [],
+}
+
+
+def _at(report, dotted):
+    return functools.reduce(lambda block, key: block[key], dotted.split("."), report)
+
+
+def _rebuild(cls, block):
+    """cls from its report block alone: JSON lists back to Point3 and HVec."""
+    hints = typing.get_type_hints(cls)
+
+    def value(name):
+        raw, kinds = block[name], (hints[name], *typing.get_args(hints[name]))
+        for kind in (Point3, HVec):
+            if raw is not None and kind in kinds:
+                return kind(*raw)
+        return raw
+
+    return cls(**{f.name: value(f.name) for f in dataclasses.fields(cls)})
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_rebuilds_the_result(tmp_path, case):
+    argv, stem, path, cls, compute, replay = REPORT_CASES[case]
+    assert main(argv + ["--out", str(tmp_path)]) == 2  # every case reports a witness
+    report = read_report(tmp_path / stem)
+    for key in [f"tolerances.{k}" for k in ("eps_geom", "eps_eq", "max_iter")] + BENCH_KEYS[argv[0]]:
+        _at(report, key)  # KeyError when a key the benchmark reads is missing
+    tol = _rebuild(Tolerances, report["tolerances"])
+    K = gallery(*parse_descriptor(report["set"]), tol)
+    rebuilt = _rebuild(cls, _at(report, path))
+    assert rebuilt == compute(K, tol)
+    assert replay is None or replay(K, rebuilt, tol)
+
+
+def test_report_encoder_rejects_foreign_values(tmp_path):
+    cfg = RunConfig("ch", output_dir=tmp_path / "out")
+    # np.int64 is no int to json; a dataclass type is not a dataclass value
+    for bad in (object(), {1, 2}, np.int64(3), ChWitness):
+        with pytest.raises(TypeError):
+            _write_report(cfg, "bad", ch={"witness": bad})
+    assert not (tmp_path / "out").exists()
+    # a nesting witness, which no gallery cone produces, writes by field name
+    family = FamilyReport(True, False, True, NestingWitness(0.5, 2.0, Point3(1.0, 0.0, 0.25)), 10, 0)
+    report = read_report(_write_report(cfg, "family", family=family))
+    assert report["family"]["nesting_witness"] == {"tau1": 0.5, "tau2": 2.0, "point": [1.0, 0.0, 0.25]}
+    assert report["tolerances"] == {"eps_geom": 1e-7, "eps_eq": 1e-9, "max_iter": 60}

@@ -104,8 +104,7 @@ def test_family_axioms_flag_ring():
     assert not rep.axiom_i_ok
     assert not rep.axiom_ii_ok
     assert rep.coverage_failure is not None
-    tau1, tau2, _ = rep.nesting_witness
-    assert tau1 < tau2
+    assert rep.nesting_witness.tau1 < rep.nesting_witness.tau2
 
 
 def test_validate_candidates():

@@ -81,6 +81,37 @@ def test_gallery_rejects_bad_params():
     assert gallery("euclidean_ball", {"r": 2}).label == "euclidean_ball(r=2)"
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        5,
+        "abc",
+        [[0, 0], [1, 0], 7],
+        [[0, 0], [1, 0], [1, "a"]],
+        [[0, 0], [1, 0], "12"],
+        [[0, 0], [1, 0], [1, 1, 1]],
+        [[0, 0], [1, 0], [1, math.nan]],
+        [[0, 0], [1, 0], [math.inf, 1]],
+        [[0, 0], [1, 0], [True, 1]],
+    ],
+)
+def test_polygon_profile_rejects_malformed_vertices(vertices):
+    with pytest.raises(ValueError, match=r"vertices must be \[r, t\] pairs of finite numbers"):
+        polygon_profile(vertices)
+    with pytest.raises(ValueError, match=r"vertices must be \[r, t\] pairs of finite numbers"):
+        gallery("radial_custom", {"vertices": vertices})
+
+
+def test_gallery_rejects_overflowing_r():
+    # (r + eps)**4 and (r + eps)**2 overflow at build time; r = 1e77 builds
+    # a bounding box whose diameter overflows; a 400-digit int has no float
+    cases = (("koranyi_ball", 1e300), ("euclidean_ball", 1e300), ("koranyi_ball", 1e77), ("koranyi_ball", 10**400))
+    for name, r in cases:
+        with pytest.raises(ValueError, match=f"{name} params overflow its floating-point bounds"):
+            gallery(name, {"r": r})
+    assert gallery("koranyi_ball", {"r": 1e76}).label == "koranyi_ball(r=1e+76)"
+
+
 def test_dilation_level_rejects_non_finite():
     K = gallery("koranyi_ball")
     for p in (Point3(math.nan, 0.0, 0.0), Point3(0.0, math.inf, 0.0), Point3(0.0, 0.0, -math.inf)):
@@ -211,10 +242,10 @@ def test_plus_polygon_not_hconvex():
     rep = check_axioms(K, 800, seed=0)
     assert rep.a_holds and rep.b_holds
     assert not rep.c_holds
-    p, v, theta = rep.hconvex_witness
-    assert K.contains(p)
-    assert rep.escape_point is not None
-    assert escapes(K, rep.escape_point)
+    w = rep.hconvex_witness
+    assert K.contains(w.base)
+    assert w.escape_point is not None
+    assert escapes(K, w.escape_point)
 
     # hand instance: both arm tips are in, the elbow midpoint is not
     a = Point3(1.5, 0.0, 0.1)
