@@ -38,7 +38,7 @@ from .sets import (
     RadialProfile,
     SetOracle,
     boundary_sample,
-    dilation_level,
+    dilation_level_many,
     escape_margin,
     escapes,
     escapes_many,
@@ -612,27 +612,15 @@ def envelope_check(
         raise ValueError("anchor needs nonzero vertical part and nonzero radius")
 
     fine = Tolerances(eps_geom=tol.eps_eq, eps_eq=tol.eps_eq, max_iter=tol.max_iter)
-
-    def margin(pt: Point3) -> float:
-        return 1.0 - dilation_level(K, pt, fine)
-
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    solid_min = math.inf
-    solid_failure = None
+    points = []
     for k in range(n):
         r = r0 / math.sqrt(2.0) + (r0 - r0 / math.sqrt(2.0)) * k / (n - 1)
         rho = r * ((k % 3) + 1) / 3.0
         ang = k * golden
-        pt = Point3(rho * math.cos(ang), rho * math.sin(ang), envelope_phi(r, r0, t0))
-        mg = margin(pt)
-        if mg < solid_min:
-            solid_min = mg
-            if mg < -max(1e-6, 10.0 * tol.eps_geom):
-                solid_failure = pt
+        points.append(Point3(rho * math.cos(ang), rho * math.sin(ang), envelope_phi(r, r0, t0)))
     phi_res = abs(envelope_phi(r0, r0, t0) - t0)
 
-    cap_min = math.inf
-    cap_failure = None
     cap_res = 0.0
     sgn = math.copysign(1.0, t0)
     for k in range(n):
@@ -641,12 +629,19 @@ def envelope_check(
         cap_res = max(cap_res, abs(r ** 4 + psi * psi - (r0 ** 4 + t0 * t0)))
         ang = k * golden + 1.0
         for t in (sgn * psi, 0.5 * (t0 + sgn * psi)):
-            pt = Point3(r * math.cos(ang), r * math.sin(ang), t)
-            mg = margin(pt)
-            if mg < cap_min:
-                cap_min = mg
-                if mg < -max(1e-6, 10.0 * tol.eps_geom):
-                    cap_failure = pt
+            points.append(Point3(r * math.cos(ang), r * math.sin(ang), t))
+
+    # every margin of the anchor in one batch: n solid points, then 2n cap points
+    margins = 1.0 - dilation_level_many(K, *np.array(points).T, fine)
+    floor = -max(1e-6, 10.0 * tol.eps_geom)
+
+    def lowest(pts: list[Point3], mg: np.ndarray) -> tuple[float, Optional[Point3]]:
+        # the first smallest margin, and its point when that is below the floor
+        k = int(np.argmin(mg))
+        return float(mg[k]), pts[k] if mg[k] < floor else None
+
+    solid_min, solid_failure = lowest(points[:n], margins[:n])
+    cap_min, cap_failure = lowest(points[n:], margins[n:])
     return EnvelopeReport(
         solid_min_margin=solid_min,
         cap_min_margin=cap_min,

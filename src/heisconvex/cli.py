@@ -77,10 +77,8 @@ def parse_descriptor(descriptor: str) -> tuple[str, dict]:
     return text, {}
 
 
-def _resolve_set(cfg: RunConfig, extra_params: Optional[dict] = None) -> SetOracle:
+def _resolve_set(cfg: RunConfig) -> SetOracle:
     name, params = parse_descriptor(cfg.set_descriptor)
-    if extra_params:
-        params.update(extra_params)
     return gallery(name, params, cfg.tolerances)
 
 
@@ -132,14 +130,92 @@ _CUBE_CORNERS = (
 )
 # six tetrahedra around the 0-6 cube diagonal
 _TETS = ((0, 5, 1, 6), (0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6), (0, 7, 4, 6), (0, 4, 5, 6))
+# OBJ lines formatted and written at a time
+_WRITE_BLOCK = 4096
+
+
+def _tet_cases() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Marching-tetrahedra table, indexed [tet, code] where bit s of code is
+    whether the tet's s-th corner is inside (built per export, in about a
+    millisecond, so importing the package builds nothing).
+
+    Returns (ends, n_mid, faces, n_faces): the cube corners of up to 4
+    crossing edges, whose midpoints become vertices in that order; how many
+    there are; up to 2 triangles as indices into those midpoints; how many.
+    A lone corner (inside or outside) gives one triangle on its three edges;
+    a 2-2 split gives two triangles on the four crossing edges.
+    """
+    ends = np.zeros((len(_TETS), 16, 4, 2), dtype=np.int64)
+    n_mid = np.zeros((len(_TETS), 16), dtype=np.int64)
+    faces = np.zeros((len(_TETS), 16, 2, 3), dtype=np.int64)
+    n_faces = np.zeros((len(_TETS), 16), dtype=np.int64)
+    for ti, tet in enumerate(_TETS):
+        for code in range(16):
+            ins = [c for s, c in enumerate(tet) if code >> s & 1]
+            outs = [c for s, c in enumerate(tet) if not code >> s & 1]
+            if not ins or not outs:
+                continue
+            if len(ins) == 1 or len(outs) == 1:
+                lone, others = (ins[0], outs) if len(ins) == 1 else (outs[0], ins)
+                edges, tris = [(lone, o) for o in others], [(0, 1, 2)]
+            else:
+                (p, q), (r, s) = ins, outs
+                edges, tris = [(p, r), (p, s), (q, r), (q, s)], [(0, 1, 2), (1, 3, 2)]
+            ends[ti, code, : len(edges)] = edges
+            n_mid[ti, code] = len(edges)
+            faces[ti, code, : len(tris)] = tris
+            n_faces[ti, code] = len(tris)
+    return ends, n_mid, faces, n_faces
+
+
+def _write_rows(fh, template: str, rows: np.ndarray) -> None:
+    # one %-format per block of rows; "%.17g" % x is format(x, ".17g")
+    for s in range(0, len(rows), _WRITE_BLOCK):
+        block = rows[s : s + _WRITE_BLOCK]
+        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _march(field_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Marching tetrahedra on a boolean grid, in march order.
+
+    Returns (edge, tris): each crossing edge once per tetrahedron that
+    meets it, in the order a cube-by-cube march meets them, as the key
+    lo * field_.size + hi of its two flat grid indices; and the triangles
+    as triples of positions in edge.
+    """
+    n = field_.shape[0]
+    m = n - 1
+    # mixed cubes in (i, j, k) order, by their corner 0 grid point
+    count = sum(field_[dx : dx + m, dy : dy + m, dz : dz + m].astype(np.uint8) for dx, dy, dz in _CUBE_CORNERS)
+    i, j, k = np.nonzero((count > 0) & (count < 8))
+    inside = np.stack([field_[i + dx, j + dy, k + dz] for dx, dy, dz in _CUBE_CORNERS], axis=1).astype(np.uint8)
+    codes = np.stack([sum(inside[:, c] << s for s, c in enumerate(tet)) for tet in _TETS], axis=1)
+    # mixed tetrahedra in (cube, tet) order, then their crossing edges in order
+    ends, n_mid, face_ix, n_faces = _tet_cases()
+    cube, tet = np.divmod(np.flatnonzero(n_mid[np.arange(len(_TETS)), codes]), len(_TETS))
+    code = codes[cube, tet]
+    base = ((i * n + j) * n + k)[cube]
+    offsets = np.array([(dx * n + dy) * n + dz for dx, dy, dz in _CUBE_CORNERS])
+    mids = n_mid[tet, code]
+    edge = np.empty((len(tet), 4), dtype=np.int64)
+    for slot in range(4):
+        ga, gb = (base + offsets[ends[tet, code, slot, end]] for end in (0, 1))
+        edge[:, slot] = np.minimum(ga, gb) * field_.size + np.maximum(ga, gb)
+    first_mid = np.cumsum(mids) - mids
+    tris = (first_mid[:, None, None] + face_ix[tet, code])[np.arange(2) < n_faces[tet, code][:, None]]
+    return edge[np.arange(4) < mids[:, None]], tris
 
 
 def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Path:
     """Triangle mesh of the boundary of the tau-dilated set, OBJ text.
 
-    Marches tetrahedra over a resolution^3 grid of the dilated bounding
-    box; crossing vertices sit at edge midpoints of the binary membership
-    field, so they are within one cell diagonal of the true boundary.
+    Marches tetrahedra (Doi and Koide 1991) over a resolution^3 grid of the
+    dilated bounding box; crossing vertices sit at edge midpoints of the
+    binary membership field, so they are within one cell diagonal of the
+    true boundary.  Cubes and tetrahedra are classified with numpy, and the
+    file is byte for byte what a cube-by-cube march writes: cubes in (i, j,
+    k) order, the six tetrahedra in _TETS order, each vertex numbered when
+    its edge first comes up.  Lines are written in blocks.
 
     Raises:
         ValueError: non-compact set or resolution < 8.
@@ -152,64 +228,34 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
         raise ValueError("tau must be positive")
     (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
     pad = 1.05
-    xs = [tau * pad * (xlo + (xhi - xlo) * i / (resolution - 1)) for i in range(resolution)]
-    ys = [tau * pad * (ylo + (yhi - ylo) * i / (resolution - 1)) for i in range(resolution)]
-    ts = [tau * tau * pad * (tlo + (thi - tlo) * i / (resolution - 1)) for i in range(resolution)]
+    n = resolution
+    xs = np.array([tau * pad * (xlo + (xhi - xlo) * i / (n - 1)) for i in range(n)])
+    ys = np.array([tau * pad * (ylo + (yhi - ylo) * i / (n - 1)) for i in range(n)])
+    ts = np.array([tau * tau * pad * (tlo + (thi - tlo) * i / (n - 1)) for i in range(n)])
 
     inv = 1.0 / tau
     X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
-    field_ = K.contains_many(inv * X, inv * Y, inv * inv * T).tolist()
+    field_ = K.contains_many(inv * X, inv * Y, inv * inv * T)
+    del X, Y, T
 
-    verts: dict[tuple, int] = {}
-    vert_list: list[tuple[float, float, float]] = []
-    faces: list[tuple[int, int, int]] = []
-
-    def midpoint(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
-        key = (a, b) if a <= b else (b, a)
-        idx = verts.get(key)
-        if idx is None:
-            pa = (xs[a[0]], ys[a[1]], ts[a[2]])
-            pb = (xs[b[0]], ys[b[1]], ts[b[2]])
-            vert_list.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
-            idx = len(vert_list)
-            verts[key] = idx
-        return idx
-
-    n = resolution
-    for i in range(n - 1):
-        for j in range(n - 1):
-            for k in range(n - 1):
-                corner_idx = [(i + dx, j + dy, k + dz) for dx, dy, dz in _CUBE_CORNERS]
-                inside = [field_[a][b][c] for a, b, c in corner_idx]
-                if all(inside) or not any(inside):
-                    continue
-                for tet in _TETS:
-                    ins = [t for t in tet if inside[t]]
-                    outs = [t for t in tet if not inside[t]]
-                    if not ins or not outs:
-                        continue
-                    if len(ins) == 1 or len(outs) == 1:
-                        lone, others = (ins[0], outs) if len(ins) == 1 else (outs[0], ins)
-                        m = [midpoint(corner_idx[lone], corner_idx[o]) for o in others]
-                        faces.append((m[0], m[1], m[2]))
-                    else:
-                        p, q = ins
-                        r, s = outs
-                        m_pr = midpoint(corner_idx[p], corner_idx[r])
-                        m_ps = midpoint(corner_idx[p], corner_idx[s])
-                        m_qr = midpoint(corner_idx[q], corner_idx[r])
-                        m_qs = midpoint(corner_idx[q], corner_idx[s])
-                        faces.append((m_pr, m_ps, m_qr))
-                        faces.append((m_ps, m_qs, m_qr))
+    edge, tris = _march(field_)
+    # vertices numbered from 1 in order of first occurrence
+    keys, first, which = np.unique(edge, return_index=True, return_inverse=True)
+    del edge
+    order = np.argsort(first)
+    number = np.empty(len(keys), dtype=np.int64)
+    number[order] = np.arange(1, len(keys) + 1)
+    a, b = np.divmod(keys[order], field_.size)
+    a, b = np.unravel_index(a, field_.shape), np.unravel_index(b, field_.shape)
+    verts = np.stack([(axis[a[d]] + axis[b[d]]) / 2.0 for d, axis in enumerate((xs, ys, ts))], axis=1)
+    faces = number[which][tris]
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(f"# level-set mesh: {K.label}, tau={tau:g}, resolution={resolution}\n")
-        for x, y, t in vert_list:
-            fh.write(f"v {x:.17g} {y:.17g} {t:.17g}\n")
-        for a, b, c in faces:
-            fh.write(f"f {a} {b} {c}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", verts)
+        _write_rows(fh, "f %d %d %d\n", faces)
     return path
 
 
@@ -226,18 +272,6 @@ def export_curve(curve: list[Point3], path: Path) -> Path:
             th = j / (m - 1) if m > 1 else 0.0
             fh.write(f"{th:.17g},{p.x:.17g},{p.y:.17g},{p.t:.17g}\n")
     return path
-
-
-def import_curve(path: Path) -> list[Point3]:
-    """Parse a CSV written by export_curve back into points."""
-    pts = []
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != "theta,x,y,t":
-        raise ValueError(f"{path} is not a curve CSV (missing theta,x,y,t header)")
-    for line in lines[1:]:
-        _th, x, y, t = line.split(",")
-        pts.append(Point3(float(x), float(y), float(t)))
-    return pts
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Point3, Tolerances, dilate
+from .core import DEFAULT_TOL, Point3, Tolerances
 from .convexity import (
     ConvexityWitness,
     FnOracle,
@@ -30,6 +30,7 @@ from .sets import (
     box_oracle,
     check_axioms,
     dilation_level,
+    dilation_level_many,
     sample_in_set,
 )
 
@@ -130,8 +131,18 @@ def cone_eval(C: ConeFunction, xi: Point3) -> float:
     return dilation_level(C.source, xi, C.tol, scaling=C.kind)
 
 
+def cone_eval_many(C: ConeFunction, x: np.ndarray, y: np.ndarray, t: np.ndarray, strict: bool = True) -> np.ndarray:
+    """cone_eval of every point (x, y, t), bit for bit; see dilation_level_many."""
+    return dilation_level_many(C.source, x, y, t, C.tol, C.kind, strict)
+
+
 def cone_fn_oracle(C: ConeFunction) -> FnOracle:
-    return FnOracle(lambda p: cone_eval(C, p), f"cone[{C.source.label}]")
+    """The cone function as an FnOracle; eval_many evaluates by cone_eval_many."""
+    return FnOracle(
+        lambda p: cone_eval(C, p),
+        f"cone[{C.source.label}]",
+        kernel=lambda x, y, t: cone_eval_many(C, x, y, t),
+    )
 
 
 def _scaled_box(C: ConeFunction, factor: float) -> SetOracle:
@@ -158,16 +169,19 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
     big = _scaled_box(C, 2.0)
     (xlo, xhi), (ylo, yhi), (tlo, thi) = big.bbox
 
-    axiom_i_ok = True
+    # I: the first point, in sample order, whose bracket runs away; the
+    # stream then stands where a one-point-at-a-time loop would leave it
+    m = max(1, n // 3)
+    state = rng.bit_generator.state
+    draws = rng.uniform((xlo, ylo, tlo), (xhi, yhi, thi), size=(m, 3))
+    ran_away = np.flatnonzero(np.isnan(cone_eval_many(C, *draws.T, strict=False)))
+    axiom_i_ok = not ran_away.size
     coverage_failure = None
-    for _ in range(max(1, n // 3)):
-        p = Point3(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi), rng.uniform(tlo, thi))
-        try:
-            cone_eval(C, p)
-        except RuntimeError:
-            axiom_i_ok = False
-            coverage_failure = p
-            break
+    if not axiom_i_ok:
+        k = int(ran_away[0])
+        coverage_failure = Point3(*draws[k].tolist())
+        rng.bit_generator.state = state
+        rng.uniform(size=3 * (k + 1))
 
     axiom_ii_ok = True
     nesting_witness = None
@@ -190,22 +204,20 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
     axiom_iii_ok = True
     closedness_failure = None
     if axiom_i_ok:
-        for _ in range(max(1, n // 3)):
-            p = Point3(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi), rng.uniform(tlo, thi))
-            try:
-                level = cone_eval(C, p)
-            except RuntimeError:
-                continue
-            if level <= 0.0:
-                continue
-            for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-                tau = level * (1.0 + eps) + tol.eps_geom
-                if not K.contains(_scale(C, 1.0 / tau, p)):
-                    axiom_iii_ok = False
-                    closedness_failure = (p, tau)
-                    break
-            if closedness_failure is not None:
-                break
+        draws = rng.uniform((xlo, ylo, tlo), (xhi, yhi, thi), size=(m, 3))
+        level = cone_eval_many(C, *draws.T, strict=False)
+        # points whose bracket runs away (NaN) or that sit at the vertex are skipped
+        keep = np.flatnonzero(level > 0.0)
+        steps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+        tau = level[keep, None] * (1.0 + steps) + tol.eps_geom
+        points = Point3(*(draws[keep, i, None] for i in range(3)))
+        inside = K.contains_many(*_scale(C, 1.0 / tau, points))
+        # the first failure in (point, step) order
+        failed = np.flatnonzero(~inside)
+        if failed.size:
+            r, j = divmod(int(failed[0]), len(steps))
+            axiom_iii_ok = False
+            closedness_failure = (Point3(*draws[keep[r]].tolist()), float(tau[r, j]))
 
     return FamilyReport(
         axiom_i_ok,
@@ -219,10 +231,10 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
     )
 
 
-def _scale(C: ConeFunction, lam: float, p: Point3) -> Point3:
-    if C.kind == "euclidean":
-        return Point3(lam * p.x, lam * p.y, lam * p.t)
-    return dilate(lam, p)
+def _scale(C: ConeFunction, lam, p: Point3) -> Point3:
+    """The dilation of C's kind by lam; lam and p hold floats or arrays of one shape."""
+    t_factor = lam if C.kind == "euclidean" else lam * lam
+    return Point3(lam * p.x, lam * p.y, t_factor * p.t)
 
 
 def cone_validate(C: ConeFunction, n: int, seed: int = 0) -> ConeValidation:
@@ -265,8 +277,9 @@ def compare_closed_form(C: ConeFunction, n: int, seed: int = 0) -> float:
         raise ValueError(f"{C.source.label} has no closed-form cone function")
     rng = np.random.default_rng([seed, 0xCF])
     (xlo, xhi), (ylo, yhi), (tlo, thi) = _scaled_box(C, 1.5).bbox
+    draws = rng.uniform((xlo, ylo, tlo), (xhi, yhi, thi), size=(n, 3))
+    closed = C.source.closed_form_cone
     worst = 0.0
-    for _ in range(n):
-        p = Point3(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi), rng.uniform(tlo, thi))
-        worst = max(worst, abs(cone_eval(C, p) - C.source.closed_form_cone(p)))
+    for level, row in zip(cone_eval_many(C, *draws.T).tolist(), draws.tolist()):
+        worst = max(worst, abs(level - closed(Point3(*row))))
     return worst

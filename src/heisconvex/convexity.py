@@ -31,10 +31,24 @@ from .sets import SetOracle, horizontal_probes, theta_grid
 
 @dataclass
 class FnOracle:
-    """A real-valued function on the group, as an evaluation handle."""
+    """A real-valued function on the group, as an evaluation handle.
+
+    eval_many(x, y, t) evaluates flat coordinate arrays and returns a float
+    array, equal to eval element for element: a function that supplies
+    kernel (cone_fn_oracle does, from dilation_level_many) must keep that
+    contract bit for bit, and without one it is a row loop over eval.
+    The falsifiers below evaluate through it.
+    """
 
     eval: Callable[[Point3], float]
     label: str = "fn"
+    kernel: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+
+    def eval_many(self, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+        if self.kernel is not None:
+            return self.kernel(x, y, t)
+        rows = zip(np.ravel(x).tolist(), np.ravel(y).tolist(), np.ravel(t).tolist())
+        return np.array([self.eval(Point3(*row)) for row in rows], dtype=float)
 
 
 @dataclass
@@ -69,6 +83,72 @@ class SubdiffReport:
     rotation_failures: list = field(default_factory=list)
 
 
+# probes per evaluated chunk: the first chunk is small, so an early witness
+# costs about what a probe-by-probe scan costs, and the chunks double from there
+FIRST_CHUNK = 8
+MAX_CHUNK = 256
+
+
+def _eval_in_order(f: FnOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """(values, error): f on the points, and the error that stopped it or None.
+
+    When the batch raises, the points are evaluated one by one in order;
+    values after the first failing point are NaN and its error is returned,
+    so a caller can still honour whatever came before it.
+    """
+    try:
+        return f.eval_many(x, y, t), None
+    except Exception:
+        values = np.full(x.size, np.nan)
+        for i, row in enumerate(zip(x.tolist(), y.tolist(), t.tolist())):
+            try:
+                values[i] = f.eval(Point3(*row))
+            except Exception as exc:
+                return values, exc
+        return values, None
+
+
+def _chunk_witness(
+    f: FnOracle,
+    probes: list,
+    thetas: np.ndarray,
+    tol: Tolerances,
+    quasi: bool,
+) -> Optional[ConvexityWitness]:
+    """The first violation among probes in (probe, theta) order, or None.
+
+    Points are laid out as a serial scan evaluates them: per probe p, then
+    q, then p o exp_h(theta v) for each theta.  An evaluation error is
+    raised only when no violation comes before the failing point.
+    """
+    p = np.array([pr[0] for pr in probes])
+    v = np.array([pr[1] for pr in probes])
+    q = np.array([pr[2] for pr in probes])
+    # p o exp_h(theta v), with group_mul's operations in group_mul's order
+    a = thetas * v[:, :1]
+    b = thetas * v[:, 1:]
+    x0, y0, t0 = p[:, :1], p[:, 1:2], p[:, 2:]
+    seg = (x0 + a, y0 + b, (t0 + 0.0) + 2.0 * (a * y0 - x0 * b))
+    x, y, t = (np.concatenate([p[:, i : i + 1], q[:, i : i + 1], seg[i]], axis=1) for i in range(3))
+    values, error = _eval_in_order(f, x.ravel(), y.ravel(), t.ravel())
+    values = values.reshape(x.shape)
+    f0, f1, lhs = values[:, :1], values[:, 1:2], values[:, 2:]
+    # np.where(f1 > f0, f1, f0) is max(f0, f1), NaN included
+    if quasi:
+        rhs = np.broadcast_to(np.where(f1 > f0, f1, f0), lhs.shape)
+    else:
+        rhs = (1.0 - thetas) * f0 + thetas * f1
+    hits = np.flatnonzero(lhs > rhs + tol.eps_eq)
+    if hits.size:
+        r, j = divmod(int(hits[0]), len(thetas))
+        base, step, _ = probes[r]
+        kind = "quasi" if quasi else "convex"
+        return ConvexityWitness(base, step, float(thetas[j]), float(lhs[r, j]), float(rhs[r, j]), kind)
+    if error is not None:
+        raise error
+    return None
+
+
 def _segment_scan(
     f: FnOracle,
     domain: SetOracle,
@@ -82,17 +162,17 @@ def _segment_scan(
     # convex check at a seed implies passing the quasiconvex check there.
     if n < 1 or grid < 1:
         raise ValueError("need n >= 1 samples and grid >= 1")
-    thetas = [th for th in theta_grid(max(grid, 2)) if 0.0 < th < 1.0]
+    thetas = np.array([th for th in theta_grid(max(grid, 2)) if 0.0 < th < 1.0])
+    stream = horizontal_probes(domain, n, seed, 0xF)
     produced = 0
-    for p, v, q in horizontal_probes(domain, n, seed, 0xF):
-        produced += 1
-        f0 = f.eval(p)
-        f1 = f.eval(q)
-        for th in thetas:
-            lhs = f.eval(group_mul(p, exp_h(HVec(th * v.a, th * v.b))))
-            rhs = max(f0, f1) if quasi else (1.0 - th) * f0 + th * f1
-            if lhs > rhs + tol.eps_eq:
-                return ConvexityWitness(p, v, th, lhs, rhs, "quasi" if quasi else "convex")
+    size = FIRST_CHUNK
+    # the next size probes: zip asks range first, so no probe is drawn and lost
+    while chunk := [probe for _, probe in zip(range(size), stream)]:
+        produced += len(chunk)
+        witness = _chunk_witness(f, chunk, thetas, tol, quasi)
+        if witness is not None:
+            return witness
+        size = min(2 * size, MAX_CHUNK)
     if produced < n:
         raise RuntimeError(f"domain {domain.label} too thin: {produced}/{n} probes found")
     return None
@@ -155,20 +235,19 @@ def check_homogeneous(
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng([seed, 0x40])
-    max_dev = 0.0
-    worst = None
-    for _ in range(n):
-        p = Point3(
-            rng.uniform(*box[0]),
-            rng.uniform(*box[1]),
-            rng.uniform(*box[2]),
-        )
-        lam = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
-        fp = f.eval(p)
-        dev = abs(f.eval(dilate(lam, p)) - lam * fp) / ((1.0 + abs(fp)) * lam)
-        if dev > max_dev:
-            max_dev = dev
-            worst = (lam, p)
+    # row k holds the k-th sample's four draws, in the order drawn one at a time
+    (xlo, xhi), (ylo, yhi), (tlo, thi) = box
+    draws = rng.uniform([xlo, ylo, tlo, math.log(0.25)], [xhi, yhi, thi, math.log(4.0)], size=(n, 4))
+    x, y, t = draws[:, 0], draws[:, 1], draws[:, 2]
+    lam = np.array([math.exp(u) for u in draws[:, 3].tolist()])
+    values = f.eval_many(np.concatenate([x, lam * x]), np.concatenate([y, lam * y]), np.concatenate([t, lam * lam * t]))
+    fp, fd = values[:n], values[n:]
+    dev = np.abs(fd - lam * fp) / ((1.0 + np.abs(fp)) * lam)
+    # the first largest positive deviation; NaN counts as none
+    dev = np.where(dev > 0.0, dev, 0.0)
+    k = int(np.argmax(dev))
+    max_dev = float(dev[k])
+    worst = (float(lam[k]), Point3(*draws[k, :3].tolist())) if max_dev > 0.0 else None
     return HomogeneityReport(ok=max_dev <= tol.eps_eq, max_dev=max_dev, worst=worst, samples=n)
 
 

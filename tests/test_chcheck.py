@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from heisconvex import (
     HVec,
     Point3,
+    Tolerances,
     ch_curve,
     ch_curve_cases,
+    EnvelopeReport,
     dilate,
+    dilation_level,
     envelope_check,
     envelope_phi,
     envelope_psi,
@@ -418,6 +421,52 @@ def test_envelope_check_cylinder_fails_solid():
     # vertex of the parabolic arc envelope tops out just above the lid
     assert rep.solid_failure.t == pytest.approx(1.055413, abs=1e-3)
     assert rep.solid_min_margin < -1e-3
+
+
+def _reference_envelope(K, xi0, n, tol=DEFAULT_TOL):
+    """The point-by-point envelope_check the one-batch version must reproduce."""
+    r0, t0 = math.hypot(xi0.x, xi0.y), xi0.t
+    fine = Tolerances(eps_geom=tol.eps_eq, eps_eq=tol.eps_eq, max_iter=tol.max_iter)
+    floor = -max(1e-6, 10.0 * tol.eps_geom)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    solid_min, solid_failure = math.inf, None
+    for k in range(n):
+        r = r0 / math.sqrt(2.0) + (r0 - r0 / math.sqrt(2.0)) * k / (n - 1)
+        rho = r * ((k % 3) + 1) / 3.0
+        pt = Point3(rho * math.cos(k * golden), rho * math.sin(k * golden), envelope_phi(r, r0, t0))
+        mg = 1.0 - dilation_level(K, pt, fine)
+        if mg < solid_min:
+            solid_min = mg
+            if mg < floor:
+                solid_failure = pt
+    cap_min, cap_failure, cap_res = math.inf, None, 0.0
+    sgn = math.copysign(1.0, t0)
+    for k in range(n):
+        r = r0 * k / (n - 1)
+        psi = envelope_psi(r, r0, t0)
+        cap_res = max(cap_res, abs(r ** 4 + psi * psi - (r0 ** 4 + t0 * t0)))
+        for t in (sgn * psi, 0.5 * (t0 + sgn * psi)):
+            pt = Point3(r * math.cos(k * golden + 1.0), r * math.sin(k * golden + 1.0), t)
+            mg = 1.0 - dilation_level(K, pt, fine)
+            if mg < cap_min:
+                cap_min = mg
+                if mg < floor:
+                    cap_failure = pt
+    phi_res = abs(envelope_phi(r0, r0, t0) - t0)
+    return EnvelopeReport(solid_min, cap_min, n, 2 * n, solid_failure, cap_failure, phi_res, cap_res)
+
+
+@pytest.mark.parametrize(
+    "name, anchor",
+    [
+        ("koranyi_ball", Point3(0.9, 0.0, math.sqrt(1.0 - 0.9 ** 4))),
+        ("cylinder", Point3(0.9, 0.0, 0.9)),
+        ("importante", Point3(0.8 * IMPORTANTE_R_MAX, 0.0, -3.0)),
+    ],
+)
+def test_envelope_check_matches_point_by_point_loop(name, anchor):
+    K = gallery(name)
+    assert envelope_check(K, anchor, 120) == _reference_envelope(K, anchor, 120)
 
 
 def test_envelope_check_validation():

@@ -32,12 +32,12 @@ from heisconvex import (
     replay_ch_witness,
     replay_witness,
 )
+from heisconvex import cli
 from heisconvex.cli import (
     RunConfig,
     _write_report,
     export_curve,
     export_levelset,
-    import_curve,
     main,
     parse_descriptor,
 )
@@ -49,6 +49,13 @@ PLUS_PARAMS = json.dumps(
 
 def read_report(path):
     return json.loads(path.read_text())
+
+
+def import_curve(path):
+    """The points of a CSV written by export_curve."""
+    header, *rows = path.read_text().splitlines()
+    assert header == "theta,x,y,t"
+    return [Point3(*map(float, row.split(",")[1:])) for row in rows]
 
 
 def test_parse_descriptor_forms(tmp_path):
@@ -311,6 +318,75 @@ def test_export_mesh_batch_field_matches_row_loop(tmp_path, name):
     assert faces and set(edges.values()) == {2}
 
 
+def _reference_levelset(K, tau, resolution, path):
+    """The cube-by-cube march whose OBJ bytes export_levelset must reproduce."""
+    corners_at = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
+    tets = ((0, 5, 1, 6), (0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6), (0, 7, 4, 6), (0, 4, 5, 6))
+    (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
+    n = resolution
+    xs = [tau * 1.05 * (xlo + (xhi - xlo) * i / (n - 1)) for i in range(n)]
+    ys = [tau * 1.05 * (ylo + (yhi - ylo) * i / (n - 1)) for i in range(n)]
+    ts = [tau * tau * 1.05 * (tlo + (thi - tlo) * i / (n - 1)) for i in range(n)]
+    inv = 1.0 / tau
+    X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
+    field = K.contains_many(inv * X, inv * Y, inv * inv * T).tolist()
+    verts, vert_list, faces = {}, [], []
+
+    def midpoint(a, b):
+        key = (a, b) if a <= b else (b, a)
+        if key not in verts:
+            vert_list.append(((xs[a[0]] + xs[b[0]]) / 2.0, (ys[a[1]] + ys[b[1]]) / 2.0, (ts[a[2]] + ts[b[2]]) / 2.0))
+            verts[key] = len(vert_list)
+        return verts[key]
+
+    for i in range(n - 1):
+        for j in range(n - 1):
+            for k in range(n - 1):
+                corner = [(i + dx, j + dy, k + dz) for dx, dy, dz in corners_at]
+                inside = [field[a][b][c] for a, b, c in corner]
+                if all(inside) or not any(inside):
+                    continue
+                for tet in tets:
+                    ins = [c for c in tet if inside[c]]
+                    outs = [c for c in tet if not inside[c]]
+                    if not ins or not outs:
+                        continue
+                    if len(ins) == 1 or len(outs) == 1:
+                        lone, others = (ins[0], outs) if len(ins) == 1 else (outs[0], ins)
+                        faces.append(tuple(midpoint(corner[lone], corner[o]) for o in others))
+                    else:
+                        (p, q), (r, s) = ins, outs
+                        m_pr, m_ps = midpoint(corner[p], corner[r]), midpoint(corner[p], corner[s])
+                        m_qr, m_qs = midpoint(corner[q], corner[r]), midpoint(corner[q], corner[s])
+                        faces += [(m_pr, m_ps, m_qr), (m_ps, m_qs, m_qr)]
+    with open(path, "w") as fh:
+        fh.write(f"# level-set mesh: {K.label}, tau={tau:g}, resolution={resolution}\n")
+        fh.writelines(f"v {x:.17g} {y:.17g} {t:.17g}\n" for x, y, t in vert_list)
+        fh.writelines(f"f {a} {b} {c}\n" for a, b, c in faces)
+    return path
+
+
+@pytest.mark.parametrize("name", ["koranyi_ball", "euclidean_ball", "cylinder", "cylinder_hat", "importante", "radial_custom"])
+def test_export_levelset_matches_cube_by_cube_march(tmp_path, name):
+    K = gallery(name, json.loads(PLUS_PARAMS) if name == "radial_custom" else None)
+    for resolution in (8, 16, 33):
+        for tau in (0.7, 1.0, 2.5):
+            got = export_levelset(K, tau, resolution, tmp_path / "array.obj").read_bytes()
+            want = _reference_levelset(K, tau, resolution, tmp_path / "cubes.obj").read_bytes()
+            assert got == want, (resolution, tau)
+    assert b"\nf " in got
+
+
+def test_export_levelset_writes_in_blocks(tmp_path, monkeypatch):
+    # block boundaries leave no mark: 7-line blocks write what one block writes
+    K = gallery("koranyi_ball")
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 10**9)
+    whole = export_levelset(K, 1.0, 24, tmp_path / "whole.obj").read_bytes()
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 7)
+    assert export_levelset(K, 1.0, 24, tmp_path / "blocks.obj").read_bytes() == whole
+    assert whole.count(b"\n") > 100 * 7
+
+
 def test_bad_params_exit_1(tmp_path, capsys):
     out = ["--samples", "50", "--out", str(tmp_path)]
     for params in ('{"radius": 3}', '{"r": NaN}', '{"r": -1}', '{"r": Infinity}', '{"r": 0}', '{"r": 1e300}'):
@@ -319,6 +395,9 @@ def test_bad_params_exit_1(tmp_path, capsys):
     assert main(["axioms", "--set", "cylinder", "--params", '{"r": 2}'] + out) == 1
     assert "cylinder does not accept params ['r']" in capsys.readouterr().err
     assert main(["axioms", "--set", "euclidean_ball", "--params", '{"r": 1e300}'] + out) == 1
+    assert "heisconvex: error: euclidean_ball params overflow" in capsys.readouterr().err
+    # a finite bounding box, but the fourth power of r overflows in radial_necessary
+    assert main(["radial", "--set", "euclidean_ball", "--params", '{"r": 1e100}'] + out) == 1
     assert "heisconvex: error: euclidean_ball params overflow" in capsys.readouterr().err
     for vertices in ("5", '[[0, 0], [1, 0], [1, "a"]]'):
         assert main(["axioms", "--set", "radial_custom", "--params", f'{{"vertices": {vertices}}}'] + out) == 1

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from heisconvex import (
     ConeFunction,
+    FamilyReport,
+    NestingWitness,
     Point3,
     cone_eval,
     cone_fn_oracle,
@@ -17,8 +19,10 @@ from heisconvex import (
     gallery,
     make_cone,
     norm,
+    sample_in_set,
 )
-from heisconvex.sets import polygon_profile, radial_to_oracle
+from heisconvex.cones import _scaled_box
+from heisconvex.sets import SetOracle, polygon_profile, radial_to_oracle
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +134,104 @@ def test_cone_fn_oracle_labels(koranyi_cone):
     f = cone_fn_oracle(koranyi_cone)
     assert "koranyi" in f.label
     assert f.eval(Point3(0.0, 0.0, 1.0)) == pytest.approx(1.0, abs=1e-6)
+
+
+def _reference_family(C, n, seed):
+    """The one-point-at-a-time family_axioms_check the batch must reproduce."""
+    rng = np.random.default_rng([seed, 0xFA])
+    (xlo, xhi), (ylo, yhi), (tlo, thi) = _scaled_box(C, 2.0).bbox
+
+    def scale(lam, p):
+        return Point3(lam * p.x, lam * p.y, (lam if C.kind == "euclidean" else lam * lam) * p.t)
+
+    def draw():
+        return Point3(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi), rng.uniform(tlo, thi))
+
+    coverage_failure = None
+    for _ in range(max(1, n // 3)):
+        p = draw()
+        try:
+            cone_eval(C, p)
+        except RuntimeError:
+            coverage_failure = p
+            break
+    nesting_witness = None
+    K = C.source
+    try:
+        nested_pts = sample_in_set(K, max(1, n // 3), rng)
+        axiom_ii_ok = True
+    except RuntimeError:
+        nested_pts, axiom_ii_ok = [], False
+    for p in nested_pts:
+        taus = np.exp(rng.uniform(np.log(0.125), np.log(8.0), 2))
+        tau1, tau2 = float(min(taus)), float(max(taus))
+        if tau2 - tau1 < 1e-3:
+            tau2 = tau1 * 1.5
+        if not K.contains(scale(tau1 / tau2, p)):
+            axiom_ii_ok = False
+            nesting_witness = NestingWitness(tau1, tau2, scale(tau1, p))
+            break
+    closedness_failure = None
+    if coverage_failure is None:
+        for _ in range(max(1, n // 3)):
+            p = draw()
+            try:
+                level = cone_eval(C, p)
+            except RuntimeError:
+                continue
+            if level <= 0.0:
+                continue
+            for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+                tau = level * (1.0 + eps) + C.tol.eps_geom
+                if not K.contains(scale(1.0 / tau, p)):
+                    closedness_failure = (p, tau)
+                    break
+            if closedness_failure is not None:
+                break
+    return FamilyReport(
+        coverage_failure is None, axiom_ii_ok, closedness_failure is None, nesting_witness,
+        n, seed, coverage_failure, closedness_failure,
+    )
+
+
+def _shelled_set():
+    # the Koranyi ball plus a thin gauge shell around it: a bisection that
+    # lands in the shell stops at its inner face, and slightly larger levels
+    # fall into the gap below it, so closedness from above fails
+    def contains(p):
+        g = norm(p, "koranyi")
+        return g <= 1.0 or 1.3 <= g <= 1.31
+
+    return SetOracle(contains, ((-1.32, 1.32), (-1.32, 1.32), (-1.72, 1.72)), "shelled")
+
+
+FAMILY_CASES = {
+    "koranyi_ball": (lambda: gallery("koranyi_ball"), "heisenberg"),
+    "koranyi_ball_euclidean": (lambda: gallery("koranyi_ball"), "euclidean"),
+    "cylinder_hat": (lambda: gallery("cylinder_hat"), "heisenberg"),
+    "ring": (ring_set, "heisenberg"),
+    "shelled": (_shelled_set, "heisenberg"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_axioms_match_reference(case):
+    build, kind = FAMILY_CASES[case]
+    C = make_cone(build(), kind, require_axioms=False)
+    reports = [family_axioms_check(C, 300, seed) for seed in (0, 1, 2)]
+    assert reports == [_reference_family(C, 300, seed) for seed in (0, 1, 2)]
+    if case == "ring":
+        assert all(r.coverage_failure is not None and r.nesting_witness is not None for r in reports)
+    if case == "shelled":
+        assert any(r.closedness_failure is not None for r in reports)
+
+
+def test_closed_form_comparison_matches_reference(euclid_cone, koranyi_cone):
+    for C in (euclid_cone, koranyi_cone, make_cone(gallery("cylinder_hat"), "euclidean", seed=0)):
+        rng = np.random.default_rng([3, 0xCF])
+        (xlo, xhi), (ylo, yhi), (tlo, thi) = _scaled_box(C, 1.5).bbox
+        worst = 0.0
+        for _ in range(300):
+            p = Point3(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi), rng.uniform(tlo, thi))
+            worst = max(worst, abs(cone_eval(C, p) - C.source.closed_form_cone(p)))
+        assert compare_closed_form(C, 300, seed=3) == worst

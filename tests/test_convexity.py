@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,18 +9,25 @@ from heisconvex import (
     ConvexityWitness,
     FnOracle,
     HVec,
+    HomogeneityReport,
     Point3,
+    Tolerances,
     check_hconvex_fn,
     check_homogeneous,
     check_hquasiconvex_fn,
+    cone_fn_oracle,
+    exp_h,
     gallery,
+    group_mul,
     horizontal_gradient,
+    make_cone,
     norm,
     replay_witness,
     subdiff_contains,
     subdiff_properties,
 )
-from heisconvex.sets import box_oracle
+from heisconvex.cones import _scaled_box
+from heisconvex.sets import box_oracle, horizontal_probes, theta_grid
 
 BOX3 = box_oracle(((-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0)), "box3")
 
@@ -169,3 +177,122 @@ def test_subdiff_properties_requires_homogeneity():
     assert rep.precondition_failed
     assert not rep.homogeneous
     assert rep.pairs_tested == 0
+
+
+def _reference_scan(f, domain, n, grid, seed, tol, quasi):
+    """The probe-by-probe scan that the chunked scan must reproduce."""
+    thetas = [th for th in theta_grid(max(grid, 2)) if 0.0 < th < 1.0]
+    produced = 0
+    for p, v, q in horizontal_probes(domain, n, seed, 0xF):
+        produced += 1
+        f0 = f.eval(p)
+        f1 = f.eval(q)
+        for th in thetas:
+            lhs = f.eval(group_mul(p, exp_h(HVec(th * v.a, th * v.b))))
+            rhs = max(f0, f1) if quasi else (1.0 - th) * f0 + th * f1
+            if lhs > rhs + tol.eps_eq:
+                return ConvexityWitness(p, v, th, lhs, rhs, "quasi" if quasi else "convex")
+    if produced < n:
+        raise RuntimeError(f"domain {domain.label} too thin: {produced}/{n} probes found")
+    return None
+
+
+def _outcome(call):
+    """The witness a scan returns, or the type and message of its error."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_scan_matches_reference(f, domain, n, grid, seed, tol=Tolerances()):
+    for quasi, check in ((False, check_hconvex_fn), (True, check_hquasiconvex_fn)):
+        want = _outcome(lambda: _reference_scan(f, domain, n, grid, seed, tol, quasi))
+        got = _outcome(lambda: check(f, domain, n, grid=grid, seed=seed, tol=tol))
+        assert got == want, (f.label, quasi, seed)
+        yield want
+
+
+def _cone_scan_case(name):
+    # cone_validate's scan: the 1.5x box of the source, with loosened slack
+    C = make_cone(gallery(name), seed=0)
+    loose = Tolerances(eps_geom=1e-5, eps_eq=1e-5)
+    return cone_fn_oracle(C), _scaled_box(C, 1.5), loose
+
+
+def test_scan_matches_reference_on_cone_oracles():
+    # the euclidean ball's cone has an early convex witness, the Koranyi gauge none
+    f, domain, loose = _cone_scan_case("euclidean_ball")
+    assert f.kernel is not None
+    convex, _ = _assert_scan_matches_reference(f, domain, 400, 5, 0, loose)
+    assert isinstance(convex, ConvexityWitness)
+    f, domain, loose = _cone_scan_case("koranyi_ball")
+    assert list(_assert_scan_matches_reference(f, domain, 300, 5, 1, loose)) == [None, None]
+
+
+def test_scan_matches_reference_on_bare_functions():
+    two_wells = FnOracle(lambda p: min((p.x - 1.0) ** 2 + p.y * p.y, (p.x + 1.0) ** 2 + p.y * p.y), "two-wells")
+    # NaN compares false, so max(f0, NaN) is f0 and a NaN value is never a violation
+    holey = FnOracle(lambda p: math.nan if p.x + p.t > 2.0 else math.log(p.x * p.x + p.y * p.y + 1.0), "holey")
+    seen = []
+    for f in (planar, gauge, ln_bump, two_wells, holey):
+        assert f.kernel is None
+        for seed in (0, 3):
+            seen += _assert_scan_matches_reference(f, BOX3, 700, 9, seed)
+    # witnesses of both kinds and clean runs all occur
+    assert {w.kind for w in seen if w is not None} == {"convex", "quasi"} and None in seen
+    sliver = box_oracle(((-1e-9, 1e-9), (-1.0, 1.0), (-1.0, 1.0)), "sliver")
+    for outcome in _assert_scan_matches_reference(planar, sliver, 3, 9, 0):
+        assert outcome[0] is RuntimeError
+
+
+def test_scan_evaluation_errors_match_reference():
+    # an error stops the scan unless a violation comes first in scan order
+    def partial(limit):
+        def fn(p):
+            if p.x > limit:
+                raise ValueError(f"no value at {tuple(p)}")
+            return ln_bump.eval(p)
+
+        return FnOracle(fn, f"ln-bump below x = {limit}")
+
+    outcomes = []
+    for limit in (-2.0, 0.0, 1.0, 2.9):
+        for seed in range(4):
+            outcomes += _assert_scan_matches_reference(partial(limit), BOX3, 300, 5, seed)
+    errors = [o for o in outcomes if isinstance(o, tuple)]
+    assert errors and len(errors) < len(outcomes)
+    assert {kind for kind, _ in errors} == {ValueError}
+
+
+def test_fn_oracle_eval_many_defaults_to_a_row_loop():
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (50, 3))
+    got = ln_bump.eval_many(*pts.T)
+    assert got.dtype == float and got.tolist() == [ln_bump.eval(Point3(*p)) for p in pts.tolist()]
+
+
+def _reference_homogeneous(f, n, seed, tol, box):
+    """The one-sample-at-a-time loop check_homogeneous must reproduce."""
+    rng = np.random.default_rng([seed, 0x40])
+    max_dev = 0.0
+    worst = None
+    for _ in range(n):
+        p = Point3(rng.uniform(*box[0]), rng.uniform(*box[1]), rng.uniform(*box[2]))
+        lam = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+        fp = f.eval(p)
+        dev = abs(f.eval(Point3(lam * p.x, lam * p.y, lam * lam * p.t)) - lam * fp) / ((1.0 + abs(fp)) * lam)
+        if dev > max_dev:
+            max_dev = dev
+            worst = (lam, p)
+    return HomogeneityReport(ok=max_dev <= tol.eps_eq, max_dev=max_dev, worst=worst, samples=n)
+
+
+def test_check_homogeneous_matches_reference():
+    box = ((-2.0, 2.0), (-2.0, 2.0), (-4.0, 4.0))
+    cone, _, loose = _cone_scan_case("koranyi_ball")
+    # NaN and exact zeros count as no deviation
+    holes = FnOracle(lambda p: math.nan if p.x > 1.0 else 0.0, "holes")
+    for f, tol in ((gauge, Tolerances()), (ln_bump, Tolerances()), (cone, loose), (holes, Tolerances())):
+        for seed in (0, 1):
+            assert check_homogeneous(f, 300, seed, tol, box) == _reference_homogeneous(f, 300, seed, tol, box)
+    assert check_homogeneous(holes, 300, 0).worst is None

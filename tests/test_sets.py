@@ -23,8 +23,10 @@ from heisconvex.sets import (
     IMPORTANTE_R_FLAT,
     IMPORTANTE_R_MAX,
     SetOracle,
+    bbox_scale,
     box_oracle,
     dilate_oracle,
+    dilation_level_many,
     escapes_many,
     polygon_profile,
     radial_to_oracle,
@@ -438,3 +440,80 @@ def test_boundary_sample_matches_per_ray_loop(name):
         assert boundary_sample(K, 256, seed) == _reference_boundary_sample(K, 256, seed)
     # the first points do not depend on how many are asked for
     assert boundary_sample(K, 10, 0) == boundary_sample(K, 256, 0)[:10]
+
+
+# "ulp" bisects down to adjacent floats, where the last bit of lam * x decides
+LEVEL_TOLS = {"default": Tolerances(), "fine": Tolerances(eps_geom=1e-9, eps_eq=1e-9), "ulp": FINE_TOL}
+
+
+def _level_set(name, tol):
+    return gallery(name, {"vertices": PLUS_VERTICES} if name == "radial_custom" else None, tol)
+
+
+def _level_points(K, seed):
+    """e, points within 1e-9 of e, the box, twice the box, and far outside."""
+    rng = np.random.default_rng(seed)
+    box = np.column_stack([rng.uniform(lo, hi, 150) for lo, hi in K.bbox])
+    near_e = rng.uniform(-1e-9, 1e-9, (50, 3))
+    far = rng.uniform(-1.0, 1.0, (50, 3)) * 1e3 * bbox_scale(K.bbox)
+    return np.concatenate([np.zeros((1, 3)), near_e, box, 2.0 * box, far])
+
+
+def _assert_levels_match(K, pts, tol, scaling):
+    # at the ulp tolerance lam * lam overflows near e, in both (numpy warns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = dilation_level_many(K, pts[:, 0], pts[:, 1], pts[:, 2], tol, scaling)
+    want = [dilation_level(K, Point3(*p), tol, scaling) for p in pts.tolist()]
+    assert got.dtype == float and got.shape == (len(pts),)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("tol_name", sorted(LEVEL_TOLS))
+@pytest.mark.parametrize("scaling", ["heisenberg", "euclidean"])
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_dilation_level_many_matches_scalar(name, scaling, tol_name):
+    tol = LEVEL_TOLS[tol_name]
+    K = _level_set(name, tol)
+    pts = _level_points(K, 4)
+    _assert_levels_match(K, pts, tol, scaling)
+    if tol_name != "ulp":
+        # e sits at the vertex and the far points outside K
+        levels = dilation_level_many(K, pts[:, 0], pts[:, 1], pts[:, 2], tol, scaling)
+        assert levels[0] == 0.0 and (levels[-50:] > 1.0).all()
+
+
+@given(
+    st.sampled_from(GALLERY_NAMES),
+    st.sampled_from(["heisenberg", "euclidean"]),
+    st.sampled_from(sorted(LEVEL_TOLS)),
+    st.lists(st.tuples(*[st.floats(min_value=-5.0, max_value=5.0)] * 3), min_size=1, max_size=20),
+    st.sampled_from([1e-9, 1e-3, 1.0, 1e3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_dilation_level_many_matches_scalar_property(name, scaling, tol_name, rows, scale):
+    tol = LEVEL_TOLS[tol_name]
+    _assert_levels_match(_level_set(name, tol), np.array(rows) * scale, tol, scaling)
+
+
+def test_dilation_level_many_errors_match_scalar():
+    K = gallery("koranyi_ball")
+    x, y, t = np.array([0.5, 0.0, 0.1]), np.array([0.5, math.nan, math.inf]), np.zeros(3)
+    with pytest.raises(ValueError) as scalar:
+        dilation_level(K, Point3(0.0, math.nan, 0.0))
+    # the first non-finite point is the one named
+    with pytest.raises(ValueError) as batch:
+        dilation_level_many(K, x, y, t)
+    assert str(batch.value) == str(scalar.value)
+    with pytest.raises(ValueError, match="unknown scaling"):
+        dilation_level_many(K, x[:1], y[:1], t[:1], scaling="spherical")
+
+    # no interior identity: the bracket of e runs away, a point of the box does not
+    box = box_oracle(((1.0, 2.0), (1.0, 2.0), (1.0, 2.0)), "offset box")
+    with pytest.raises(RuntimeError) as scalar:
+        dilation_level(box, Point3(0.0, 0.0, 0.0))
+    x, y, t = np.array([1.5, 0.0]), np.array([1.5, 0.0]), np.array([1.5, 0.0])
+    with pytest.raises(RuntimeError) as batch:
+        dilation_level_many(box, x, y, t)
+    assert str(batch.value) == str(scalar.value)
+    lenient = dilation_level_many(box, x, y, t, strict=False)
+    assert lenient[0] == dilation_level(box, Point3(1.5, 1.5, 1.5)) and math.isnan(lenient[1])
