@@ -42,8 +42,8 @@ from .sets import (
     escape_margin,
     escapes,
     escapes_many,
+    interior_thetas,
     scan_horizontal_segments,
-    theta_grid,
 )
 
 DEGENERATE_TAU_GRID = (0.25, 0.5, 2.0, 4.0)
@@ -288,10 +288,6 @@ def ch_curve_cases(
     return pts
 
 
-def _interior_thetas(m: int) -> list[float]:
-    return [th for th in theta_grid(m) if 0.0 < th < 1.0]
-
-
 def falsify_ch(
     K: SetOracle,
     budget: int,
@@ -334,7 +330,7 @@ def falsify_ch(
         p, v = found.base, found.v
         return ChWitness(p, group_mul(p, exp_h(v)), 1.0, v, found.theta, found.escape_point, found.margin, used - 1)
 
-    thetas = np.array(_interior_thetas(m))
+    thetas = interior_thetas(m)
     try:
         pool = np.array(boundary_sample(K, PAIR_CHUNK, seed, tol))
     except (ValueError, RuntimeError):

@@ -28,7 +28,7 @@ from .convexity import (
 from .sets import (
     SetOracle,
     box_oracle,
-    check_axioms,
+    check_axioms_ab,
     dilation_level,
     dilation_level_many,
     sample_in_set,
@@ -97,28 +97,25 @@ def make_cone(
     tol: Tolerances = DEFAULT_TOL,
     n: int = 1000,
     seed: int = 0,
-    require_axioms: bool = True,
 ) -> ConeFunction:
     """Build the cone handle, checking assumptions a and b first.
 
     The bisection in cone_eval is only monotone for compact sets with the
     identity interior that are star-shaped under dilations, so oracles
-    failing those checks are refused.  require_axioms=False skips the
-    refusal; that exists so family_axioms_check can demonstrate how the
-    axioms fail on such sets, not for production use.
+    failing check_axioms_ab on n samples are refused (assumption c is not
+    needed).  ConeFunction(K, kind) builds the handle unchecked.
     """
-    if require_axioms:
-        report = check_axioms(K, n, seed, tol)
-        if not report.a_holds:
-            raise ValueError(
-                f"{K.label} fails assumption a (compact with identity interior); "
-                "refusing to build a cone function"
-            )
-        if not report.b_holds:
-            raise ValueError(
-                f"{K.label} fails assumption b (star-shaped under dilations); "
-                "the dilation family is not nested, refusing to build"
-            )
+    a_holds, b_holds, _ = check_axioms_ab(K, n, seed)
+    if not a_holds:
+        raise ValueError(
+            f"{K.label} fails assumption a (compact with identity interior); "
+            "refusing to build a cone function"
+        )
+    if not b_holds:
+        raise ValueError(
+            f"{K.label} fails assumption b (star-shaped under dilations); "
+            "the dilation family is not nested, refusing to build"
+        )
     return ConeFunction(K, kind, tol)
 
 

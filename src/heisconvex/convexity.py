@@ -5,14 +5,13 @@ segment is convex; quasiconvex when those restrictions never exceed the
 endpoint maximum; homogeneous when it commutes with dilations to first
 order.  All checks here are seeded semidecisions: a returned witness is a
 genuine, replayable violation, while "no witness" only reports the budget
-survived.  The horizontal subdifferential at a point is probed the same
-way, by sampling the defining inequality.
+survived.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,11 +21,10 @@ from .core import (
     HVec,
     Point3,
     Tolerances,
-    dilate,
     exp_h,
     group_mul,
 )
-from .sets import SetOracle, horizontal_probes, theta_grid
+from .sets import SetOracle, interior_thetas, segment_chunks
 
 
 @dataclass
@@ -71,24 +69,6 @@ class HomogeneityReport:
     samples: int = 0
 
 
-@dataclass
-class SubdiffReport:
-    precondition_failed: bool
-    homogeneous: bool
-    radial: bool = False
-    pairs_tested: int = 0
-    persistence_ok: bool = True
-    rotation_ok: bool = True
-    persistence_failures: list = field(default_factory=list)
-    rotation_failures: list = field(default_factory=list)
-
-
-# probes per evaluated chunk: the first chunk is small, so an early witness
-# costs about what a probe-by-probe scan costs, and the chunks double from there
-FIRST_CHUNK = 8
-MAX_CHUNK = 256
-
-
 def _eval_in_order(f: FnOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """(values, error): f on the points, and the error that stopped it or None.
 
@@ -110,25 +90,18 @@ def _eval_in_order(f: FnOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray):
 
 def _chunk_witness(
     f: FnOracle,
-    probes: list,
+    chunk: tuple,
     thetas: np.ndarray,
     tol: Tolerances,
     quasi: bool,
 ) -> Optional[ConvexityWitness]:
-    """The first violation among probes in (probe, theta) order, or None.
+    """The first violation in a segment_chunks chunk, in (probe, theta) order.
 
     Points are laid out as a serial scan evaluates them: per probe p, then
     q, then p o exp_h(theta v) for each theta.  An evaluation error is
     raised only when no violation comes before the failing point.
     """
-    p = np.array([pr[0] for pr in probes])
-    v = np.array([pr[1] for pr in probes])
-    q = np.array([pr[2] for pr in probes])
-    # p o exp_h(theta v), with group_mul's operations in group_mul's order
-    a = thetas * v[:, :1]
-    b = thetas * v[:, 1:]
-    x0, y0, t0 = p[:, :1], p[:, 1:2], p[:, 2:]
-    seg = (x0 + a, y0 + b, (t0 + 0.0) + 2.0 * (a * y0 - x0 * b))
+    probes, p, q, seg = chunk
     x, y, t = (np.concatenate([p[:, i : i + 1], q[:, i : i + 1], seg[i]], axis=1) for i in range(3))
     values, error = _eval_in_order(f, x.ravel(), y.ravel(), t.ravel())
     values = values.reshape(x.shape)
@@ -162,17 +135,13 @@ def _segment_scan(
     # convex check at a seed implies passing the quasiconvex check there.
     if n < 1 or grid < 1:
         raise ValueError("need n >= 1 samples and grid >= 1")
-    thetas = np.array([th for th in theta_grid(max(grid, 2)) if 0.0 < th < 1.0])
-    stream = horizontal_probes(domain, n, seed, 0xF)
+    thetas = interior_thetas(max(grid, 2))
     produced = 0
-    size = FIRST_CHUNK
-    # the next size probes: zip asks range first, so no probe is drawn and lost
-    while chunk := [probe for _, probe in zip(range(size), stream)]:
-        produced += len(chunk)
+    for chunk in segment_chunks(domain, n, thetas, seed, 0xF):
+        produced += len(chunk[0])
         witness = _chunk_witness(f, chunk, thetas, tol, quasi)
         if witness is not None:
             return witness
-        size = min(2 * size, MAX_CHUNK)
     if produced < n:
         raise RuntimeError(f"domain {domain.label} too thin: {produced}/{n} probes found")
     return None
@@ -249,110 +218,3 @@ def check_homogeneous(
     max_dev = float(dev[k])
     worst = (float(lam[k]), Point3(*draws[k, :3].tolist())) if max_dev > 0.0 else None
     return HomogeneityReport(ok=max_dev <= tol.eps_eq, max_dev=max_dev, worst=worst, samples=n)
-
-
-def subdiff_contains(
-    f: FnOracle,
-    xi: Point3,
-    p: HVec,
-    n: int,
-    radius: float,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
-    """Whether p survives as a horizontal subgradient of f at xi.
-
-    Samples horizontal steps v with |v|_E <= radius and requires
-    f(xi o exp_h(v)) >= f(xi) + <p, v> - eps on each.  True means no
-    violation was found within the budget (a semidecision).
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    rng = np.random.default_rng([seed, 0x5D])
-    f0 = f.eval(xi)
-
-    def violated(v: HVec) -> bool:
-        lhs = f.eval(group_mul(xi, exp_h(v)))
-        return lhs < f0 + p.a * v.a + p.b * v.b - tol.eps_eq
-
-    for k in range(16):
-        phi = 2.0 * math.pi * k / 16.0
-        if violated(HVec(radius * math.cos(phi), radius * math.sin(phi))):
-            return False
-    for _ in range(n):
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        mag = radius * math.sqrt(rng.uniform(0.0, 1.0))
-        if violated(HVec(mag * math.cos(phi), mag * math.sin(phi))):
-            return False
-    return True
-
-
-def horizontal_gradient(f: FnOracle, xi: Point3, h: float = 1e-5) -> HVec:
-    """Central-difference gradient of f along the two horizontal fields."""
-
-    def step(a: float, b: float) -> float:
-        return f.eval(group_mul(xi, exp_h(HVec(a, b))))
-
-    ga = (step(h, 0.0) - step(-h, 0.0)) / (2.0 * h)
-    gb = (step(0.0, h) - step(0.0, -h)) / (2.0 * h)
-    return HVec(ga, gb)
-
-
-def _looks_radial(f: FnOracle, rng: np.random.Generator, tol: Tolerances) -> bool:
-    for _ in range(64):
-        p = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-4, 4))
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        c, s = math.cos(ang), math.sin(ang)
-        q = Point3(c * p.x - s * p.y, s * p.x + c * p.y, p.t)
-        if abs(f.eval(p) - f.eval(q)) > tol.eps_eq * (1.0 + abs(f.eval(p))):
-            return False
-    return True
-
-
-def subdiff_properties(
-    f: FnOracle,
-    n: int,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SubdiffReport:
-    """Persistence of subgradients under dilations, and under rotations
-    when f is radial.
-
-    Requires f homogeneous (checked first; failure is reported, not
-    raised).  Pairs (xi, p) are found by estimating the horizontal
-    gradient and keeping those that verify as subgradients.
-    """
-    hom = check_homogeneous(f, max(200, n // 10), seed, tol)
-    if not hom.ok:
-        return SubdiffReport(precondition_failed=True, homogeneous=False)
-    rng = np.random.default_rng([seed, 0x5E])
-    radial = _looks_radial(f, rng, tol)
-    # finite-difference subgradient candidates carry O(h^2) error, so the
-    # verification slack must sit above it
-    slack = max(tol.eps_eq, 1e-7)
-    loose = Tolerances(eps_geom=max(tol.eps_geom, slack), eps_eq=slack, max_iter=tol.max_iter)
-    report = SubdiffReport(precondition_failed=False, homogeneous=True, radial=radial)
-    attempts = 0
-    while report.pairs_tested < n and attempts < 20 * n:
-        attempts += 1
-        xi = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-4, 4))
-        if f.eval(xi) == 0.0:
-            continue
-        p = horizontal_gradient(f, xi)
-        sub_seed = int(rng.integers(0, 2 ** 31))
-        if not subdiff_contains(f, xi, p, 64, 1.0, sub_seed, loose):
-            continue
-        report.pairs_tested += 1
-        lam = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
-        if not subdiff_contains(f, dilate(lam, xi), p, 64, 1.0, sub_seed + 1, loose):
-            report.persistence_ok = False
-            report.persistence_failures.append((xi, p, lam))
-        if radial:
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            c, s = math.cos(ang), math.sin(ang)
-            oxi = Point3(c * xi.x - s * xi.y, s * xi.x + c * xi.y, xi.t)
-            op = HVec(c * p.a - s * p.b, s * p.a + c * p.b)
-            if not subdiff_contains(f, oxi, op, 64, 1.0, sub_seed + 2, loose):
-                report.rotation_ok = False
-                report.rotation_failures.append((xi, p, ang))
-    return report

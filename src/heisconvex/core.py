@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 class Point3(NamedTuple):
@@ -94,28 +94,6 @@ def dilate(lam: float, p: Point3) -> Point3:
 def exp_h(v: HVec) -> Point3:
     """Exponential of a horizontal vector: (a, b) -> (a, b, 0)."""
     return Point3(v.a, v.b, 0.0)
-
-
-def horizontal_plane_t(p: Point3, x: float, y: float) -> float:
-    """Height of the horizontal plane of p above planar point (x, y)."""
-    return p.t + 2.0 * (p.y * x - p.x * y)
-
-
-def horizontal_reach(p: Point3, q: Point3, tol: Tolerances = DEFAULT_TOL) -> Optional[HVec]:
-    """The horizontal step from p to q, if one exists.
-
-    q is reachable iff it lies on the horizontal plane of p, tested with
-    absolute tolerance eps_geom scaled by (1 + |p|_E + |q|_E) so the test
-    stays meaningful far from the origin.
-
-    Returns:
-        v with q = p o exp_h(v), namely (q.x - p.x, q.y - p.y), or None
-        when q is off the plane.
-    """
-    scale = 1.0 + norm(p, "euclidean") + norm(q, "euclidean")
-    if abs(q.t - horizontal_plane_t(p, q.x, q.y)) > tol.eps_geom * scale:
-        return None
-    return HVec(q.x - p.x, q.y - p.y)
 
 
 def norm(p: Point3, kind: str = "koranyi") -> float:

@@ -10,8 +10,8 @@ the three standing assumptions on a candidate set by seeded sampling
     c. horizontally convex: horizontal segments with endpoints in K stay in K,
 
 and provides the sampling utilities (rejection sampling, boundary points
-by ray bisection, dilation-level bisection, robust escape tests) shared by
-the falsifiers in the other modules.
+by ray bisection, dilation-level bisection, escape tests, the chunked
+horizontal-segment scan) shared by the falsifiers in the other modules.
 """
 
 from __future__ import annotations
@@ -550,6 +550,13 @@ def _runaway_message(K: SetOracle) -> str:
     )
 
 
+def _vertex_level(tol: Tolerances) -> float:
+    # Levels below this snap to 0 (the vertex).  The 2**-500 floor keeps the
+    # downward bracket above tau = 2**-502 whatever eps_geom is, so lam * lam
+    # stays finite (at most 2**1004) and e tests inside its own set.
+    return max(tol.eps_geom, 2.0 ** -500)
+
+
 def dilation_level_many(
     K: SetOracle,
     x: np.ndarray,
@@ -594,11 +601,12 @@ def dilation_level_many(
 
     n = x.size
     limit = max(1.0, bbox_scale(K.bbox)) * 2.0 ** 32
+    vertex = _vertex_level(tol)
     rows = np.arange(n)
     inside = member(rows, np.ones(n))
     # inside at tau = 1: halve lo = 0.5, 0.25, ... while still inside; a
-    # point that snaps to the vertex keeps a bracket that the bisection
-    # leaves alone and whose midpoint, 1.5 lo < eps_geom, reads as level 0
+    # point that snaps to the vertex keeps a bracket [lo, 2 lo] that the
+    # bisection cannot leave, so its level, below 2 lo < vertex, reads as 0
     lo = np.where(inside, 0.5, 1.0)
     hi = np.where(inside, 1.0, 2.0)
     down = rows[inside]
@@ -606,7 +614,7 @@ def dilation_level_many(
         down = down[member(down, lo[down])]
         hi[down] = lo[down]
         lo[down] *= 0.5
-        down = down[lo[down] >= 0.25 * tol.eps_geom]
+        down = down[lo[down] >= 0.25 * vertex]
     # outside at tau = 1: double hi = 2, 4, ... until inside
     ran_away = np.zeros(n, dtype=bool)
     up = rows[~inside]
@@ -633,7 +641,7 @@ def dilation_level_many(
         hi[active[inside]] = mid[inside]
         lo[active[~inside]] = mid[~inside]
     level = 0.5 * (lo + hi)
-    level[level < tol.eps_geom] = 0.0
+    level[level < vertex] = 0.0
     level[ran_away] = np.nan
     return level
 
@@ -648,7 +656,7 @@ def dilation_level(
 
     Uses exponential bracketing from tau=1 followed by bisection, assuming
     the single-flip monotonicity that assumption b guarantees.  Levels
-    below eps_geom snap to 0 (the vertex).
+    below max(eps_geom, 2**-500) snap to 0 (the vertex).
 
     This per-point loop is the reference that dilation_level_many matches
     bit for bit.  It stays scalar because one point through the array
@@ -676,13 +684,14 @@ def dilation_level(
         raise ValueError(f"unknown scaling {scaling!r}")
 
     limit = max(1.0, bbox_scale(K.bbox)) * 2.0 ** 32
+    vertex = _vertex_level(tol)
     if member(1.0):
         hi = 1.0
         lo = 0.5
         while member(lo):
             hi = lo
             lo *= 0.5
-            if lo < 0.25 * tol.eps_geom:
+            if lo < 0.25 * vertex:
                 return 0.0
     else:
         lo = 1.0
@@ -701,7 +710,7 @@ def dilation_level(
         else:
             lo = mid
     level = 0.5 * (lo + hi)
-    return 0.0 if level < tol.eps_geom else level
+    return 0.0 if level < vertex else level
 
 
 def _pullback(tol: Tolerances) -> float:
@@ -818,6 +827,11 @@ def theta_grid(m: int) -> list[float]:
     return grid
 
 
+def interior_thetas(m: int) -> np.ndarray:
+    """The points of theta_grid(m) strictly inside (0, 1), as an array."""
+    return np.array([th for th in theta_grid(m) if 0.0 < th < 1.0])
+
+
 def horizontal_probes(K: SetOracle, n: int, seed: int, tag: int = 0xC):
     """Yield up to n seeded probes (p, v, q) with p, q = p o exp_h(v) in K.
 
@@ -842,6 +856,46 @@ def horizontal_probes(K: SetOracle, n: int, seed: int, tag: int = 0xC):
             yield p, v, q
 
 
+# probes per tested chunk: the first chunk is small, so an early hit costs
+# about what a probe-by-probe scan costs, and the chunks double from there
+FIRST_CHUNK = 8
+MAX_CHUNK = 256
+
+
+def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int = 0xC):
+    """Yield horizontal_probes(K, n, seed, tag) in chunks of FIRST_CHUNK
+    probes, doubling up to MAX_CHUNK, as (probes, p, q, seg).
+
+    probes holds the (p, v, q) triples, p and q are (k, 3) arrays, and seg
+    is a Point3 of (k, len(thetas)) arrays: seg[r, j] = p o exp_h(theta_j v)
+    of probe r, bit for bit as group_mul computes it.  An error met while
+    drawing a chunk is raised after the probes before it are yielded.
+    """
+    stream = horizontal_probes(K, n, seed, tag)
+    size = FIRST_CHUNK
+    while True:
+        probes, error = [], None
+        try:
+            # zip asks range first, so no probe is drawn and lost
+            for _, probe in zip(range(size), stream):
+                probes.append(probe)
+        except Exception as exc:
+            error = exc
+        if probes:
+            p = np.array([pr[0] for pr in probes])
+            v = np.array([pr[1] for pr in probes])
+            a = thetas * v[:, :1]
+            b = thetas * v[:, 1:]
+            x0, y0, t0 = p[:, :1], p[:, 1:2], p[:, 2:]
+            seg = Point3(x0 + a, y0 + b, (t0 + 0.0) + 2.0 * (a * y0 - x0 * b))
+            yield probes, p, np.array([pr[2] for pr in probes]), seg
+        if error is not None:
+            raise error
+        if len(probes) < size:
+            return
+        size = min(2 * size, MAX_CHUNK)
+
+
 def scan_horizontal_segments(
     K: SetOracle,
     n: int,
@@ -851,38 +905,35 @@ def scan_horizontal_segments(
 ) -> tuple[Optional[SegmentEscape], int]:
     """Hunt for a horizontal segment leaving K.
 
-    Returns (the escape or None, probes_used); the first escape in seeded
-    sample order wins.
+    Tests the interior theta points of theta_grid(grid) on n probes of
+    segment_chunks with escapes_many.  Returns (the escape or None,
+    probes_used); the first escape in (probe, theta) order wins.
     """
-    thetas = [th for th in theta_grid(grid) if 0.0 < th < 1.0]
+    thetas = interior_thetas(grid)
     used = 0
-    for p, v, _q in horizontal_probes(K, n, seed):
-        used += 1
-        for th in thetas:
-            pt = group_mul(p, exp_h(HVec(th * v.a, th * v.b)))
-            if escapes(K, pt, tol):
-                try:
-                    margin = escape_margin(K, pt, tol)
-                except RuntimeError:
-                    # margin needs the level bisection; on sets violating
-                    # assumption b it diverges, but the escape still stands
-                    margin = math.inf
-                return SegmentEscape(p, v, th, pt, margin), used
+    for probes, _p, _q, (x, y, t) in segment_chunks(K, n, thetas, seed):
+        hits = np.flatnonzero(escapes_many(K, x, y, t, tol))
+        if hits.size:
+            r, j = divmod(int(hits[0]), len(thetas))
+            pt = Point3(float(x[r, j]), float(y[r, j]), float(t[r, j]))
+            try:
+                margin = escape_margin(K, pt, tol)
+            except RuntimeError:
+                # margin needs the level bisection; on sets violating
+                # assumption b it diverges, but the escape still stands
+                margin = math.inf
+            p, v, _q = probes[r]
+            return SegmentEscape(p, v, float(thetas[j]), pt, margin), used + r + 1
+        used += len(probes)
     return None, used
 
 
-def check_axioms(
-    K: SetOracle,
-    n: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-    grid: int = 9,
-) -> AxiomReport:
-    """Check assumptions a, b, c on K by seeded sampling.
+def check_axioms_ab(K: SetOracle, n: int, seed: int) -> tuple[bool, bool, Optional[DilationEscape]]:
+    """Check assumptions a and b on K by seeded sampling.
 
     a probes a small quasi-ball around the identity (plus the compactness
-    flag); b dilates n sampled points by factors in (0,1); c scans n
-    horizontal segments with both endpoints in K on a theta grid.
+    flag); b dilates n sampled points by factors in (0,1).  Returns
+    (a_holds, b_holds, b_witness).
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
@@ -906,18 +957,28 @@ def check_axioms(
         probes.append(Point3(s * math.cos(phi), s * math.sin(phi), rng.uniform(-1.0, 1.0) * rho * rho))
     a_holds = K.is_compact and all(K.contains(p) for p in probes)
 
-    b_holds = True
-    b_witness = None
-    if a_holds or K.contains(ORIGIN):
-        for p in sample_in_set(K, n, rng):
-            tau = rng.uniform(0.0, 1.0)
-            if not K.contains(dilate(tau, p)):
-                b_holds = False
-                b_witness = DilationEscape(p, tau)
-                break
-    else:
-        b_holds = False
+    if not (a_holds or K.contains(ORIGIN)):
+        return a_holds, False, None
+    for p in sample_in_set(K, n, rng):
+        tau = rng.uniform(0.0, 1.0)
+        if not K.contains(dilate(tau, p)):
+            return a_holds, False, DilationEscape(p, tau)
+    return a_holds, True, None
 
+
+def check_axioms(
+    K: SetOracle,
+    n: int,
+    seed: int,
+    tol: Tolerances = DEFAULT_TOL,
+    grid: int = 9,
+) -> AxiomReport:
+    """Check assumptions a, b, c on K by seeded sampling.
+
+    a and b as in check_axioms_ab; c scans n horizontal segments with both
+    endpoints in K on a theta grid (scan_horizontal_segments).
+    """
+    a_holds, b_holds, b_witness = check_axioms_ab(K, n, seed)
     found, used = scan_horizontal_segments(K, n, grid, seed, tol)
     return AxiomReport(a_holds, b_holds, found, used, seed, b_witness)
 

@@ -22,7 +22,6 @@ from heisconvex import (
     gallery,
     group_mul,
     exp_h,
-    horizontal_reach,
     norm,
     radial_necessary,
     replay_ch_witness,
@@ -37,6 +36,15 @@ from heisconvex.sets import IMPORTANTE_R_MAX, dilate_oracle, polygon_profile, ra
 
 coord = st.floats(min_value=-3.0, max_value=3.0)
 heights = st.floats(min_value=-5.0, max_value=5.0)
+
+
+def horizontal_reach(p, q, tol=DEFAULT_TOL):
+    """The step v with q = p o exp_h(v), or None when q is off the
+    horizontal plane of p (slack eps_geom * (1 + |p|_E + |q|_E))."""
+    scale = 1.0 + norm(p, "euclidean") + norm(q, "euclidean")
+    if abs(q.t - (p.t + 2.0 * (p.y * q.x - p.x * q.y))) > tol.eps_geom * scale:
+        return None
+    return HVec(q.x - p.x, q.y - p.y)
 
 
 @given(coord, coord, heights, coord, coord, heights)

@@ -21,6 +21,7 @@ from heisconvex import (
     norm,
     sample_in_set,
 )
+from heisconvex import sets
 from heisconvex.cones import _scaled_box
 from heisconvex.sets import SetOracle, polygon_profile, radial_to_oracle
 
@@ -93,6 +94,24 @@ def test_make_cone_refuses_bad_sets():
         make_cone(ring_set())
 
 
+def test_make_cone_checks_only_assumptions_a_and_b(monkeypatch):
+    # the bisection relies on a and b; the segment scan of c is not run
+    def no_scan(*args, **kwargs):
+        raise AssertionError("make_cone ran the horizontal-segment scan")
+
+    monkeypatch.setattr(sets, "scan_horizontal_segments", no_scan)
+    assert make_cone(gallery("koranyi_ball"), seed=0).source.label == "koranyi_ball(r=1)"
+    with pytest.raises(ValueError, match="assumption a"):
+        make_cone(ring_set())
+    # a dumbbell profile: the identity is interior, but dilating the
+    # bells toward e leaves the set
+    dumbbell = radial_to_oracle(
+        polygon_profile([(0, -2), (1, -2), (1, -1), (0.1, -1), (0.1, 1), (1, 1), (1, 2), (0, 2)]), "dumbbell"
+    )
+    with pytest.raises(ValueError, match="assumption b"):
+        make_cone(dumbbell, seed=0)
+
+
 def test_family_axioms_healthy(koranyi_cone):
     rep = family_axioms_check(koranyi_cone, 300, seed=0)
     assert rep.all_ok
@@ -102,7 +121,7 @@ def test_family_axioms_healthy(koranyi_cone):
 
 
 def test_family_axioms_flag_ring():
-    C = make_cone(ring_set(), require_axioms=False)
+    C = ConeFunction(ring_set())
     rep = family_axioms_check(C, 300, seed=0)
     assert not rep.all_ok
     assert not rep.axiom_i_ok
@@ -217,7 +236,7 @@ FAMILY_CASES = {
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_family_axioms_match_reference(case):
     build, kind = FAMILY_CASES[case]
-    C = make_cone(build(), kind, require_axioms=False)
+    C = ConeFunction(build(), kind)
     reports = [family_axioms_check(C, 300, seed) for seed in (0, 1, 2)]
     assert reports == [_reference_family(C, 300, seed) for seed in (0, 1, 2)]
     if case == "ring":

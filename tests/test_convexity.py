@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from heisconvex import (
     ConvexityWitness,
@@ -19,12 +17,9 @@ from heisconvex import (
     exp_h,
     gallery,
     group_mul,
-    horizontal_gradient,
     make_cone,
     norm,
     replay_witness,
-    subdiff_contains,
-    subdiff_properties,
 )
 from heisconvex.cones import _scaled_box
 from heisconvex.sets import box_oracle, horizontal_probes, theta_grid
@@ -134,49 +129,6 @@ def test_closed_form_cones_are_homogeneous():
         rep = check_homogeneous(f, 400, seed=0)
         assert rep.ok, name
         assert rep.max_dev <= 1e-12
-
-
-def test_horizontal_gradient_matches_analytic():
-    # f = x^2 + y^2: X f = 2x, Y f = 2y at any point (t plays no role)
-    f = FnOracle(eval=lambda p: p.x * p.x + p.y * p.y, label="rho2")
-    g = horizontal_gradient(f, Point3(0.7, -0.3, 2.0))
-    assert g.a == pytest.approx(1.4, abs=1e-8)
-    assert g.b == pytest.approx(-0.6, abs=1e-8)
-
-
-def test_subdiff_contains_gauge():
-    xi = Point3(1.0, 0.0, 0.0)
-    p = horizontal_gradient(gauge, xi)
-    assert subdiff_contains(gauge, xi, p, 200, 1.0, seed=0)
-    # an overscaled candidate fails the supporting inequality
-    assert not subdiff_contains(gauge, xi, HVec(3.0 * p.a, 3.0 * p.b), 200, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        subdiff_contains(gauge, xi, p, 10, 0.0)
-
-
-@given(st.floats(min_value=0.3, max_value=2.0), st.floats(min_value=0.0, max_value=2 * math.pi))
-@settings(max_examples=20, deadline=None)
-def test_subdiff_gradient_everywhere_smooth(rad, phi):
-    xi = Point3(rad * math.cos(phi), rad * math.sin(phi), 0.3)
-    p = horizontal_gradient(planar, xi)
-    assert subdiff_contains(planar, xi, p, 100, 0.5, seed=3)
-
-
-def test_subdiff_properties_gauge():
-    rep = subdiff_properties(gauge, 20, seed=0)
-    assert not rep.precondition_failed
-    assert rep.homogeneous
-    assert rep.radial
-    assert rep.pairs_tested == 20
-    assert rep.persistence_ok
-    assert rep.rotation_ok
-
-
-def test_subdiff_properties_requires_homogeneity():
-    rep = subdiff_properties(ln_bump, 10, seed=0)
-    assert rep.precondition_failed
-    assert not rep.homogeneous
-    assert rep.pairs_tested == 0
 
 
 def _reference_scan(f, domain, n, grid, seed, tol, quasi):

@@ -14,11 +14,31 @@ from heisconvex import (
     exp_h,
     group_inv,
     group_mul,
-    horizontal_plane_t,
-    horizontal_reach,
     norm,
 )
 from heisconvex.core import DEFAULT_TOL, ORIGIN
+
+
+def horizontal_plane_t(p: Point3, x: float, y: float) -> float:
+    """Height of the horizontal plane of p above planar point (x, y)."""
+    return p.t + 2.0 * (p.y * x - p.x * y)
+
+
+def horizontal_reach(p: Point3, q: Point3, tol: Tolerances = DEFAULT_TOL):
+    """The horizontal step from p to q, if one exists.
+
+    q is reachable iff it lies on the horizontal plane of p, tested with
+    absolute tolerance eps_geom scaled by (1 + |p|_E + |q|_E) so the test
+    stays meaningful far from the origin.
+
+    Returns:
+        v with q = p o exp_h(v), namely (q.x - p.x, q.y - p.y), or None
+        when q is off the plane.
+    """
+    scale = 1.0 + norm(p, "euclidean") + norm(q, "euclidean")
+    if abs(q.t - horizontal_plane_t(p, q.x, q.y)) > tol.eps_geom * scale:
+        return None
+    return HVec(q.x - p.x, q.y - p.y)
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 points = st.builds(Point3, coord, coord, coord)

@@ -6,15 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisconvex import (
+    ConeFunction,
+    HVec,
+    ORIGIN,
     Point3,
+    SegmentEscape,
     Tolerances,
     boundary_sample,
     check_axioms,
+    cone_eval,
     dilate,
     dilation_level,
     escape_margin,
     escapes,
+    exp_h,
     gallery,
+    group_mul,
     norm,
     sample_in_set,
 )
@@ -28,6 +35,7 @@ from heisconvex.sets import (
     dilate_oracle,
     dilation_level_many,
     escapes_many,
+    horizontal_probes,
     polygon_profile,
     radial_to_oracle,
     scan_horizontal_segments,
@@ -263,6 +271,80 @@ def test_scan_clean_on_koranyi():
     assert used == 500
 
 
+def _reference_scan(K, n, grid, seed, tol=Tolerances()):
+    """The probe-by-probe theta loop that scan_horizontal_segments must
+    reproduce: (escape or None, probes used), or the error it stops on."""
+    thetas = [th for th in theta_grid(grid) if 0.0 < th < 1.0]
+    used = 0
+    try:
+        for p, v, _q in horizontal_probes(K, n, seed):
+            used += 1
+            for th in thetas:
+                pt = group_mul(p, exp_h(HVec(th * v.a, th * v.b)))
+                if escapes(K, pt, tol):
+                    try:
+                        margin = escape_margin(K, pt, tol)
+                    except RuntimeError:
+                        margin = math.inf
+                    return SegmentEscape(p, v, th, pt, margin), used
+    except RuntimeError as exc:
+        return RuntimeError, str(exc)
+    return None, used
+
+
+def _scan_outcome(K, n, grid, seed):
+    try:
+        return scan_horizontal_segments(K, n, grid, seed)
+    except RuntimeError as exc:
+        return RuntimeError, str(exc)
+
+
+def _stripes(p):
+    return math.floor(4.0 * p.x) % 2 == 0 and abs(p.y) <= 1.0 and abs(p.t) <= 1.0
+
+
+def _scan_cases():
+    """name: (set, probe budget n)."""
+    plus = plus_set()
+    (xlo, xhi), (ylo, yhi), tb = plus.bbox
+    return {
+        **{name: (_level_set(name, Tolerances()), 100) for name in GALLERY_NAMES},
+        # a bare predicate: contains_many is a row loop over contains
+        "bare plus": (SetOracle(plus.contains, plus.bbox, "bare plus"), 100),
+        # too thin for n probes: q = p o exp_h(v) rarely lands back inside
+        "sliver": (box_oracle(((-1e-5, 1e-5), (-1.0, 1.0), (-1.0, 1.0)), "sliver"), 10),
+        # rejection sampling stalls a few probes into the stream
+        "wide plus": (SetOracle(plus.contains, ((6 * xlo, 6 * xhi), (6 * ylo, 6 * yhi), tb), "wide plus", kernel=plus.kernel), 200),
+        "tall stripes": (SetOracle(_stripes, ((-1.0, 1.0), (-1.0, 1.0), (-200.0, 200.0)), "tall stripes"), 200),
+    }
+
+
+def test_scan_matches_reference_loop():
+    cases = _scan_cases()
+    outcomes = {}
+    for name, (K, n) in cases.items():
+        for grid in (9, 33):
+            for seed in range(4):
+                want = _reference_scan(K, n, grid, seed)
+                assert _scan_outcome(K, n, grid, seed) == want, (name, grid, seed)
+                outcomes[name, grid, seed] = want
+    kinds = {
+        "escape": [k for k, (w, _) in outcomes.items() if isinstance(w, SegmentEscape)],
+        "clean": [k for k, (w, used) in outcomes.items() if w is None and used == cases[k[0]][1]],
+        "thin": [k for k, (w, used) in outcomes.items() if w is None and used < cases[k[0]][1]],
+        "stall": [k for k, (w, _) in outcomes.items() if w is RuntimeError],
+    }
+    assert all(kinds.values()), kinds
+    assert all(k[0] == "sliver" for k in kinds["thin"])
+    # an escape found before a stall is reported: at seed 0 probe 5 of the
+    # tall stripes escapes, and drawing probe 7, inside the first chunk, stalls
+    drawn = []
+    with pytest.raises(RuntimeError, match="stalled"):
+        drawn.extend(horizontal_probes(cases["tall stripes"][0], 200, 0))
+    assert len(drawn) == 6
+    assert outcomes["tall stripes", 9, 0][1] == 5
+
+
 def test_box_oracle():
     B = box_oracle(((-1.0, 1.0), (-2.0, 2.0), (-3.0, 3.0)), "b")
     assert B.contains(Point3(0.9, -1.9, 2.9))
@@ -460,9 +542,7 @@ def _level_points(K, seed):
 
 
 def _assert_levels_match(K, pts, tol, scaling):
-    # at the ulp tolerance lam * lam overflows near e, in both (numpy warns)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = dilation_level_many(K, pts[:, 0], pts[:, 1], pts[:, 2], tol, scaling)
+    got = dilation_level_many(K, pts[:, 0], pts[:, 1], pts[:, 2], tol, scaling)
     want = [dilation_level(K, Point3(*p), tol, scaling) for p in pts.tolist()]
     assert got.dtype == float and got.shape == (len(pts),)
     assert got.tolist() == want
@@ -476,10 +556,22 @@ def test_dilation_level_many_matches_scalar(name, scaling, tol_name):
     K = _level_set(name, tol)
     pts = _level_points(K, 4)
     _assert_levels_match(K, pts, tol, scaling)
-    if tol_name != "ulp":
-        # e sits at the vertex and the far points outside K
-        levels = dilation_level_many(K, pts[:, 0], pts[:, 1], pts[:, 2], tol, scaling)
-        assert levels[0] == 0.0 and (levels[-50:] > 1.0).all()
+    # e sits at the vertex and the far points outside K
+    levels = dilation_level_many(K, pts[:, 0], pts[:, 1], pts[:, 2], tol, scaling)
+    assert levels[0] == 0.0 and (levels[-50:] > 1.0).all()
+
+
+def test_vertex_level_zero_at_tiny_eps_geom():
+    # below eps_geom of about 1e-154 the downward bracket used to reach
+    # lam * lam = inf, where e tested outside its own set
+    for eps in (1e-150, 1e-160, 1e-300, 5e-324):
+        tol = Tolerances(eps_geom=eps, eps_eq=eps)
+        K = gallery("koranyi_ball", None, tol)
+        assert dilation_level(K, ORIGIN, tol) == 0.0
+        assert dilation_level_many(K, *np.zeros((3, 1)), tol).tolist() == [0.0]
+        assert cone_eval(ConeFunction(K, tol=tol), ORIGIN) == 0.0
+        # a point at gauge 1e-100 keeps its level
+        assert dilation_level(K, Point3(0.0, 0.0, 1e-200), tol) == pytest.approx(1e-100)
 
 
 @given(
