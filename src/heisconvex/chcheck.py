@@ -44,6 +44,7 @@ from .sets import (
     escapes_many,
     interior_thetas,
     scan_horizontal_segments,
+    uniform_points,
 )
 
 DEGENERATE_TAU_GRID = (0.25, 0.5, 2.0, 4.0)
@@ -365,32 +366,6 @@ def falsify_ch(
     return None
 
 
-def _uniform_points(K: SetOracle, need: int, rng: np.random.Generator) -> np.ndarray:
-    """The first need bbox-uniform draws that land in K, as a (need, 3) array.
-
-    Rounds draw max(64, 4 * missing) x, y and t values in turn, under the
-    stall guard of sample_in_set.
-    """
-    (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
-    max_tries = 1000 + 400 * need
-    kept: list[np.ndarray] = []
-    got = tries = 0
-    while got < need:
-        if tries >= max_tries:
-            raise RuntimeError(
-                f"rejection sampling stalled on {K.label}: {got}/{need} after {tries} tries"
-            )
-        m = min(max(64, 4 * (need - got)), max_tries - tries)
-        x = rng.uniform(xlo, xhi, m)
-        y = rng.uniform(ylo, yhi, m)
-        t = rng.uniform(tlo, thi, m)
-        tries += m
-        inside = K.contains_many(x, y, t)
-        kept.append(np.stack([x[inside], y[inside], t[inside]], axis=1))
-        got += len(kept[-1])
-    return np.concatenate(kept)[:need]
-
-
 def _chunk_pairs(K: SetOracle, chunk: int, seed: int, pool: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The PAIR_CHUNK pairs of one chunk, as two (PAIR_CHUNK, 3) arrays.
 
@@ -402,7 +377,7 @@ def _chunk_pairs(K: SetOracle, chunk: int, seed: int, pool: Optional[np.ndarray]
     """
     rng = np.random.default_rng([seed, 0xC4, chunk])
     k = PAIR_CHUNK // 4  # pairs per mode
-    pts = _uniform_points(K, 13 * k if pool is not None else 15 * k, rng)
+    pts = uniform_points(K, 13 * k if pool is not None else 15 * k, rng)
     xi0 = np.empty((k, 4, 3))
     xi1 = np.empty((k, 4, 3))
     xi0[:, :2] = pts[: 2 * k].reshape(k, 2, 3)

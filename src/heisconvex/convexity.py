@@ -101,7 +101,7 @@ def _chunk_witness(
     q, then p o exp_h(theta v) for each theta.  An evaluation error is
     raised only when no violation comes before the failing point.
     """
-    probes, p, q, seg = chunk
+    p, v, q, seg = chunk
     x, y, t = (np.concatenate([p[:, i : i + 1], q[:, i : i + 1], seg[i]], axis=1) for i in range(3))
     values, error = _eval_in_order(f, x.ravel(), y.ravel(), t.ravel())
     values = values.reshape(x.shape)
@@ -114,8 +114,8 @@ def _chunk_witness(
     hits = np.flatnonzero(lhs > rhs + tol.eps_eq)
     if hits.size:
         r, j = divmod(int(hits[0]), len(thetas))
-        base, step, _ = probes[r]
         kind = "quasi" if quasi else "convex"
+        base, step = Point3(*p[r].tolist()), HVec(*v[r].tolist())
         return ConvexityWitness(base, step, float(thetas[j]), float(lhs[r, j]), float(rhs[r, j]), kind)
     if error is not None:
         raise error

@@ -29,8 +29,6 @@ from .core import (
     Point3,
     Tolerances,
     dilate,
-    exp_h,
-    group_mul,
     norm,
 )
 
@@ -507,35 +505,38 @@ def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_
 # sampling and bisection utilities
 
 
-def sample_in_set(
-    K: SetOracle,
-    n: int,
-    rng: np.random.Generator,
-    max_tries: Optional[int] = None,
-) -> list[Point3]:
-    """n points of K by rejection from the bounding box (seeded, deterministic)."""
-    if max_tries is None:
-        max_tries = 1000 + 400 * n
+def uniform_points(K: SetOracle, need: int, rng: np.random.Generator) -> np.ndarray:
+    """The first need bbox-uniform draws that land in K, as a (need, 3) array.
+
+    The one rejection sampler: rounds draw max(64, 4 * missing) x, y and t
+    values in turn and test them with K.contains_many.
+
+    Raises:
+        RuntimeError: fewer than need points after 1000 + 400 need draws.
+    """
     (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
-    out: list[Point3] = []
-    tries = 0
-    while len(out) < n:
+    max_tries = 1000 + 400 * need
+    kept: list[np.ndarray] = []
+    got = tries = 0
+    while got < need:
         if tries >= max_tries:
             raise RuntimeError(
-                f"rejection sampling stalled on {K.label}: {len(out)}/{n} after {tries} tries"
+                f"rejection sampling stalled on {K.label}: {got}/{need} after {tries} tries"
             )
-        m = min(max(64, n), max_tries - tries)
-        xs = rng.uniform(xlo, xhi, m)
-        ys = rng.uniform(ylo, yhi, m)
-        ts = rng.uniform(tlo, thi, m)
+        m = min(max(64, 4 * (need - got)), max_tries - tries)
+        x = rng.uniform(xlo, xhi, m)
+        y = rng.uniform(ylo, yhi, m)
+        t = rng.uniform(tlo, thi, m)
         tries += m
-        for i in range(m):
-            p = Point3(float(xs[i]), float(ys[i]), float(ts[i]))
-            if K.contains(p):
-                out.append(p)
-                if len(out) == n:
-                    break
-    return out
+        inside = K.contains_many(x, y, t)
+        kept.append(np.stack([x[inside], y[inside], t[inside]], axis=1))
+        got += len(kept[-1])
+    return np.concatenate(kept)[:need]
+
+
+def sample_in_set(K: SetOracle, n: int, rng: np.random.Generator) -> list[Point3]:
+    """n points of K by rejection from the bounding box: uniform_points as Point3s."""
+    return list(map(Point3, *uniform_points(K, n, rng).T.tolist()))
 
 
 def _non_finite_message(K: SetOracle, q: Point3) -> str:
@@ -809,13 +810,6 @@ def boundary_sample(
     return list(map(Point3, (lo * ux).tolist(), (lo * uy).tolist(), (lo * lo * ut).tolist()))
 
 
-def sample_hvec(rng: np.random.Generator, diameter: float, floor: float = 1e-3) -> HVec:
-    """Random horizontal vector: uniform direction, log-uniform magnitude."""
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    mag = math.exp(rng.uniform(math.log(floor), math.log(max(diameter, 2.0 * floor))))
-    return HVec(mag * math.cos(phi), mag * math.sin(phi))
-
-
 def theta_grid(m: int) -> list[float]:
     """m uniform samples of [0,1]; always contains 1/2."""
     if m < 2:
@@ -832,68 +826,61 @@ def interior_thetas(m: int) -> np.ndarray:
     return np.array([th for th in theta_grid(m) if 0.0 < th < 1.0])
 
 
-def horizontal_probes(K: SetOracle, n: int, seed: int, tag: int = 0xC):
-    """Yield up to n seeded probes (p, v, q) with p, q = p o exp_h(v) in K.
+def _horizontal_step(x0, y0, t0, a, b) -> Point3:
+    """(x0, y0, t0) o exp_h((a, b)) in group_mul's operation order.
 
-    The stream is default_rng([seed, tag]), given up after 1000 + 400 n
-    tries.  Tag 0xC is the horizontal-segment axiom check, which the tau=1
-    restriction of the family falsifier shares, so the two deliver
-    identical verdicts on identical seeds; tag 0xF is the function
-    falsifiers of the convexity module.
+    The arguments may be floats or arrays that broadcast, with the same
+    rounding either way.
     """
-    rng = np.random.default_rng([seed, tag])
-    diam = bbox_diameter(K.bbox)
-    produced = 0
-    tries = 0
-    max_tries = 1000 + 400 * n
-    while produced < n and tries < max_tries:
-        tries += 1
-        p = sample_in_set(K, 1, rng)[0]
-        v = sample_hvec(rng, diam)
-        q = group_mul(p, exp_h(v))
-        if K.contains(q):
-            produced += 1
-            yield p, v, q
+    return Point3(x0 + a, y0 + b, (t0 + 0.0) + 2.0 * (a * y0 - x0 * b))
 
 
-# probes per tested chunk: the first chunk is small, so an early hit costs
-# about what a probe-by-probe scan costs, and the chunks double from there
-FIRST_CHUNK = 8
-MAX_CHUNK = 256
+# candidate probes drawn per chunk of the horizontal probe stream
+PROBE_CHUNK = 256
 
 
 def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int = 0xC):
-    """Yield horizontal_probes(K, n, seed, tag) in chunks of FIRST_CHUNK
-    probes, doubling up to MAX_CHUNK, as (probes, p, q, seg).
+    """Yield the first n probes of the horizontal probe stream of K in
+    chunks, as (p, v, q, seg).
 
-    probes holds the (p, v, q) triples, p and q are (k, 3) arrays, and seg
-    is a Point3 of (k, len(thetas)) arrays: seg[r, j] = p o exp_h(theta_j v)
-    of probe r, bit for bit as group_mul computes it.  An error met while
-    drawing a chunk is raised after the probes before it are yielded.
+    A probe is a point p of K and a horizontal step v with q = p o exp_h(v)
+    in K.  Chunk c is drawn whole from default_rng([seed, tag, c]):
+    PROBE_CHUNK candidate points p from uniform_points, then as many
+    directions uniform in [0, 2 pi) and log-magnitudes uniform between
+    log(1e-3) and the log of the bbox diameter; candidates whose q leaves K
+    are dropped.  So probe i depends only on (seed, i), and a larger n
+    extends the stream and never reshuffles it.  The stream gives up after
+    1000 + 400 n candidates.  Tag 0xC is the horizontal-segment axiom
+    check, which the tau = 1 restriction of the family falsifier shares,
+    so the two deliver identical verdicts on identical seeds; tag 0xF is
+    the function falsifiers of the convexity module.
+
+    p, v and q are (k, 3), (k, 2) and (k, 3) arrays, and seg is a Point3
+    of (k, len(thetas)) arrays: seg[r, j] = p o exp_h(theta_j v) of probe
+    r.  q and seg are bit for bit what group_mul computes.
+
+    Raises:
+        RuntimeError: rejection sampling stalls on a chunk; the chunks
+            before it have been yielded.
     """
-    stream = horizontal_probes(K, n, seed, tag)
-    size = FIRST_CHUNK
-    while True:
-        probes, error = [], None
-        try:
-            # zip asks range first, so no probe is drawn and lost
-            for _, probe in zip(range(size), stream):
-                probes.append(probe)
-        except Exception as exc:
-            error = exc
-        if probes:
-            p = np.array([pr[0] for pr in probes])
-            v = np.array([pr[1] for pr in probes])
-            a = thetas * v[:, :1]
-            b = thetas * v[:, 1:]
-            x0, y0, t0 = p[:, :1], p[:, 1:2], p[:, 2:]
-            seg = Point3(x0 + a, y0 + b, (t0 + 0.0) + 2.0 * (a * y0 - x0 * b))
-            yield probes, p, np.array([pr[2] for pr in probes]), seg
-        if error is not None:
-            raise error
-        if len(probes) < size:
+    log_lo = math.log(1e-3)
+    log_hi = math.log(max(bbox_diameter(K.bbox), 2e-3))
+    max_tries = 1000 + 400 * n
+    produced = 0
+    for start in range(0, max_tries, PROBE_CHUNK):
+        if produced == n:
             return
-        size = min(2 * size, MAX_CHUNK)
+        rng = np.random.default_rng([seed, tag, start // PROBE_CHUNK])
+        p = uniform_points(K, PROBE_CHUNK, rng)
+        phi = rng.uniform(0.0, 2.0 * math.pi, PROBE_CHUNK)
+        mag = np.exp(rng.uniform(log_lo, log_hi, PROBE_CHUNK))
+        v = np.stack([mag * np.cos(phi), mag * np.sin(phi)], axis=1)
+        q = np.stack(_horizontal_step(*p.T, *v.T), axis=1)
+        keep = np.flatnonzero(K.contains_many(*q[: max_tries - start].T))[: n - produced]
+        if keep.size:
+            p, v, q = p[keep], v[keep], q[keep]
+            produced += len(keep)
+            yield p, v, q, _horizontal_step(*p.T[:, :, None], thetas * v[:, :1], thetas * v[:, 1:])
 
 
 def scan_horizontal_segments(
@@ -911,7 +898,7 @@ def scan_horizontal_segments(
     """
     thetas = interior_thetas(grid)
     used = 0
-    for probes, _p, _q, (x, y, t) in segment_chunks(K, n, thetas, seed):
+    for p, v, _q, (x, y, t) in segment_chunks(K, n, thetas, seed):
         hits = np.flatnonzero(escapes_many(K, x, y, t, tol))
         if hits.size:
             r, j = divmod(int(hits[0]), len(thetas))
@@ -922,9 +909,9 @@ def scan_horizontal_segments(
                 # margin needs the level bisection; on sets violating
                 # assumption b it diverges, but the escape still stands
                 margin = math.inf
-            p, v, _q = probes[r]
-            return SegmentEscape(p, v, float(thetas[j]), pt, margin), used + r + 1
-        used += len(probes)
+            base, step = Point3(*p[r].tolist()), HVec(*v[r].tolist())
+            return SegmentEscape(base, step, float(thetas[j]), pt, margin), used + r + 1
+        used += len(p)
     return None, used
 
 
@@ -942,27 +929,23 @@ def check_axioms_ab(K: SetOracle, n: int, seed: int) -> tuple[bool, bool, Option
     (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
     half = min((xhi - xlo) / 2.0, (yhi - ylo) / 2.0, math.sqrt(max(thi - tlo, 0.0) / 2.0))
     rho = 1e-3 * min(1.0, half) if half > 0.0 else 1e-3
-    probes = [
-        ORIGIN,
-        Point3(rho, 0.0, 0.0),
-        Point3(-rho, 0.0, 0.0),
-        Point3(0.0, rho, 0.0),
-        Point3(0.0, -rho, 0.0),
-        Point3(0.0, 0.0, rho * rho),
-        Point3(0.0, 0.0, -rho * rho),
-    ]
-    for _ in range(8):
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        s = rng.uniform(0.0, rho)
-        probes.append(Point3(s * math.cos(phi), s * math.sin(phi), rng.uniform(-1.0, 1.0) * rho * rho))
-    a_holds = K.is_compact and all(K.contains(p) for p in probes)
+    # the 7 fixed probes, then 8 random ones drawn as (phi, s, u) in turn
+    phi, s, u = rng.uniform((0.0, 0.0, -1.0), (2.0 * math.pi, rho, 1.0), size=(8, 3)).T
+    x = np.concatenate([[0.0, rho, -rho, 0.0, 0.0, 0.0, 0.0], s * np.cos(phi)])
+    y = np.concatenate([[0.0, 0.0, 0.0, rho, -rho, 0.0, 0.0], s * np.sin(phi)])
+    t = np.concatenate([[0.0, 0.0, 0.0, 0.0, 0.0, rho * rho, -rho * rho], u * rho * rho])
+    a_holds = K.is_compact and bool(K.contains_many(x, y, t).all())
 
     if not (a_holds or K.contains(ORIGIN)):
         return a_holds, False, None
-    for p in sample_in_set(K, n, rng):
-        tau = rng.uniform(0.0, 1.0)
-        if not K.contains(dilate(tau, p)):
-            return a_holds, False, DilationEscape(p, tau)
+    # n points of K, then one factor each, in the order of n scalar draws
+    pts = uniform_points(K, n, rng)
+    taus = rng.uniform(0.0, 1.0, n)
+    # dilate(tau, p) of every point, the first failure wins
+    bad = np.flatnonzero(~K.contains_many(taus * pts[:, 0], taus * pts[:, 1], taus * taus * pts[:, 2]))
+    if bad.size:
+        k = int(bad[0])
+        return a_holds, False, DilationEscape(Point3(*pts[k].tolist()), float(taus[k]))
     return a_holds, True, None
 
 

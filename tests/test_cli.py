@@ -176,6 +176,31 @@ def test_gallery_matches_expectations(tmp_path):
     assert rep["all_match"]
     assert rep["gallery"]["cylinder"]["ch_witness"]["pair_index"] == 78
     assert rep["gallery"]["importante"]["radial"] == [False, False]
+    assert all(block["inconclusive"] == [] for block in rep["gallery"].values())
+
+
+def test_gallery_unfound_witness_is_inconclusive(tmp_path, capsys):
+    # importante's witness is due, but 500 pairs at seed 0 do not reach it
+    assert main(["gallery", "--samples", "400", "--budget", "500", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "gallery importante: inconclusive (ch: no witness in 500 pairs)" in out
+    assert "gallery: no mismatches, 1 inconclusive" in out
+    rep = read_report(tmp_path / "gallery.json")
+    assert rep["all_match"]
+    assert rep["gallery"]["importante"]["inconclusive"] == ["ch: no witness in 500 pairs"]
+    assert rep["gallery"]["importante"]["mismatches"] == []
+
+
+def test_gallery_unexpected_witness_is_a_mismatch(tmp_path, monkeypatch, capsys):
+    # the cylinder's witness, found where none is expected, is a mismatch
+    entry = cli.GALLERY["cylinder"]
+    monkeypatch.setattr(cli, "GALLERY", {"cylinder": entry._replace(expect=entry.expect._replace(ch_witness=False))})
+    assert main(["gallery", "--samples", "400", "--budget", "500", "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "gallery cylinder: MISMATCH (ch: expected witness=False, got True)" in out
+    rep = read_report(tmp_path / "gallery.json")
+    assert not rep["all_match"]
+    assert rep["gallery"]["cylinder"]["mismatches"] == ["ch: expected witness=False, got True"]
 
 
 def test_export_mesh(tmp_path):

@@ -22,7 +22,8 @@ from heisconvex import (
     replay_witness,
 )
 from heisconvex.cones import _scaled_box
-from heisconvex.sets import box_oracle, horizontal_probes, theta_grid
+from heisconvex.sets import box_oracle, theta_grid
+from stream_reference import reference_probes
 
 BOX3 = box_oracle(((-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0)), "box3")
 
@@ -63,14 +64,14 @@ def test_replay_recomputes_from_fields():
 
 
 def test_euclidean_ball_gauge_witness_frozen():
-    # the seed-0 stream (default_rng([0, 0xF]) through horizontal_probes)
-    # pinned: criterion 2 proves this witness exactly
+    # the seed-0 stream (chunks from default_rng([0, 0xF, c]) through
+    # segment_chunks) pinned: criterion 2 proves this witness exactly
     f = FnOracle(eval=gallery("euclidean_ball").closed_form_cone, label="euclidean-ball-cone")
     box15 = box_oracle(((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)), "box15")
     w = check_hconvex_fn(f, box15, 100000, grid=9, seed=0)
     assert w is not None and w.kind == "convex"
-    assert w.base == Point3(0.07471291803638813, 0.86563216466058, -0.39143185807813685)
-    assert w.v == HVec(-0.029152402802567225, 0.08777560843307426)
+    assert w.base == Point3(-0.6270079018483069, 0.7873304169403514, 0.1999035792081325)
+    assert w.v == HVec(-0.005754820245205455, 0.015399407154723451)
     assert w.theta == 0.125
 
 
@@ -135,7 +136,7 @@ def _reference_scan(f, domain, n, grid, seed, tol, quasi):
     """The probe-by-probe scan that the chunked scan must reproduce."""
     thetas = [th for th in theta_grid(max(grid, 2)) if 0.0 < th < 1.0]
     produced = 0
-    for p, v, q in horizontal_probes(domain, n, seed, 0xF):
+    for p, v, q in reference_probes(domain, n, seed, 0xF):
         produced += 1
         f0 = f.eval(p)
         f1 = f.eval(q)

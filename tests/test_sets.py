@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from heisconvex import (
     ConeFunction,
+    DilationEscape,
     HVec,
     ORIGIN,
     Point3,
@@ -34,13 +35,17 @@ from heisconvex.sets import (
     box_oracle,
     dilate_oracle,
     dilation_level_many,
+    check_axioms_ab,
     escapes_many,
-    horizontal_probes,
+    interior_thetas,
     polygon_profile,
     radial_to_oracle,
     scan_horizontal_segments,
+    segment_chunks,
     theta_grid,
+    uniform_points,
 )
+from stream_reference import reference_probes
 
 PLUS_VERTICES = [
     (0.0, 2.0),
@@ -277,7 +282,7 @@ def _reference_scan(K, n, grid, seed, tol=Tolerances()):
     thetas = [th for th in theta_grid(grid) if 0.0 < th < 1.0]
     used = 0
     try:
-        for p, v, _q in horizontal_probes(K, n, seed):
+        for p, v, _q in reference_probes(K, n, seed):
             used += 1
             for th in thetas:
                 pt = group_mul(p, exp_h(HVec(th * v.a, th * v.b)))
@@ -336,13 +341,83 @@ def test_scan_matches_reference_loop():
     }
     assert all(kinds.values()), kinds
     assert all(k[0] == "sliver" for k in kinds["thin"])
-    # an escape found before a stall is reported: at seed 0 probe 5 of the
-    # tall stripes escapes, and drawing probe 7, inside the first chunk, stalls
+    # an escape found before a stall is reported: at seed 0 probe 10 of the
+    # tall stripes escapes, and drawing chunk 1, after 98 probes, stalls
     drawn = []
     with pytest.raises(RuntimeError, match="stalled"):
-        drawn.extend(horizontal_probes(cases["tall stripes"][0], 200, 0))
-    assert len(drawn) == 6
-    assert outcomes["tall stripes", 9, 0][1] == 5
+        for p, _v, _q, _seg in segment_chunks(cases["tall stripes"][0], 200, interior_thetas(9), 0):
+            drawn.append(len(p))
+    assert drawn == [98]
+    assert outcomes["tall stripes", 9, 0][1] == 10
+
+
+def _stream(K, n, seed):
+    chunks = list(segment_chunks(K, n, interior_thetas(9), seed))
+    return [np.concatenate([c[i] for c in chunks]) for i in range(3)]
+
+
+def test_probe_stream_budget_prefix_stable():
+    # probe i depends only on (seed, i): a larger n extends the stream
+    plus = plus_set()
+    for K in (gallery("cylinder_hat"), plus, SetOracle(plus.contains, plus.bbox, "bare plus")):
+        for seed in (0, 5):
+            short, long = _stream(K, 40, seed), _stream(K, 700, seed)
+            assert len(short[0]) == 40 and len(long[0]) == 700
+            for a, b in zip(short, long):
+                assert np.array_equal(a, b[:40])
+
+
+def test_probe_stream_points_are_group_mul():
+    thetas = interior_thetas(9)
+    K = plus_set()
+    p, v, q, seg = next(segment_chunks(K, 200, thetas, 3))
+    for r in range(len(p)):
+        base, step = Point3(*p[r].tolist()), HVec(*v[r].tolist())
+        assert K.contains(base) and K.contains(Point3(*q[r].tolist()))
+        assert tuple(q[r].tolist()) == group_mul(base, exp_h(step))
+        for j, th in enumerate(thetas.tolist()):
+            want = group_mul(base, exp_h(HVec(th * step.a, th * step.b)))
+            assert (seg.x[r, j], seg.y[r, j], seg.t[r, j]) == want
+
+
+def _reference_axioms_ab(K, n, seed):
+    """check_axioms_ab one probe and one dilate at a time."""
+    rng = np.random.default_rng([seed, 0xA])
+    (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
+    half = min((xhi - xlo) / 2.0, (yhi - ylo) / 2.0, math.sqrt(max(thi - tlo, 0.0) / 2.0))
+    rho = 1e-3 * min(1.0, half) if half > 0.0 else 1e-3
+    probes = [ORIGIN, Point3(rho, 0.0, 0.0), Point3(-rho, 0.0, 0.0), Point3(0.0, rho, 0.0),
+              Point3(0.0, -rho, 0.0), Point3(0.0, 0.0, rho * rho), Point3(0.0, 0.0, -rho * rho)]
+    for _ in range(8):
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        s = rng.uniform(0.0, rho)
+        probes.append(Point3(s * math.cos(phi), s * math.sin(phi), rng.uniform(-1.0, 1.0) * rho * rho))
+    a_holds = K.is_compact and all(K.contains(p) for p in probes)
+    if not (a_holds or K.contains(ORIGIN)):
+        return a_holds, False, None
+    for p in sample_in_set(K, n, rng):
+        tau = rng.uniform(0.0, 1.0)
+        if not K.contains(dilate(tau, p)):
+            return a_holds, False, DilationEscape(p, tau)
+    return a_holds, True, None
+
+
+def test_check_axioms_ab_matches_reference():
+    # one array of n factors draws what n scalar draws do
+    rng1, rng2 = np.random.default_rng(4), np.random.default_rng(4)
+    assert rng1.uniform(0.0, 1.0, 300).tolist() == [rng2.uniform(0.0, 1.0) for _ in range(300)]
+    dumbbell = radial_to_oracle(
+        polygon_profile([(0, -2), (1, -2), (1, -1), (0.1, -1), (0.1, 1), (1, 1), (1, 2), (0, 2)]), "dumbbell"
+    )
+    ring = radial_to_oracle(polygon_profile([(1.0, 1.0), (2.0, 1.0), (2.0, -1.0), (1.0, -1.0)]), "ring")
+    outcomes = []
+    for K in (*(gallery(name) for name in AXIOM_TABLE), plus_set(), dumbbell, ring):
+        for seed in (0, 1):
+            want = _reference_axioms_ab(K, 500, seed)
+            assert check_axioms_ab(K, 500, seed) == want, (K.label, seed)
+            outcomes.append(want)
+    assert any(b_witness is not None for _, _, b_witness in outcomes)
+    assert any(not a for a, _, _ in outcomes)
 
 
 def test_box_oracle():
