@@ -356,7 +356,6 @@ def _cmd_radial(cfg: RunConfig) -> int:
 
 def _cmd_gallery(cfg: RunConfig) -> int:
     all_match = True
-    inconclusive_sets = 0
     blocks = {}
     # a registry entry without expected verdicts is not in the suite
     suite = {name: entry.expect for name, entry in GALLERY.items() if entry.expect is not None}
@@ -399,12 +398,12 @@ def _cmd_gallery(cfg: RunConfig) -> int:
         block["inconclusive"] = inconclusive
         blocks[name] = block
         all_match = all_match and not mismatches
-        inconclusive_sets += bool(inconclusive)
         status = "MISMATCH" if mismatches else "inconclusive" if inconclusive else "ok"
         notes = mismatches + inconclusive
         print(f"gallery {name}: {status}" + (f" ({'; '.join(notes)})" if notes else ""))
 
     out = _write_report(cfg, "gallery", gallery=blocks, all_match=all_match)
+    inconclusive_sets = sum(bool(block["inconclusive"]) for block in blocks.values())
     if not all_match:
         summary = "MISMATCHES found"
     elif inconclusive_sets:

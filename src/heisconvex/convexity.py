@@ -114,8 +114,8 @@ def _chunk_witness(
     hits = np.flatnonzero(lhs > rhs + tol.eps_eq)
     if hits.size:
         r, j = divmod(int(hits[0]), len(thetas))
-        kind = "quasi" if quasi else "convex"
         base, step = Point3(*p[r].tolist()), HVec(*v[r].tolist())
+        kind = "quasi" if quasi else "convex"
         return ConvexityWitness(base, step, float(thetas[j]), float(lhs[r, j]), float(rhs[r, j]), kind)
     if error is not None:
         raise error

@@ -516,7 +516,7 @@ def uniform_points(K: SetOracle, need: int, rng: np.random.Generator) -> np.ndar
     """
     (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
     max_tries = 1000 + 400 * need
-    kept: list[np.ndarray] = []
+    kept = [np.empty((0, 3))]
     got = tries = 0
     while got < need:
         if tries >= max_tries:

@@ -210,6 +210,7 @@ def test_sample_in_set_members_and_determinism():
     assert pts1 == pts2
     assert all(K.contains(p) for p in pts1)
     assert all(isinstance(p.x, float) for p in pts1)
+    assert sample_in_set(K, 0, np.random.default_rng(9)) == []
 
 
 def test_boundary_sample_members_near_level_one():
