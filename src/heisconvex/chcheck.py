@@ -53,6 +53,8 @@ DEGENERATE_TAU_GRID = (0.25, 0.5, 2.0, 4.0)
 PAIR_CHUNK = 256
 # rows (pair, tau) whose curve points are evaluated at once
 CURVE_TILE = 64
+# radii per height that the outer-radius scan tests at once
+RADIUS_BLOCK = 64
 
 
 @dataclass
@@ -435,28 +437,41 @@ def replay_ch_witness(K: SetOracle, w: ChWitness, tol: Tolerances = DEFAULT_TOL)
 # radial necessary conditions
 
 
-def _outer_radius(P: RadialProfile, t: float, tol: Tolerances, grid: int = 512) -> float:
-    """Outermost radius of the profile at height t, by scan plus bisection."""
+def _outer_radii(P: RadialProfile, ts: np.ndarray, tol: Tolerances, grid: int = 512) -> np.ndarray:
+    """Outermost radius of the profile at each height of ts (0 where none).
+
+    Scans the grid + 1 radii r_hi * j / grid down from j = grid, in blocks
+    of RADIUS_BLOCK and only for the heights not yet resolved, to the first
+    inside radius; then bisects all heights at once through contains2d_many,
+    a height dropping out once its bracket is within eps_geom.  Each radius
+    is bit for bit what scanning and bisecting that height alone gives.
+    """
     r_hi = P.r_max * 1.01 + 10.0 * tol.eps_geom
-    last_true = None
-    for j in range(grid, -1, -1):
-        r = r_hi * j / grid
-        if P.contains2d(r, t):
-            last_true = r
+    radii = r_hi * np.arange(grid, -1, -1) / grid
+    last = np.full(len(ts), np.nan)
+    todo = np.arange(len(ts))
+    for s in range(0, grid + 1, RADIUS_BLOCK):
+        r = radii[s : s + RADIUS_BLOCK]
+        hit = P.contains2d_many(*np.broadcast_arrays(r, ts[todo, None]))
+        found = hit.any(axis=1)
+        last[todo[found]] = r[hit[found].argmax(axis=1)]
+        todo = todo[~found]
+        if not len(todo):
             break
-    if last_true is None:
-        return 0.0
-    lo = last_true
-    hi = min(last_true + r_hi / grid, r_hi)
+    rows = np.flatnonzero(~np.isnan(last))
+    lo = last[rows]
+    hi = np.minimum(lo + r_hi / grid, r_hi)
     for _ in range(tol.max_iter):
-        if hi - lo <= tol.eps_geom:
+        live = np.flatnonzero(hi - lo > tol.eps_geom)
+        if not len(live):
             break
-        mid = 0.5 * (lo + hi)
-        if P.contains2d(mid, t):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[live] + hi[live])
+        inside = P.contains2d_many(mid, ts[rows[live]])
+        lo[live[inside]] = mid[inside]
+        hi[live[~inside]] = mid[~inside]
+    out = np.zeros(len(ts))
+    out[rows] = 0.5 * (lo + hi)
+    return out
 
 
 def radial_necessary(
@@ -469,7 +484,9 @@ def radial_necessary(
 
     i: with r* the outer radius of the t = 0 slice, the gauge ball of
     radius r* lies inside the set (probed on n points of its slightly
-    shrunk profile region, boundary arc plus seeded interior);
+    shrunk profile region, boundary arc plus seeded interior, all tested
+    with one contains2d_many call; the first failing point is the witness
+    and caps_checked counts up to it);
     ii: the widest radius over all heights does not exceed r* (+slack),
     i.e. the planar projection of the set stays in the t = 0 slice.
     Witness points replay against the oracle via the profile.
@@ -477,56 +494,51 @@ def radial_necessary(
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng([seed, 0x8A])
-    r_flat = _outer_radius(P, 0.0, tol)
+    t_lo, t_hi = P.t_range
+    grid = max(64, n // 8)
+    heights = np.concatenate([[0.0], t_lo + (t_hi - t_lo) * np.arange(grid + 1) / grid])
+    radii = _outer_radii(P, heights, tol)
+    r_flat = float(radii[0])
     shrink = 1.0 - max(1e-6, 10.0 * tol.eps_geom)
 
     thm_i_ok = True
     thm_i_witness = None
     caps_checked = 0
     if r_flat > 0.0:
+        # the fourth powers and roots stay Python floats: numpy's pow may
+        # round them differently
+        r4_flat = r_flat ** 4
         half = n // 2
-        for k in range(half):
-            r = r_flat * math.sqrt(k / max(1, half - 1)) if half > 1 else 0.0
-            t_abs = math.sqrt(max(r_flat ** 4 - r ** 4, 0.0))
-            for t in (t_abs, -t_abs):
-                caps_checked += 1
-                if not P.contains2d(r * shrink, t * shrink * shrink):
-                    thm_i_ok = False
-                    thm_i_witness = Point3(r * shrink, 0.0, t * shrink * shrink)
-                    break
-            if not thm_i_ok:
-                break
-        if thm_i_ok:
-            for _ in range(n - 2 * (n // 2) + n // 2):
-                r = r_flat * rng.uniform(0.0, 1.0) ** 0.25
-                t_cap = math.sqrt(max(r_flat ** 4 - r ** 4, 0.0))
-                t = rng.uniform(-t_cap, t_cap)
-                caps_checked += 1
-                if not P.contains2d(r * shrink, t * shrink * shrink):
-                    thm_i_ok = False
-                    thm_i_witness = Point3(r * shrink, 0.0, t * shrink * shrink)
-                    break
+        r_arc = [r_flat * math.sqrt(k / max(1, half - 1)) if half > 1 else 0.0 for k in range(half)]
+        t_arc = [math.sqrt(max(r4_flat - r ** 4, 0.0)) for r in r_arc]
+        # the boundary arc at t and -t, then n - half seeded caps from pairs
+        # of doubles d: uniform(lo, hi) is lo + (hi - lo) * d on the same d
+        d = rng.random(2 * (n - half)).tolist()
+        r_cap = [r_flat * u ** 0.25 for u in d[0::2]]
+        t_cap = [math.sqrt(max(r4_flat - r ** 4, 0.0)) for r in r_cap]
+        r = np.array([v for v in r_arc for _ in (0, 1)] + r_cap)
+        t = np.array([v for h in t_arc for v in (h, -h)] + [-c + (c + c) * e for c, e in zip(t_cap, d[1::2])])
+        x, t = r * shrink, t * shrink * shrink
+        failed = np.flatnonzero(~P.contains2d_many(x, t))
+        caps_checked = len(x)
+        if len(failed):
+            thm_i_ok = False
+            thm_i_witness = Point3(float(x[failed[0]]), 0.0, float(t[failed[0]]))
+            caps_checked = int(failed[0]) + 1
 
-    t_lo, t_hi = P.t_range
-    r_sup = r_flat
-    t_at = 0.0
-    grid = max(64, n // 8)
-    for j in range(grid + 1):
-        t = t_lo + (t_hi - t_lo) * j / grid
-        r_t = _outer_radius(P, t, tol)
-        if r_t > r_sup:
-            r_sup = r_t
-            t_at = t
+    # the first widest height, as a height-by-height scan keeps it
+    best = 1 + int(np.argmax(radii[1:]))
+    r_sup, t_at = r_flat, 0.0
+    if radii[best] > r_flat:
+        r_sup, t_at = float(radii[best]), float(heights[best])
     slack = max(10.0 * tol.eps_geom, tol.eps_geom * (1.0 + r_flat))
     thm_ii_ok = r_sup <= r_flat + slack
-    thm_ii_witness = None if thm_ii_ok else Point3(r_sup, 0.0, 0.0)
+    thm_ii_witness = None
     if not thm_ii_ok:
         # refine around the best height so the witness radius is sharp
         span = (t_hi - t_lo) / grid
-        for t in np.linspace(max(t_lo, t_at - span), min(t_hi, t_at + span), 65):
-            r_t = _outer_radius(P, float(t), tol)
-            if r_t > r_sup:
-                r_sup = r_t
+        fine = np.linspace(max(t_lo, t_at - span), min(t_hi, t_at + span), 65)
+        r_sup = max(r_sup, float(_outer_radii(P, fine, tol).max()))
         thm_ii_witness = Point3(r_sup, 0.0, 0.0)
 
     return RadialNecessityReport(

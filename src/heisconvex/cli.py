@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -60,6 +61,8 @@ class RunConfig:
             raise ValueError("budget must be >= 1")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("--seed must be >= 0")
         self.output_dir = Path(self.output_dir)
 
 
@@ -168,11 +171,17 @@ def _tet_cases() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return ends, n_mid, faces, n_faces
 
 
-def _write_rows(fh, template: str, rows: np.ndarray) -> None:
-    # one %-format per block of rows; "%.17g" % x is format(x, ".17g")
+def _strings(fmt: str, values) -> np.ndarray:
+    # a table of formatted values, indexed by rows in _write_rows
+    return np.array(list(map(fmt.__mod__, values)), dtype=object)
+
+
+def _write_rows(fh, template: str, table: np.ndarray, rows: np.ndarray) -> None:
+    # rows index the string table; one %-format per block of rows, so no
+    # whole-file string is held
     for s in range(0, len(rows), _WRITE_BLOCK):
         block = rows[s : s + _WRITE_BLOCK]
-        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+        fh.write((template * len(block)) % tuple(table[block].ravel().tolist()))
 
 
 def _march(field_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,17 +224,19 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
     true boundary.  Cubes and tetrahedra are classified with numpy, and the
     file is byte for byte what a cube-by-cube march writes: cubes in (i, j,
     k) order, the six tetrahedra in _TETS order, each vertex numbered when
-    its edge first comes up.  Lines are written in blocks.
+    its edge first comes up.  Lines are written in blocks, from string
+    tables: every coordinate and vertex number is formatted once.
 
     Raises:
-        ValueError: non-compact set or resolution < 8.
+        ValueError: non-compact set, resolution < 8, tau not positive and
+            finite, or a tau whose dilated grid or 1/tau**2 overflows.
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     if not K.is_compact:
         raise ValueError(f"{K.label} is not compact: level-set mesh is unbounded")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
     pad = 1.05
     n = resolution
@@ -234,6 +245,8 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
     ts = np.array([tau * tau * pad * (tlo + (thi - tlo) * i / (n - 1)) for i in range(n)])
 
     inv = 1.0 / tau
+    if not (math.isfinite(inv * inv) and np.isfinite(np.concatenate([xs, ys, ts])).all()):
+        raise ValueError(f"tau={tau!r} overflows the dilated grid or 1/tau**2")
     X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
     field_ = K.contains_many(inv * X, inv * Y, inv * inv * T)
     del X, Y, T
@@ -247,15 +260,22 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
     number[order] = np.arange(1, len(keys) + 1)
     a, b = np.divmod(keys[order], field_.size)
     a, b = np.unravel_index(a, field_.shape), np.unravel_index(b, field_.shape)
-    verts = np.stack([(axis[a[d]] + axis[b[d]]) / 2.0 for d, axis in enumerate((xs, ys, ts))], axis=1)
+    # the two ends of a Kuhn-triangulation edge differ by 0 or 1 on each
+    # axis, so a vertex coordinate (axis[a] + axis[b]) / 2 is entry a + b of
+    # that axis' 2n - 1 grid points and midpoints; the three axes' tables
+    # are formatted once, one after the other
+    m = 2 * n - 1
+    lo, hi = np.arange(m) // 2, np.arange(1, m + 1) // 2
+    coords = _strings("%.17g", np.concatenate([(axis[lo] + axis[hi]) / 2.0 for axis in (xs, ys, ts)]).tolist())
+    slots = np.stack([a[d] + b[d] + d * m for d in range(3)], axis=1)
     faces = number[which][tris]
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(f"# level-set mesh: {K.label}, tau={tau:g}, resolution={resolution}\n")
-        _write_rows(fh, "v %.17g %.17g %.17g\n", verts)
-        _write_rows(fh, "f %d %d %d\n", faces)
+        _write_rows(fh, "v %s %s %s\n", coords, slots)
+        _write_rows(fh, "f %s %s %s\n", _strings("%d", range(len(keys) + 1)), faces)
     return path
 
 

@@ -41,14 +41,15 @@ Formula = Callable[[Point3], bool]
 class RadialProfile:
     """A rotation-invariant set described in the (r, t) half-plane.
 
-    contains2d_many, when given, is contains2d on arrays of one shape;
-    radial_to_oracle turns it into the oracle's array kernel.
+    contains2d_many is contains2d on arrays of one shape, element for
+    element: radial_to_oracle turns it into the oracle's array kernel, and
+    chcheck.radial_necessary scans and bisects all its heights through it.
     """
 
     contains2d: Callable[[float, float], bool]
     r_max: float
     t_range: tuple[float, float]
-    contains2d_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    contains2d_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -136,14 +137,30 @@ def bbox_scale(bbox: Bbox) -> float:
     return max(abs(v) for pair in bbox for v in pair)
 
 
-def _formula_oracle(inside: Formula, bbox: Bbox, label: str, **meta) -> SetOracle:
+def _slice_profile(contains: Formula, kernel: Kernel, r_max: float, t_range: tuple[float, float]) -> RadialProfile:
+    """The profile of a rotation-invariant oracle: its own membership test
+    (contains, and kernel on arrays) on the half-plane y = 0."""
+    return RadialProfile(
+        contains2d=lambda r, t: contains(Point3(r, 0.0, t)),
+        r_max=r_max,
+        t_range=t_range,
+        contains2d_many=lambda r, t: kernel(r, np.zeros_like(r), t),
+    )
+
+
+def _formula_oracle(
+    inside: Formula, bbox: Bbox, label: str, radial: Optional[tuple[float, tuple[float, float]]] = None, **meta
+) -> SetOracle:
     """An oracle whose membership is one formula in p.x, p.y, p.t.
 
     The formula uses only arithmetic, comparisons, & and abs, so the same
     function tests a Point3 of floats (contains) and a Point3 of arrays
-    (contains_many) with identical rounding.
+    (contains_many) with identical rounding.  A radial set passes
+    (r_max, t_range) as radial and gets the formula at y = 0 as its profile.
     """
-    return SetOracle(inside, bbox, label, kernel=lambda x, y, t: inside(Point3(x, y, t)), **meta)
+    kernel = lambda x, y, t: inside(Point3(x, y, t))
+    profile = None if radial is None else _slice_profile(inside, kernel, *radial)
+    return SetOracle(inside, bbox, label, is_radial=radial is not None, profile=profile, kernel=kernel, **meta)
 
 
 def box_oracle(bbox: Bbox, label: str = "box") -> SetOracle:
@@ -177,17 +194,11 @@ def _koranyi_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
         rho2 = p.x * p.x + p.y * p.y
         return rho2 * rho2 + p.t * p.t <= bound
 
-    profile = RadialProfile(
-        contains2d=lambda rho, t: (rho * rho * rho * rho + t * t) ** 0.25 <= r + eps,
-        r_max=r,
-        t_range=(-r * r, r * r),
-    )
     return _formula_oracle(
         inside,
         _sym_bbox(r, r, r * r),
         f"koranyi_ball(r={r:g})",
-        is_radial=True,
-        profile=profile,
+        radial=(r, (-r * r, r * r)),
         closed_form_cone=lambda p: norm(p, "koranyi") / r,
     )
 
@@ -206,17 +217,11 @@ def _euclidean_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
     def inside(p: Point3) -> bool:
         return p.x * p.x + p.y * p.y + p.t * p.t <= bound
 
-    profile = RadialProfile(
-        contains2d=lambda rho, t: math.hypot(rho, t) <= r + eps,
-        r_max=r,
-        t_range=(-r, r),
-    )
     return _formula_oracle(
         inside,
         _sym_bbox(r, r, r),
         f"euclidean_ball(r={r:g})",
-        is_radial=True,
-        profile=profile,
+        radial=(r, (-r, r)),
         closed_form_cone=lambda p: _euclidean_cone_value(p, r),
     )
 
@@ -229,18 +234,7 @@ def _cylinder(tol: Tolerances) -> SetOracle:
     def inside(p: Point3) -> bool:
         return (p.x * p.x + p.y * p.y <= bound) & (abs(p.t) <= height)
 
-    profile = RadialProfile(
-        contains2d=lambda r, t: r <= 1.0 + eps and abs(t) <= 1.0 + eps,
-        r_max=1.0,
-        t_range=(-1.0, 1.0),
-    )
-    return _formula_oracle(
-        inside,
-        _sym_bbox(1.0, 1.0, 1.0),
-        "cylinder",
-        is_radial=True,
-        profile=profile,
-    )
+    return _formula_oracle(inside, _sym_bbox(1.0, 1.0, 1.0), "cylinder", radial=(1.0, (-1.0, 1.0)))
 
 
 def _cylinder_hat(tol: Tolerances) -> SetOracle:
@@ -258,18 +252,11 @@ def _cylinder_hat(tol: Tolerances) -> SetOracle:
         rho2 = p.x * p.x + p.y * p.y
         return (rho2 <= radial_bound) & (rho2 * rho2 + p.t * p.t <= gauge_bound)
 
-    profile = RadialProfile(
-        contains2d=lambda r, t: max(r, 0.5 * (r * r * r * r + t * t) ** 0.25)
-        <= 1.0 + eps,
-        r_max=1.0,
-        t_range=(-4.0, 4.0),
-    )
     return _formula_oracle(
         inside,
         _sym_bbox(1.0, 1.0, 4.0),
         "cylinder_hat",
-        is_radial=True,
-        profile=profile,
+        radial=(1.0, (-4.0, 4.0)),
         closed_form_cone=cone_value,
     )
 
@@ -281,44 +268,34 @@ IMPORTANTE_ANCHOR = Point3(IMPORTANTE_R_MAX, 0.0, 1.5 * math.pi)
 IMPORTANTE_ANCHOR_NORM = norm(IMPORTANTE_ANCHOR, "koranyi")
 
 
-def importante_defining_fn(p: Point3) -> float:
-    """max of the sine-perturbed quartic gauge and the scaled Koranyi norm.
-
-    The first branch is horizontally convex but not homogeneous; the level-1
-    set of the max is compact, radial, horizontally convex, and its widest
-    horizontal slice sits away from t=0, which is what makes it the standard
-    counterexample for the radial necessary conditions.
-    """
-    rho2 = p.x * p.x + p.y * p.y
-    f1 = (rho2 * rho2 + 2.0 + 0.5 * math.sin(p.t)) ** 0.25 - 2.0 ** 0.25
-    return max(f1, norm(p, "koranyi") / IMPORTANTE_ANCHOR_NORM)
-
-
 def _importante(tol: Tolerances) -> SetOracle:
+    # The level-1 set of max(f1, |p|_K / IMPORTANTE_ANCHOR_NORM), with the
+    # sine-perturbed quartic gauge f1 = (rho^4 + 2 + sin(t) / 2)^(1/4) - 2^(1/4),
+    # which is horizontally convex but not homogeneous.  The set is compact,
+    # radial and horizontally convex, and its widest horizontal slice sits
+    # away from t = 0: the standard counterexample for the radial necessary
+    # conditions.
     eps = tol.eps_geom
     sine_bound = (1.0 + eps + 2.0 ** 0.25) ** 4
     gauge_bound = ((1.0 + eps) * IMPORTANTE_ANCHOR_NORM) ** 4
 
     def inside(p: Point3, sin_t) -> bool:
-        # importante_defining_fn <= 1 + eps, each branch of the max raised
-        # to the fourth power; sin(t) comes from math or numpy by caller
+        # max(f1, |p|_K / IMPORTANTE_ANCHOR_NORM) <= 1 + eps, each branch
+        # raised to the fourth power; sin(t) comes from math or numpy by caller
         rho2 = p.x * p.x + p.y * p.y
         quartic = rho2 * rho2
         return (quartic + 2.0 + 0.5 * sin_t <= sine_bound) & (quartic + p.t * p.t <= gauge_bound)
 
     half_t = IMPORTANTE_ANCHOR_NORM * IMPORTANTE_ANCHOR_NORM
-    profile = RadialProfile(
-        contains2d=lambda r, t: importante_defining_fn(Point3(r, 0.0, t)) <= 1.0 + eps,
-        r_max=IMPORTANTE_R_MAX,
-        t_range=(-half_t, half_t),
-    )
+    contains = lambda p: inside(p, math.sin(p.t))
+    kernel = lambda x, y, t: inside(Point3(x, y, t), np.sin(t))
     return SetOracle(
-        lambda p: inside(p, math.sin(p.t)),
+        contains,
         _sym_bbox(IMPORTANTE_ANCHOR_NORM, IMPORTANTE_ANCHOR_NORM, half_t),
         "importante",
         is_radial=True,
-        profile=profile,
-        kernel=lambda x, y, t: inside(Point3(x, y, t), np.sin(t)),
+        profile=_slice_profile(contains, kernel, IMPORTANTE_R_MAX, (-half_t, half_t)),
+        kernel=kernel,
     )
 
 
@@ -328,13 +305,7 @@ def _slab_x(tol: Tolerances) -> SetOracle:
     def inside(p: Point3) -> bool:
         return abs(p.x) <= half_width
 
-    return _formula_oracle(
-        inside,
-        _sym_bbox(1.0, 4.0, 4.0),
-        "slab_x",
-        is_radial=False,
-        is_compact=False,
-    )
+    return _formula_oracle(inside, _sym_bbox(1.0, 4.0, 4.0), "slab_x", is_compact=False)
 
 
 def _finite_number(x) -> bool:
@@ -399,17 +370,12 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
 
 
 def radial_to_oracle(P: RadialProfile, label: str = "radial", tol: Tolerances = DEFAULT_TOL) -> SetOracle:
-    """Rotate a profile around the t-axis into a full membership oracle.
-
-    The oracle gets an array kernel when the profile has contains2d_many.
-    """
+    """Rotate a profile around the t-axis into a full membership oracle,
+    whose array kernel is the profile's contains2d_many."""
 
     def inside(p: Point3) -> bool:
         return P.contains2d(math.sqrt(p.x * p.x + p.y * p.y), p.t)
 
-    kernel = None
-    if P.contains2d_many is not None:
-        kernel = lambda x, y, t: P.contains2d_many(np.sqrt(x * x + y * y), t)
     ht = max(abs(P.t_range[0]), abs(P.t_range[1]))
     return SetOracle(
         inside,
@@ -417,7 +383,7 @@ def radial_to_oracle(P: RadialProfile, label: str = "radial", tol: Tolerances = 
         label,
         is_radial=True,
         profile=P,
-        kernel=kernel,
+        kernel=lambda x, y, t: P.contains2d_many(np.sqrt(x * x + y * y), t),
     )
 
 
@@ -973,25 +939,23 @@ def dilate_oracle(K: SetOracle, alpha: float) -> SetOracle:
     (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
     a2 = alpha * alpha
     lam = 1.0 / alpha
+    contains = lambda p: K.contains(dilate(lam, p))
+    kernel = lambda x, y, t: K.contains_many(lam * x, lam * y, lam * lam * t)
     profile = None
     if K.profile is not None:
         inner = K.profile
-        profile = RadialProfile(
-            contains2d=lambda r, t: inner.contains2d(r / alpha, t / a2),
-            r_max=inner.r_max * alpha,
-            t_range=(inner.t_range[0] * a2, inner.t_range[1] * a2),
-        )
+        profile = _slice_profile(contains, kernel, inner.r_max * alpha, (inner.t_range[0] * a2, inner.t_range[1] * a2))
     cone = None
     if K.closed_form_cone is not None:
         inner_cone = K.closed_form_cone
         cone = lambda p: inner_cone(p) / alpha
     return SetOracle(
-        contains=lambda p: K.contains(dilate(lam, p)),
+        contains=contains,
         bbox=((alpha * xlo, alpha * xhi), (alpha * ylo, alpha * yhi), (a2 * tlo, a2 * thi)),
         label=f"dilate({alpha:g}, {K.label})",
         is_radial=K.is_radial,
         is_compact=K.is_compact,
         profile=profile,
         closed_form_cone=cone,
-        kernel=lambda x, y, t: K.contains_many(lam * x, lam * y, lam * lam * t),
+        kernel=kernel,
     )

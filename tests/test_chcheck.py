@@ -33,6 +33,7 @@ from heisconvex import chcheck
 from heisconvex.chcheck import DEGENERATE_TAU_GRID, ChWitness, TauSolution, curve_point, solve_tau_many
 from heisconvex.core import DEFAULT_TOL
 from heisconvex.sets import IMPORTANTE_R_MAX, dilate_oracle, polygon_profile, radial_to_oracle
+from radial_reference import radial_sets, reference_outer_radius, reference_radial_necessary
 
 coord = st.floats(min_value=-3.0, max_value=3.0)
 heights = st.floats(min_value=-5.0, max_value=5.0)
@@ -394,6 +395,28 @@ def test_radial_necessary_importante_witness():
 def test_radial_necessary_validates_n():
     with pytest.raises(ValueError):
         radial_necessary(gallery("cylinder").profile, 0)
+
+
+@pytest.mark.parametrize("K", radial_sets(), ids=lambda K: K.label)
+def test_radial_necessary_matches_scalar_reference(K):
+    # one batched scan and one caps call give the report of the
+    # height-by-height, cap-by-cap loops, field for field
+    for n in (1, 7, 400, 2000):
+        for seed in (0, 1, 5):
+            assert radial_necessary(K.profile, n, seed) == reference_radial_necessary(K.profile, n, seed), (n, seed)
+
+
+@pytest.mark.parametrize("K", radial_sets(), ids=lambda K: K.label)
+def test_outer_radii_match_scalar_scan(K, monkeypatch):
+    # every height of a fine grid, past both ends of the profile (radius 0),
+    # bit for bit, with blocks of 1 and 7 radii as well as the default
+    t_lo, t_hi = K.profile.t_range
+    ts = np.linspace(1.1 * t_lo - 0.1, 1.1 * t_hi + 0.1, 301)
+    want = [reference_outer_radius(K.profile, float(t), DEFAULT_TOL) for t in ts]
+    assert want.count(0.0) >= 2
+    for block in (1, 7, chcheck.RADIUS_BLOCK):
+        monkeypatch.setattr(chcheck, "RADIUS_BLOCK", block)
+        assert chcheck._outer_radii(K.profile, ts, DEFAULT_TOL).tolist() == want, block
 
 
 @given(

@@ -325,6 +325,25 @@ def test_export_levelset_validates():
         export_levelset(K, 1.0, 4, "/tmp/never.obj")
     with pytest.raises(ValueError):
         export_levelset(gallery("slab_x"), 1.0, 16, "/tmp/never.obj")
+    # not finite, 1/tau**2 overflows, or the dilated grid overflows
+    for tau in (math.nan, math.inf, -math.inf, 1e-320, 1e-160, 1e160):
+        with pytest.raises(ValueError, match="tau"):
+            export_levelset(K, tau, 16, "/tmp/never.obj")
+
+
+def test_export_bad_tau_exits_1(tmp_path, capsys):
+    for tau in ("nan", "inf", "1e-320"):
+        argv = ["export", "--set", "koranyi_ball", "--kind", "mesh", "--tau", tau, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "heisconvex: error: tau" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.obj"))
+
+
+@pytest.mark.parametrize("command", ["axioms", "cone", "ch", "radial", "gallery", "export"])
+def test_negative_seed_exits_1(tmp_path, capsys, command):
+    assert main([command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert "heisconvex: error: --seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["koranyi_ball", "cylinder_hat", "importante"])

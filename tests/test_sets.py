@@ -45,6 +45,7 @@ from heisconvex.sets import (
     theta_grid,
     uniform_points,
 )
+from radial_reference import radial_sets
 from stream_reference import reference_probes
 
 PLUS_VERTICES = [
@@ -455,6 +456,52 @@ def test_polygon_profile_plus():
     assert K.is_radial
     assert K.contains(Point3(0.0, 1.9, 0.0))
     assert K.contains(Point3(-1.9, 0.0, 0.0))  # radial: any planar rotation
+
+
+def _crossing(inside, lo, hi):
+    """Adjacent floats lo, hi on which inside changes, given that it does."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if inside(mid) == inside(lo):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _ulps(x, k=3):
+    """x and its k float neighbours on either side."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("K", radial_sets(), ids=lambda K: K.label)
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_profile_batch_membership_is_the_oracle_slice(K, fr, ft):
+    # contains2d_many is contains2d element for element, and both are the
+    # oracle at y = 0: at a random point and at the float neighbours of the
+    # boundary crossings on its row and on its column
+    P = K.profile
+    r_out = 1.01 * P.r_max + 1.0
+    t_out = 1.01 * max(map(abs, P.t_range)) + 1.0
+    r, t = fr * r_out, (2.0 * ft - 1.0) * t_out
+    points = [(r, t)]
+    for end in (0.0, r_out):
+        if P.contains2d(r, t) != P.contains2d(end, t):
+            points += [(x, t) for x in _ulps(_crossing(lambda x: P.contains2d(x, t), r, end))]
+    for end in (-t_out, t_out):
+        if P.contains2d(r, t) != P.contains2d(r, end):
+            points += [(r, y) for y in _ulps(_crossing(lambda y: P.contains2d(r, y), t, end))]
+    rs, ts = (np.array(c) for c in zip(*points))
+    many = P.contains2d_many(rs, ts)
+    assert many.dtype == bool and many.shape == rs.shape
+    assert many.tolist() == [bool(P.contains2d(x, y)) for x, y in points]
+    assert many.tolist() == [bool(K.contains(Point3(x, 0.0, y))) for x, y in points]
 
 
 def test_cylinder_hat_closed_form_matches_oracle():
