@@ -595,36 +595,37 @@ def envelope_check(
         raise ValueError("anchor needs nonzero vertical part and nonzero radius")
 
     fine = Tolerances(eps_geom=tol.eps_eq, eps_eq=tol.eps_eq, max_iter=tol.max_iter)
+    # envelope_phi and envelope_psi on arrays; r ** 4 stays in Python floats
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    points = []
-    for k in range(n):
-        r = r0 / math.sqrt(2.0) + (r0 - r0 / math.sqrt(2.0)) * k / (n - 1)
-        rho = r * ((k % 3) + 1) / 3.0
-        ang = k * golden
-        points.append(Point3(rho * math.cos(ang), rho * math.sin(ang), envelope_phi(r, r0, t0)))
+    k = np.arange(n)
+    r = r0 / math.sqrt(2.0) + (r0 - r0 / math.sqrt(2.0)) * k / (n - 1)
+    rho = r * ((k % 3) + 1) / 3.0
+    r4 = np.array([v ** 4 for v in r.tolist()])
+    phi = np.copysign(0.5 * (abs(t0) + np.sqrt(t0 * t0 + 4.0 * r0 * r0 * r * r - 4.0 * r4)), t0)
+    solid = (rho * np.cos(k * golden), rho * np.sin(k * golden), phi)
     phi_res = abs(envelope_phi(r0, r0, t0) - t0)
 
-    cap_res = 0.0
     sgn = math.copysign(1.0, t0)
-    for k in range(n):
-        r = r0 * k / (n - 1)
-        psi = envelope_psi(r, r0, t0)
-        cap_res = max(cap_res, abs(r ** 4 + psi * psi - (r0 ** 4 + t0 * t0)))
-        ang = k * golden + 1.0
-        for t in (sgn * psi, 0.5 * (t0 + sgn * psi)):
-            points.append(Point3(r * math.cos(ang), r * math.sin(ang), t))
+    r = r0 * k / (n - 1)
+    r4 = np.array([v ** 4 for v in r.tolist()])
+    psi = np.sqrt(np.maximum(r0 ** 4 + t0 * t0 - r4, 0.0))
+    cap_res = float(np.abs(r4 + psi * psi - (r0 ** 4 + t0 * t0)).max())
+    # two cap points per radius: at height sgn psi, then halfway to t0
+    ang = k * golden + 1.0
+    heights = np.stack([sgn * psi, 0.5 * (t0 + sgn * psi)], axis=1).ravel()
+    cap = (np.repeat(r * np.cos(ang), 2), np.repeat(r * np.sin(ang), 2), heights)
 
     # every margin of the anchor in one batch: n solid points, then 2n cap points
-    margins = 1.0 - dilation_level_many(K, *np.array(points).T, fine)
+    margins = 1.0 - dilation_level_many(K, *map(np.concatenate, zip(solid, cap)), fine)
     floor = -max(1e-6, 10.0 * tol.eps_geom)
 
-    def lowest(pts: list[Point3], mg: np.ndarray) -> tuple[float, Optional[Point3]]:
+    def lowest(pts: tuple, mg: np.ndarray) -> tuple[float, Optional[Point3]]:
         # the first smallest margin, and its point when that is below the floor
-        k = int(np.argmin(mg))
-        return float(mg[k]), pts[k] if mg[k] < floor else None
+        i = int(np.argmin(mg))
+        return float(mg[i]), Point3(*(float(c[i]) for c in pts)) if mg[i] < floor else None
 
-    solid_min, solid_failure = lowest(points[:n], margins[:n])
-    cap_min, cap_failure = lowest(points[n:], margins[n:])
+    solid_min, solid_failure = lowest(solid, margins[:n])
+    cap_min, cap_failure = lowest(cap, margins[n:])
     return EnvelopeReport(
         solid_min_margin=solid_min,
         cap_min_margin=cap_min,

@@ -15,6 +15,7 @@ polygon in the half-plane r >= 0 with even-odd membership.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -488,7 +489,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it found it
     parser = _Parser(
         prog="heisconvex",
         description="Convexity verification toolkit for the Heisenberg group.",

@@ -90,18 +90,20 @@ def _eval_in_order(f: FnOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray):
 
 def _chunk_witness(
     f: FnOracle,
-    chunk: tuple,
+    group: list,
     thetas: np.ndarray,
     tol: Tolerances,
     quasi: bool,
 ) -> Optional[ConvexityWitness]:
-    """The first violation in a segment_chunks chunk, in (probe, theta) order.
+    """The first violation in a list of segment_chunks chunks, in (probe, theta) order.
 
-    Points are laid out as a serial scan evaluates them: per probe p, then
-    q, then p o exp_h(theta v) for each theta.  An evaluation error is
-    raised only when no violation comes before the failing point.
+    The chunks are evaluated in one batch, laid out as a serial scan meets
+    them: per probe p, q, then p o exp_h(theta v) for each theta.  An
+    evaluation error is raised only when no violation comes before it.
     """
-    p, v, q, seg = chunk
+    p, v, q, seg = zip(*group)
+    # each seg is a Point3 of (k, len(thetas)) arrays: join them along k
+    p, v, q, seg = np.concatenate(p), np.concatenate(v), np.concatenate(q), np.concatenate(seg, axis=1)
     x, y, t = (np.concatenate([p[:, i : i + 1], q[:, i : i + 1], seg[i]], axis=1) for i in range(3))
     values, error = _eval_in_order(f, x.ravel(), y.ravel(), t.ravel())
     values = values.reshape(x.shape)
@@ -122,6 +124,27 @@ def _chunk_witness(
     return None
 
 
+def _chunk_groups(chunks):
+    """The chunks in lists of 1, 2, 4, ... up to 16 chunks, in order.
+
+    A stall's RuntimeError comes after a last list of the chunks drawn
+    before it, where a chunk by chunk loop would meet it.
+    """
+    group, size = [], 1
+    try:
+        for chunk in chunks:
+            group.append(chunk)
+            if len(group) == size:
+                yield group
+                group, size = [], min(2 * size, 16)
+    except RuntimeError:
+        if group:
+            yield group
+        raise
+    if group:
+        yield group
+
+
 def _segment_scan(
     f: FnOracle,
     domain: SetOracle,
@@ -137,9 +160,9 @@ def _segment_scan(
         raise ValueError("need n >= 1 samples and grid >= 1")
     thetas = interior_thetas(max(grid, 2))
     produced = 0
-    for chunk in segment_chunks(domain, n, thetas, seed, 0xF):
-        produced += len(chunk[0])
-        witness = _chunk_witness(f, chunk, thetas, tol, quasi)
+    for group in _chunk_groups(segment_chunks(domain, n, thetas, seed, 0xF)):
+        produced += sum(len(chunk[0]) for chunk in group)
+        witness = _chunk_witness(f, group, thetas, tol, quasi)
         if witness is not None:
             return witness
     if produced < n:

@@ -278,6 +278,40 @@ def test_error_exits(tmp_path):
     assert main(["axioms", "--set", "{bad json"] + out) == 1
 
 
+def test_parser_reuse_keeps_reports_and_usage_errors(tmp_path, capsys):
+    # the argument parser is built once per process and reused by every main
+    first = ["cone", "--set", "cylinder_hat", "--seed", "3", "--samples", "300"]
+    first += ["--eps-geom", "1e-7", "--compare-closed-form"]
+    second = ["radial", "--set", "importante", "--samples", "100"]
+    cli._build_parser.cache_clear()
+    assert main(first + ["--out", str(tmp_path / "a")]) == 0
+    assert main(second + ["--out", str(tmp_path / "a")]) == 2
+    assert cli._build_parser.cache_info().misses == 1
+    reused = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+    for argv in (first, second):
+        cli._build_parser.cache_clear()
+        main(argv + ["--out", str(tmp_path / "b")])
+    assert {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()} == reused
+    # the options of the first call do not leak into the second
+    assert read_report(tmp_path / "a" / "radial_importante.json")["tolerances"]["eps_geom"] == Tolerances().eps_geom
+    capsys.readouterr()
+    # usage errors after reuse exit 1 with the message a new parser gives
+    for bad in (["cone", "--kind", "bogus"], ["radial", "--samples", "many"], []):
+        errors = []
+        for fresh in (False, True):
+            if fresh:
+                cli._build_parser.cache_clear()
+            else:
+                cli._build_parser().parse_args(first)
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "error:" in errors[0]
+    assert main(second + ["--out", str(tmp_path / "c")]) == 2
+    assert (tmp_path / "c" / "radial_importante.json").read_bytes() == reused["radial_importante.json"]
+
+
 def test_eps_flags_propagate(tmp_path):
     code = main(
         [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from heisconvex import (
     replay_witness,
 )
 from heisconvex.cones import _scaled_box
-from heisconvex.sets import box_oracle, theta_grid
+from heisconvex.convexity import _chunk_groups
+from heisconvex.sets import box_oracle, interior_thetas, segment_chunks, theta_grid
 from stream_reference import reference_probes
 
 BOX3 = box_oracle(((-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0)), "box3")
@@ -216,6 +218,74 @@ def test_scan_evaluation_errors_match_reference():
     errors = [o for o in outcomes if isinstance(o, tuple)]
     assert errors and len(errors) < len(outcomes)
     assert {kind for kind, _ in errors} == {ValueError}
+
+
+def test_chunk_groups_double_up_to_16_chunks():
+    assert [len(g) for g in _chunk_groups(iter(range(47)))] == [1, 2, 4, 8, 16, 16]
+
+    def stalling():
+        yield from range(5)
+        raise RuntimeError("stalled")
+
+    # the chunks drawn before a stall come out first, then its error
+    groups = _chunk_groups(stalling())
+    assert [next(groups) for _ in range(3)] == [[0], [1, 2], [3, 4]]
+    with pytest.raises(RuntimeError, match="stalled"):
+        next(groups)
+
+
+def _spiked(domain, n, seed, chunks):
+    """planar, but 10 at the middle segment point of the last probe of each
+    of these chunks of the grid-5 stream (so the violation sits there)."""
+    spikes = set()
+    try:
+        for c, (_p, _v, _q, seg) in enumerate(segment_chunks(domain, n, interior_thetas(5), seed, 0xF)):
+            if c in chunks:
+                spikes.add(Point3(*(float(a[-1, 1]) for a in seg)))
+    except RuntimeError:
+        pass
+    assert len(spikes) == len(chunks)
+    return FnOracle(lambda p: 10.0 if p in spikes else planar.eval(p), f"planar spiked in chunks {chunks}"), spikes
+
+
+def _segment_point(w):
+    return group_mul(w.base, exp_h(HVec(w.theta * w.v.a, w.theta * w.v.b)))
+
+
+def test_grouped_scan_matches_reference_at_group_ends():
+    # the scan evaluates chunks 0 | 1 2 | 3 4 5 6 | ... together; a spike in
+    # the last chunk of a group is found, and of two spikes in one group the
+    # first in probe order wins
+    for chunks in ({0}, {2}, {6}, {3, 6}, {5, 4}):
+        f, spikes = _spiked(BOX3, 3000, 0, chunks)
+        convex, quasi = _assert_scan_matches_reference(f, BOX3, 3000, 5, 0)
+        assert _segment_point(convex) == _segment_point(quasi)
+        assert _segment_point(convex) in spikes
+        if len(chunks) == 2:
+            first = _spiked(BOX3, 3000, 0, {min(chunks)})[1]
+            assert _segment_point(convex) in first
+
+
+# a cube of side 0.5 in a bbox of side 3.64: the rejection sampler keeps
+# about 0.26 % of its draws, close to the 256 / 103400 it needs per chunk.
+# Seed 17 yields chunks 0-4 and stalls on chunk 5, inside the group 3 4 5 6.
+SPECK = dataclasses.replace(box_oracle(((-0.25, 0.25),) * 3, "speck"), bbox=((-1.82, 1.82),) * 3)
+
+
+def test_grouped_scan_matches_reference_on_a_stall_inside_a_group():
+    drawn = []
+    with pytest.raises(RuntimeError, match="rejection sampling stalled on speck"):
+        for chunk in segment_chunks(SPECK, 10000, interior_thetas(5), 17, 0xF):
+            drawn.append(chunk)
+    assert len(drawn) == 5
+    # no violation before the stall: its error, from both scans
+    outcomes = list(_assert_scan_matches_reference(planar, SPECK, 10000, 5, 17))
+    assert [o[0] for o in outcomes] == [RuntimeError, RuntimeError]
+    # a violation in a chunk drawn before the stall wins over it
+    for chunks in ({4}, {3}, {1}):
+        f, spikes = _spiked(SPECK, 10000, 17, chunks)
+        for w in _assert_scan_matches_reference(f, SPECK, 10000, 5, 17):
+            assert _segment_point(w) in spikes
 
 
 def test_fn_oracle_eval_many_defaults_to_a_row_loop():

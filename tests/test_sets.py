@@ -732,3 +732,35 @@ def test_dilation_level_many_errors_match_scalar():
     assert str(batch.value) == str(scalar.value)
     lenient = dilation_level_many(box, x, y, t, strict=False)
     assert lenient[0] == dilation_level(box, Point3(1.5, 1.5, 1.5)) and math.isnan(lenient[1])
+
+
+@pytest.mark.parametrize("scaling", ["heisenberg", "euclidean"])
+def test_dilation_level_many_masked_bisection_matches_scalar(scaling):
+    # 5000 points at levels from about 1e-6 to 1e3.  Under `capped` the
+    # levels below about 0.4 stop within 12 steps, so the buffers are
+    # compacted, and the others stop at the cap; FINE_TOL caps every point
+    base = gallery("koranyi_ball")
+    sizes = []
+
+    def kernel(x, y, t):
+        sizes.append(x.size)
+        return base.contains_many(x, y, t)
+
+    K = SetOracle(base.contains, base.bbox, "recorded", kernel=kernel)
+    rng = np.random.default_rng(11)
+    s = 10.0 ** rng.uniform(-6.0, 3.0, 5000)
+    pts = rng.normal(size=(5000, 3)) * np.stack([s, s, s * s if scaling == "heisenberg" else s], axis=1)
+    capped = Tolerances(eps_geom=1e-4, eps_eq=1e-4, max_iter=12)
+    for tol in (Tolerances(), capped, FINE_TOL):
+        _assert_levels_match(K, pts, tol, scaling)
+    sizes.clear()
+    dilation_level_many(K, *pts.T, capped, scaling)
+    calls = len(sizes)
+    dilation_level_many(K, *pts.T, Tolerances(eps_geom=1e-4, eps_eq=1e-4, max_iter=13), scaling)
+    # the cap binds: one more step allowed is one more call
+    assert len(sizes) == 2 * calls + 1
+    # the 12 bisection calls start on every point and end on fewer than half
+    steps = sizes[calls - 12 : calls]
+    assert steps[0] == 5000 and steps[-1] < 2500 and steps == sorted(steps, reverse=True)
+    # a kernel-less oracle evaluates the masked rows through its row loop
+    _assert_levels_match(SetOracle(base.contains, base.bbox, "bare"), pts[:1000], Tolerances(), scaling)
