@@ -595,7 +595,7 @@ def envelope_check(
         raise ValueError("anchor needs nonzero vertical part and nonzero radius")
 
     fine = Tolerances(eps_geom=tol.eps_eq, eps_eq=tol.eps_eq, max_iter=tol.max_iter)
-    # envelope_phi and envelope_psi on arrays; r ** 4 stays in Python floats
+    # envelope_phi and envelope_psi on arrays; r ** 4 in Python floats (np.power rounds some differently)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     k = np.arange(n)
     r = r0 / math.sqrt(2.0) + (r0 - r0 / math.sqrt(2.0)) * k / (n - 1)
