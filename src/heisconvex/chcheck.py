@@ -25,8 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    ARRAYS,
     DEFAULT_TOL,
+    FLOATS,
     HVec,
+    Kit,
     Point3,
     Tolerances,
     dilate,
@@ -200,12 +203,13 @@ def curve_point(x0, y0, t0, a, b, tau, theta):
 
     dilate(1/tau_theta, xi0 o exp_h(theta v)) with tau_theta = (1 - theta)
     + theta tau, in plain arithmetic: the arguments may be floats or
-    arrays that broadcast, with the same rounding either way.
+    arrays that broadcast, with the same rounding either way, or
+    Fractions, which stay exact.
     """
-    lam = 1.0 / ((1.0 - theta) + theta * tau)
+    lam = 1 / ((1 - theta) + theta * tau)
     a = theta * a
     b = theta * b
-    return lam * (x0 + a), lam * (y0 + b), lam * lam * (t0 + 2.0 * (a * y0 - x0 * b))
+    return lam * (x0 + a), lam * (y0 + b), lam * lam * (t0 + 2 * (a * y0 - x0 * b))
 
 
 def ch_curve(
@@ -505,19 +509,17 @@ def radial_necessary(
     thm_i_witness = None
     caps_checked = 0
     if r_flat > 0.0:
-        # the fourth powers and roots stay Python floats: numpy's pow may
-        # round them differently
-        r4_flat = r_flat ** 4
+        # the gauge sphere through (r_flat, 0) is envelope_psi at t0 = 0
         half = n // 2
-        r_arc = [r_flat * math.sqrt(k / max(1, half - 1)) if half > 1 else 0.0 for k in range(half)]
-        t_arc = [math.sqrt(max(r4_flat - r ** 4, 0.0)) for r in r_arc]
+        r_arc = r_flat * np.sqrt(np.arange(half) / max(1, half - 1))
+        t_arc = envelope_psi(r_arc, r_flat, 0.0, ARRAYS)
         # the boundary arc at t and -t, then n - half seeded caps from pairs
         # of doubles d: uniform(lo, hi) is lo + (hi - lo) * d on the same d
-        d = rng.random(2 * (n - half)).tolist()
-        r_cap = [r_flat * u ** 0.25 for u in d[0::2]]
-        t_cap = [math.sqrt(max(r4_flat - r ** 4, 0.0)) for r in r_cap]
-        r = np.array([v for v in r_arc for _ in (0, 1)] + r_cap)
-        t = np.array([v for h in t_arc for v in (h, -h)] + [-c + (c + c) * e for c, e in zip(t_cap, d[1::2])])
+        d = rng.random(2 * (n - half))
+        r_cap = r_flat * ARRAYS.pow(d[0::2], 0.25)
+        t_cap = envelope_psi(r_cap, r_flat, 0.0, ARRAYS)
+        r = np.concatenate([np.repeat(r_arc, 2), r_cap])
+        t = np.concatenate([np.stack([t_arc, -t_arc], axis=1).ravel(), -t_cap + (t_cap + t_cap) * d[1::2]])
         x, t = r * shrink, t * shrink * shrink
         failed = np.flatnonzero(~P.contains2d_many(x, t))
         caps_checked = len(x)
@@ -557,15 +559,16 @@ def radial_necessary(
 # envelopes
 
 
-def envelope_phi(r: float, r0: float, t0: float) -> float:
-    """Height profile of the revolution solid anchored at (r0, t0)."""
-    mag = 0.5 * (abs(t0) + math.sqrt(t0 * t0 + 4.0 * r0 * r0 * r * r - 4.0 * r ** 4))
-    return math.copysign(mag, t0)
+def envelope_phi(r: float, r0: float, t0: float, k: Kit = FLOATS) -> float:
+    """Height profile of the revolution solid anchored at (r0, t0); r may
+    be an array with k=ARRAYS."""
+    mag = 0.5 * (abs(t0) + k.sqrt(t0 * t0 + 4.0 * r0 * r0 * r * r - 4.0 * k.pow(r, 4)))
+    return k.copysign(mag, t0)
 
 
-def envelope_psi(r: float, r0: float, t0: float) -> float:
+def envelope_psi(r: float, r0: float, t0: float, k: Kit = FLOATS) -> float:
     """Gauge-sphere cap profile through (r0, t0): r^4 + psi^2 is constant."""
-    return math.sqrt(max(r0 ** 4 + t0 * t0 - r ** 4, 0.0))
+    return k.sqrt(k.max(k.pow(r0, 4) + t0 * t0 - k.pow(r, 4), 0.0))
 
 
 def envelope_check(
@@ -595,21 +598,17 @@ def envelope_check(
         raise ValueError("anchor needs nonzero vertical part and nonzero radius")
 
     fine = Tolerances(eps_geom=tol.eps_eq, eps_eq=tol.eps_eq, max_iter=tol.max_iter)
-    # envelope_phi and envelope_psi on arrays; r ** 4 in Python floats (np.power rounds some differently)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     k = np.arange(n)
     r = r0 / math.sqrt(2.0) + (r0 - r0 / math.sqrt(2.0)) * k / (n - 1)
     rho = r * ((k % 3) + 1) / 3.0
-    r4 = np.array([v ** 4 for v in r.tolist()])
-    phi = np.copysign(0.5 * (abs(t0) + np.sqrt(t0 * t0 + 4.0 * r0 * r0 * r * r - 4.0 * r4)), t0)
-    solid = (rho * np.cos(k * golden), rho * np.sin(k * golden), phi)
+    solid = (rho * np.cos(k * golden), rho * np.sin(k * golden), envelope_phi(r, r0, t0, ARRAYS))
     phi_res = abs(envelope_phi(r0, r0, t0) - t0)
 
     sgn = math.copysign(1.0, t0)
     r = r0 * k / (n - 1)
-    r4 = np.array([v ** 4 for v in r.tolist()])
-    psi = np.sqrt(np.maximum(r0 ** 4 + t0 * t0 - r4, 0.0))
-    cap_res = float(np.abs(r4 + psi * psi - (r0 ** 4 + t0 * t0)).max())
+    psi = envelope_psi(r, r0, t0, ARRAYS)
+    cap_res = float(np.abs(ARRAYS.pow(r, 4) + psi * psi - (r0 ** 4 + t0 * t0)).max())
     # two cap points per radius: at height sgn psi, then halfway to t0
     ang = k * golden + 1.0
     heights = np.stack([sgn * psi, 0.5 * (t0 + sgn * psi)], axis=1).ravel()

@@ -75,9 +75,10 @@ def parse_descriptor(descriptor: str) -> tuple[str, dict]:
         text = path.read_text().strip()
     if text.startswith("{"):
         obj = json.loads(text)
-        if not isinstance(obj, dict) or "set" not in obj:
+        params = obj.get("params") or {} if isinstance(obj, dict) else None
+        if not (isinstance(params, dict) and "set" in obj):
             raise ValueError('set descriptor JSON must look like {"set": name, "params": {...}}')
-        return str(obj["set"]), dict(obj.get("params") or {})
+        return str(obj["set"]), dict(params)
     return text, {}
 
 
@@ -359,7 +360,7 @@ def _anchor_points(K: SetOracle, count: int = 3) -> list[Point3]:
 
 def _cmd_radial(cfg: RunConfig) -> int:
     K = _resolve_set(cfg)
-    if not K.is_radial or K.profile is None:
+    if K.profile is None:
         raise ValueError(f"{K.label} is not radial: the necessary conditions do not apply")
     rep = radial_necessary(K.profile, cfg.samples, cfg.seed, cfg.tolerances)
     n_env = max(64, cfg.samples // 8)
@@ -401,7 +402,7 @@ def _cmd_gallery(cfg: RunConfig) -> int:
         elif w is None and expect.ch_witness:
             inconclusive.append(f"ch: no witness in {cfg.budget} pairs")
 
-        if K.is_radial and K.profile is not None:
+        if K.profile is not None:
             rad = radial_necessary(K.profile, cfg.samples, cfg.seed, cfg.tolerances)
             block["radial"] = [rad.thm_i_ok, rad.thm_ii_ok]
             block["radial_witness"] = rad.thm_ii_witness or rad.thm_i_witness
@@ -436,7 +437,6 @@ def _cmd_gallery(cfg: RunConfig) -> int:
 
 
 def _cmd_export(cfg: RunConfig) -> int:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if cfg.export_kind == "mesh":
         K = _resolve_set(cfg)
         out = cfg.output_dir / f"levelset_{_slug(K.label)}_tau{cfg.tau:g}.obj"
@@ -447,16 +447,15 @@ def _cmd_export(cfg: RunConfig) -> int:
         if not cfg.curve_json:
             raise ValueError("export --kind curve requires --curve-json")
         obj = json.loads(Path(cfg.curve_json).read_text())
-        if "ch" in obj and obj["ch"].get("witness"):
-            spec = obj["ch"]["witness"]
-        elif "witness" in obj and obj["witness"]:
-            spec = obj["witness"]
-        else:
-            spec = obj
-        xi0 = Point3(*spec["xi0"])
-        v = HVec(*spec["v"])
-        tau = float(spec["tau"])
-        m = int(spec.get("m", 101))
+        try:
+            # the witness of a ch report, a bare witness, or the spec itself
+            spec = (obj.get("ch") or {}).get("witness") or obj.get("witness") or obj
+            xi0 = Point3(*map(float, spec["xi0"]))
+            v = HVec(*map(float, spec["v"]))
+            tau = float(spec["tau"])
+            m = int(spec.get("m", 101))
+        except (KeyError, TypeError, AttributeError):
+            raise ValueError("curve spec needs xi0 [x, y, t], v [a, b] and tau") from None
         out = cfg.output_dir / "curve.csv"
         export_curve(ch_curve(xi0, v, tau, m, cfg.tolerances), out)
         print(f"export curve: tau={tau:g}, {m} samples -> {out}")

@@ -9,16 +9,18 @@ dilations delta_lam(x, y, t) = (lam*x, lam*y, lam^2*t) are group
 homomorphisms.  Horizontal vectors v = (a, b) exponentiate onto the plane
 t = 0; left translating gives the horizontal plane of a point, the set it
 can reach in one horizontal step.  On top of that this module provides the
-homogeneous norms and the shared numeric tolerances.
-
-Everything here is pure scalar arithmetic on small tuples; no state.
+homogeneous norms, the shared numeric tolerances and the number kits FLOATS
+and ARRAYS, from which one formula takes sqrt, sin, pow and the rest for a
+point and for coordinate arrays alike, with the same rounding.  No state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class Point3(NamedTuple):
@@ -66,9 +68,32 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+class Kit(NamedTuple):
+    """The functions a formula takes beyond arithmetic, comparisons and abs."""
+
+    sqrt: Callable
+    sin: Callable
+    copysign: Callable
+    hypot: Callable
+    pow: Callable
+    max: Callable
+    min: Callable
+
+
+def _per_element(f: Callable) -> Callable:
+    # f of two floats, applied per element as a float array: np.power and
+    # np.hypot round some values differently from math (numpy 2.4.6, x86-64)
+    ufunc = np.frompyfunc(f, 2, 1)
+    return lambda a, b: np.asarray(ufunc(a, b), dtype=float)
+
+
+FLOATS = Kit(math.sqrt, math.sin, math.copysign, math.hypot, math.pow, max, min)
+ARRAYS = Kit(np.sqrt, np.sin, np.copysign, _per_element(math.hypot), _per_element(math.pow), np.maximum, np.minimum)
+
+
 def group_mul(p: Point3, q: Point3) -> Point3:
     """Group product p o q."""
-    return Point3(p.x + q.x, p.y + q.y, p.t + q.t + 2.0 * (q.x * p.y - p.x * q.y))
+    return Point3(p.x + q.x, p.y + q.y, p.t + q.t + 2 * (q.x * p.y - p.x * q.y))
 
 
 def group_inv(p: Point3) -> Point3:
@@ -93,21 +118,21 @@ def dilate(lam: float, p: Point3) -> Point3:
 
 def exp_h(v: HVec) -> Point3:
     """Exponential of a horizontal vector: (a, b) -> (a, b, 0)."""
-    return Point3(v.a, v.b, 0.0)
+    return Point3(v.a, v.b, 0)
 
 
-def norm(p: Point3, kind: str = "koranyi") -> float:
+def norm(p: Point3, kind: str = "koranyi", k: Kit = FLOATS) -> float:
     """A norm of p: "koranyi", "quasi", or "euclidean".
 
     koranyi: ((x^2+y^2)^2 + t^2)^(1/4); quasi: max(|(x,y)|_E, |t|^(1/2));
     euclidean: |(x,y,t)|_E.  The first two are homogeneous of degree one
-    under dilations.
+    under dilations.  With k=ARRAYS, p holds coordinate arrays.
     """
     if kind == "koranyi":
         rho2 = p.x * p.x + p.y * p.y
-        return (rho2 * rho2 + p.t * p.t) ** 0.25
+        return k.pow(rho2 * rho2 + p.t * p.t, 0.25)
     if kind == "quasi":
-        return max(math.hypot(p.x, p.y), math.sqrt(abs(p.t)))
+        return k.max(k.hypot(p.x, p.y), k.sqrt(abs(p.t)))
     if kind == "euclidean":
-        return math.sqrt(p.x * p.x + p.y * p.y + p.t * p.t)
+        return k.sqrt(p.x * p.x + p.y * p.y + p.t * p.t)
     raise ValueError(f"unknown norm kind {kind!r}")

@@ -23,8 +23,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
+    ARRAYS,
     DEFAULT_TOL,
+    FLOATS,
     HVec,
+    Kit,
     ORIGIN,
     Point3,
     Tolerances,
@@ -34,22 +37,28 @@ from .core import (
 
 Bbox = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-Formula = Callable[[Point3], bool]
+Formula = Callable[[Point3, Kit], bool]
 
 
 @dataclass
 class RadialProfile:
     """A rotation-invariant set described in the (r, t) half-plane.
 
+    inside(r, t, k) is its one membership formula over the kit k, so
     contains2d_many is contains2d on arrays of one shape, element for
     element: radial_to_oracle turns it into the oracle's array kernel, and
     chcheck.radial_necessary scans and bisects all its heights through it.
     """
 
-    contains2d: Callable[[float, float], bool]
+    inside: Callable[[float, float, Kit], bool]
     r_max: float
     t_range: tuple[float, float]
-    contains2d_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def contains2d(self, r: float, t: float) -> bool:
+        return self.inside(r, t, FLOATS)
+
+    def contains2d_many(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return self.inside(r, t, ARRAYS)
 
 
 @dataclass
@@ -58,7 +67,8 @@ class SetOracle:
 
     The bounding box is the compactness proxy: for compact oracles the
     predicate is false outside it.  Non-compact sets (the slab) keep a
-    truncated box for sampling and are flagged is_compact=False.
+    truncated box for sampling and are flagged is_compact=False.  A set is
+    radial exactly when it carries a profile.
 
     contains_many(x, y, t) is the vectorized predicate: it takes coordinate
     arrays of one shape and returns a bool array of that shape, equal to
@@ -73,11 +83,14 @@ class SetOracle:
     contains: Callable[[Point3], bool]
     bbox: Bbox
     label: str
-    is_radial: bool = False
     is_compact: bool = True
     profile: Optional[RadialProfile] = None
-    closed_form_cone: Optional[Callable[[Point3], float]] = None
+    closed_form_cone: Optional[Callable[[Point3, Kit], float]] = None
     kernel: Optional[Kernel] = None
+
+    @property
+    def is_radial(self) -> bool:
+        return self.profile is not None
 
     def contains_many(self, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
         if self.kernel is not None:
@@ -137,37 +150,28 @@ def bbox_scale(bbox: Bbox) -> float:
     return max(abs(v) for pair in bbox for v in pair)
 
 
-def _slice_profile(contains: Formula, kernel: Kernel, r_max: float, t_range: tuple[float, float]) -> RadialProfile:
-    """The profile of a rotation-invariant oracle: its own membership test
-    (contains, and kernel on arrays) on the half-plane y = 0."""
-    return RadialProfile(
-        contains2d=lambda r, t: contains(Point3(r, 0.0, t)),
-        r_max=r_max,
-        t_range=t_range,
-        contains2d_many=lambda r, t: kernel(r, np.zeros_like(r), t),
-    )
-
-
 def _formula_oracle(
     inside: Formula, bbox: Bbox, label: str, radial: Optional[tuple[float, tuple[float, float]]] = None, **meta
 ) -> SetOracle:
-    """An oracle whose membership is one formula in p.x, p.y, p.t.
+    """An oracle whose membership is one formula inside(p, k=FLOATS).
 
-    The formula uses only arithmetic, comparisons, & and abs, so the same
-    function tests a Point3 of floats (contains) and a Point3 of arrays
-    (contains_many) with identical rounding.  A radial set passes
-    (r_max, t_range) as radial and gets the formula at y = 0 as its profile.
+    The formula uses only arithmetic, comparisons, & and abs, plus what it
+    takes from the kit k, so the same function tests a Point3 of floats
+    (contains) and, with k=ARRAYS, a Point3 of arrays (contains_many) with
+    identical rounding.  A radial set passes (r_max, t_range) as radial and
+    gets the formula at y = 0 as its profile.
     """
-    kernel = lambda x, y, t: inside(Point3(x, y, t))
-    profile = None if radial is None else _slice_profile(inside, kernel, *radial)
-    return SetOracle(inside, bbox, label, is_radial=radial is not None, profile=profile, kernel=kernel, **meta)
+    kernel = lambda x, y, t: inside(Point3(x, y, t), ARRAYS)
+    if radial is not None:
+        meta["profile"] = RadialProfile(lambda r, t, k: inside(Point3(r, 0.0, t), k), *radial)
+    return SetOracle(inside, bbox, label, kernel=kernel, **meta)
 
 
 def box_oracle(bbox: Bbox, label: str = "box") -> SetOracle:
     """Axis-aligned box as an oracle; handy as a sampling domain."""
     (xlo, xhi), (ylo, yhi), (tlo, thi) = bbox
 
-    def inside(p: Point3) -> bool:
+    def inside(p: Point3, k: Kit = FLOATS) -> bool:
         return (xlo <= p.x) & (p.x <= xhi) & (ylo <= p.y) & (p.y <= yhi) & (tlo <= p.t) & (p.t <= thi)
 
     return _formula_oracle(inside, bbox, label)
@@ -189,7 +193,7 @@ def _koranyi_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
     eps = tol.eps_geom
     bound = (r + eps) ** 4
 
-    def inside(p: Point3) -> bool:
+    def inside(p: Point3, k: Kit = FLOATS) -> bool:
         # |p|_K <= r + eps, both sides raised to the fourth power
         rho2 = p.x * p.x + p.y * p.y
         return rho2 * rho2 + p.t * p.t <= bound
@@ -199,22 +203,22 @@ def _koranyi_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
         _sym_bbox(r, r, r * r),
         f"koranyi_ball(r={r:g})",
         radial=(r, (-r * r, r * r)),
-        closed_form_cone=lambda p: norm(p, "koranyi") / r,
+        closed_form_cone=lambda p, k=FLOATS: norm(p, "koranyi", k) / r,
     )
 
 
-def _euclidean_cone_value(p: Point3, radius: float) -> float:
+def _euclidean_cone_value(p: Point3, radius: float, k: Kit = FLOATS) -> float:
     # smallest tau with dilate(1/tau, p) in the Euclidean ball of this radius
     rho2 = p.x * p.x + p.y * p.y
-    inner = math.sqrt(rho2 * rho2 + 4.0 * radius * radius * p.t * p.t)
-    return math.sqrt((rho2 + inner) / (2.0 * radius * radius))
+    inner = k.sqrt(rho2 * rho2 + 4.0 * radius * radius * p.t * p.t)
+    return k.sqrt((rho2 + inner) / (2.0 * radius * radius))
 
 
 def _euclidean_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
     eps = tol.eps_geom
     bound = (r + eps) ** 2
 
-    def inside(p: Point3) -> bool:
+    def inside(p: Point3, k: Kit = FLOATS) -> bool:
         return p.x * p.x + p.y * p.y + p.t * p.t <= bound
 
     return _formula_oracle(
@@ -222,7 +226,7 @@ def _euclidean_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
         _sym_bbox(r, r, r),
         f"euclidean_ball(r={r:g})",
         radial=(r, (-r, r)),
-        closed_form_cone=lambda p: _euclidean_cone_value(p, r),
+        closed_form_cone=lambda p, k=FLOATS: _euclidean_cone_value(p, r, k),
     )
 
 
@@ -231,7 +235,7 @@ def _cylinder(tol: Tolerances) -> SetOracle:
     bound = (1.0 + eps) ** 2
     height = 1.0 + eps
 
-    def inside(p: Point3) -> bool:
+    def inside(p: Point3, k: Kit = FLOATS) -> bool:
         return (p.x * p.x + p.y * p.y <= bound) & (abs(p.t) <= height)
 
     return _formula_oracle(inside, _sym_bbox(1.0, 1.0, 1.0), "cylinder", radial=(1.0, (-1.0, 1.0)))
@@ -244,10 +248,10 @@ def _cylinder_hat(tol: Tolerances) -> SetOracle:
     radial_bound = (1.0 + eps) ** 2
     gauge_bound = (2.0 * (1.0 + eps)) ** 4
 
-    def cone_value(p: Point3) -> float:
-        return max(math.hypot(p.x, p.y), 0.5 * norm(p, "koranyi"))
+    def cone_value(p: Point3, k: Kit = FLOATS) -> float:
+        return k.max(k.hypot(p.x, p.y), 0.5 * norm(p, "koranyi", k))
 
-    def inside(p: Point3) -> bool:
+    def inside(p: Point3, k: Kit = FLOATS) -> bool:
         # cone_value <= 1 + eps, each branch of the max squared out
         rho2 = p.x * p.x + p.y * p.y
         return (rho2 <= radial_bound) & (rho2 * rho2 + p.t * p.t <= gauge_bound)
@@ -279,30 +283,22 @@ def _importante(tol: Tolerances) -> SetOracle:
     sine_bound = (1.0 + eps + 2.0 ** 0.25) ** 4
     gauge_bound = ((1.0 + eps) * IMPORTANTE_ANCHOR_NORM) ** 4
 
-    def inside(p: Point3, sin_t) -> bool:
+    def inside(p: Point3, k: Kit = FLOATS) -> bool:
         # max(f1, |p|_K / IMPORTANTE_ANCHOR_NORM) <= 1 + eps, each branch
-        # raised to the fourth power; sin(t) comes from math or numpy by caller
+        # raised to the fourth power
         rho2 = p.x * p.x + p.y * p.y
         quartic = rho2 * rho2
-        return (quartic + 2.0 + 0.5 * sin_t <= sine_bound) & (quartic + p.t * p.t <= gauge_bound)
+        return (quartic + 2.0 + 0.5 * k.sin(p.t) <= sine_bound) & (quartic + p.t * p.t <= gauge_bound)
 
     half_t = IMPORTANTE_ANCHOR_NORM * IMPORTANTE_ANCHOR_NORM
-    contains = lambda p: inside(p, math.sin(p.t))
-    kernel = lambda x, y, t: inside(Point3(x, y, t), np.sin(t))
-    return SetOracle(
-        contains,
-        _sym_bbox(IMPORTANTE_ANCHOR_NORM, IMPORTANTE_ANCHOR_NORM, half_t),
-        "importante",
-        is_radial=True,
-        profile=_slice_profile(contains, kernel, IMPORTANTE_R_MAX, (-half_t, half_t)),
-        kernel=kernel,
-    )
+    bbox = _sym_bbox(IMPORTANTE_ANCHOR_NORM, IMPORTANTE_ANCHOR_NORM, half_t)
+    return _formula_oracle(inside, bbox, "importante", radial=(IMPORTANTE_R_MAX, (-half_t, half_t)))
 
 
 def _slab_x(tol: Tolerances) -> SetOracle:
     half_width = 1.0 + tol.eps_geom
 
-    def inside(p: Point3) -> bool:
+    def inside(p: Point3, k: Kit = FLOATS) -> bool:
         return abs(p.x) <= half_width
 
     return _formula_oracle(inside, _sym_bbox(1.0, 4.0, 4.0), "slab_x", is_compact=False)
@@ -312,19 +308,11 @@ def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _clip01(s: float) -> float:
-    return max(0.0, min(1.0, s))
-
-
-def _clip01_many(s: np.ndarray) -> np.ndarray:
-    return np.clip(s, 0.0, 1.0)
-
-
 def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAULT_TOL) -> RadialProfile:
     """Closed polygon in the (r, t) half-plane, even-odd membership.
 
     Points within eps_geom of an edge count as inside (closed set).  The
-    profile carries contains2d_many, the same test on arrays.
+    one formula tests floats and, through contains2d_many, arrays.
 
     Raises:
         ValueError: vertices not a list of [r, t] pairs of finite numbers,
@@ -345,15 +333,14 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
     eps2 = tol.eps_geom * tol.eps_geom
     edges = [(ax, ay, bx, by) for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]
 
-    def member(r, t, clip01):
-        # within eps of an edge, or inside by the even-odd crossing rule;
-        # clip01 is the only step that differs between floats and arrays
+    def member(r, t, k: Kit):
+        # within eps of an edge, or inside by the even-odd crossing rule
         near = inside = False
         for ax, ay, bx, by in edges:
             vx, vy = bx - ax, by - ay
             wx, wy = r - ax, t - ay
             vv = vx * vx + vy * vy
-            s = 0.0 if vv == 0.0 else clip01((wx * vx + wy * vy) / vv)
+            s = 0.0 if vv == 0.0 else k.max(0.0, k.min(1.0, (wx * vx + wy * vy) / vv))
             dx, dy = wx - s * vx, wy - s * vy
             near = near | (dx * dx + dy * dy <= eps2)
             if ay != by:
@@ -361,30 +348,18 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
                 inside = inside ^ (crosses & (ax + (t - ay) * vx / vy > r))
         return near | inside
 
-    return RadialProfile(
-        contains2d=lambda r, t: member(r, t, _clip01),
-        r_max=r_max,
-        t_range=(t_lo, t_hi),
-        contains2d_many=lambda r, t: member(r, t, _clip01_many),
-    )
+    return RadialProfile(member, r_max, (t_lo, t_hi))
 
 
 def radial_to_oracle(P: RadialProfile, label: str = "radial", tol: Tolerances = DEFAULT_TOL) -> SetOracle:
-    """Rotate a profile around the t-axis into a full membership oracle,
-    whose array kernel is the profile's contains2d_many."""
+    """Rotate a profile around the t-axis into a full membership oracle:
+    the profile's formula at r = |(x, y)|_E."""
 
-    def inside(p: Point3) -> bool:
-        return P.contains2d(math.sqrt(p.x * p.x + p.y * p.y), p.t)
+    def inside(p: Point3, k: Kit = FLOATS) -> bool:
+        return P.inside(k.sqrt(p.x * p.x + p.y * p.y), p.t, k)
 
     ht = max(abs(P.t_range[0]), abs(P.t_range[1]))
-    return SetOracle(
-        inside,
-        _sym_bbox(P.r_max, P.r_max, ht),
-        label,
-        is_radial=True,
-        profile=P,
-        kernel=lambda x, y, t: P.contains2d_many(np.sqrt(x * x + y * y), t),
-    )
+    return _formula_oracle(inside, _sym_bbox(P.r_max, P.r_max, ht), label, profile=P)
 
 
 def _radial_custom(tol: Tolerances, vertices: Optional[Sequence[Sequence[float]]] = None) -> SetOracle:
@@ -762,8 +737,6 @@ def boundary_sample(
         keep = length >= 1e-12
         dirs = np.concatenate([dirs, d[keep] / length[keep, None]])
     ux, uy, ut = dirs.T
-    rho2 = ux * ux + uy * uy
-    scale = np.maximum(1.0, (rho2 * rho2 + ut * ut) ** 0.25)
     lo, hi = np.zeros(n), np.ones(n)
     rays = np.arange(n)
     steps = 0
@@ -778,7 +751,7 @@ def boundary_sample(
         if steps > 60:
             raise RuntimeError(f"ray from e never exits {K.label}: non-compact input?")
     for _ in range(tol.max_iter):
-        rays = np.flatnonzero((hi - lo) * scale > tol.eps_geom)
+        rays = np.flatnonzero(hi - lo > tol.eps_geom)
         if rays.size == 0:
             break
         mid = 0.5 * (lo[rays] + hi[rays])
@@ -811,7 +784,7 @@ def _horizontal_step(x0, y0, t0, a, b) -> Point3:
     The arguments may be floats or arrays that broadcast, with the same
     rounding either way.
     """
-    return Point3(x0 + a, y0 + b, (t0 + 0.0) + 2.0 * (a * y0 - x0 * b))
+    return Point3(x0 + a, y0 + b, (t0 + 0) + 2 * (a * y0 - x0 * b))
 
 
 # candidate probes drawn per chunk of the horizontal probe stream
@@ -957,16 +930,19 @@ def dilate_oracle(K: SetOracle, alpha: float) -> SetOracle:
     profile = None
     if K.profile is not None:
         inner = K.profile
-        profile = _slice_profile(contains, kernel, inner.r_max * alpha, (inner.t_range[0] * a2, inner.t_range[1] * a2))
+        profile = RadialProfile(
+            lambda r, t, k: inner.inside(lam * r, lam * lam * t, k),
+            inner.r_max * alpha,
+            (inner.t_range[0] * a2, inner.t_range[1] * a2),
+        )
     cone = None
     if K.closed_form_cone is not None:
         inner_cone = K.closed_form_cone
-        cone = lambda p: inner_cone(p) / alpha
+        cone = lambda p, k=FLOATS: inner_cone(p, k) / alpha
     return SetOracle(
         contains=contains,
         bbox=((alpha * xlo, alpha * xhi), (alpha * ylo, alpha * yhi), (a2 * tlo, a2 * thi)),
         label=f"dilate({alpha:g}, {K.label})",
-        is_radial=K.is_radial,
         is_compact=K.is_compact,
         profile=profile,
         closed_form_cone=cone,

@@ -465,7 +465,7 @@ def test_export_levelset_writes_in_blocks(tmp_path, monkeypatch):
     assert whole.count(b"\n") > 100 * 7
 
 
-def test_bad_params_exit_1(tmp_path, capsys):
+def test_bad_params_exit_1(tmp_path, tmp_path_factory, capsys):
     out = ["--samples", "50", "--out", str(tmp_path)]
     for params in ('{"radius": 3}', '{"r": NaN}', '{"r": -1}', '{"r": Infinity}', '{"r": 0}', '{"r": 1e300}'):
         assert main(["axioms", "--set", "koranyi_ball", "--params", params] + out) == 1
@@ -480,6 +480,16 @@ def test_bad_params_exit_1(tmp_path, capsys):
     for vertices in ("5", '[[0, 0], [1, 0], [1, "a"]]'):
         assert main(["axioms", "--set", "radial_custom", "--params", f'{{"vertices": {vertices}}}'] + out) == 1
         assert "heisconvex: error: polygon profile vertices must be [r, t] pairs" in capsys.readouterr().err
+    # params that are not a JSON object, inside an inline descriptor
+    for params in ("[1]", '"ab"'):
+        assert main(["axioms", "--set", f'{{"set": "koranyi_ball", "params": {params}}}'] + out) == 1
+        assert 'heisconvex: error: set descriptor JSON must look like {"set"' in capsys.readouterr().err
+    # curve specs without xi0, with a two-element xi0, and not an object
+    specs = tmp_path_factory.mktemp("specs")
+    for i, spec in enumerate(({}, {"xi0": [0.1, 0.2], "v": [0.3, 0.4], "tau": 1.5}, [1, 2], {"ch": 3})):
+        (specs / f"{i}.json").write_text(json.dumps(spec))
+        assert main(["export", "--kind", "curve", "--curve-json", str(specs / f"{i}.json")] + out) == 1
+        assert "heisconvex: error: curve spec needs xi0 [x, y, t], v [a, b] and tau" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from heisconvex import (
     escapes,
     exp_h,
     gallery,
+    group_inv,
     group_mul,
     norm,
     sample_in_set,
 )
+from heisconvex.chcheck import curve_point
 from heisconvex.sets import (
     GALLERY_NAMES,
     IMPORTANTE_R_FLAT,
@@ -37,6 +40,7 @@ from heisconvex.sets import (
     dilation_level_many,
     check_axioms_ab,
     escapes_many,
+    _horizontal_step,
     interior_thetas,
     polygon_profile,
     radial_to_oracle,
@@ -426,6 +430,79 @@ def test_box_oracle():
     B = box_oracle(((-1.0, 1.0), (-2.0, 2.0), (-3.0, 3.0)), "b")
     assert B.contains(Point3(0.9, -1.9, 2.9))
     assert not B.contains(Point3(1.1, 0.0, 0.0))
+
+
+def _exact_crossing_cases():
+    """(oracle, hand-written rational membership, lines) per formula set: each line is
+    (point of s, lo, hi) with the rational test changing between s = lo and hi."""
+    eps = Tolerances().eps_geom
+    ball4, ball2 = Fraction((1.0 + eps) ** 4), Fraction((1.0 + eps) ** 2)
+    hat4, unit = Fraction((2.0 * (1.0 + eps)) ** 4), Fraction(1.0 + eps)
+
+    def rho2(p):
+        return p.x * p.x + p.y * p.y
+
+    box = ((-1.0, 1.0), (-2.0, 2.0), (-3.0, 3.0))
+    return [
+        (
+            gallery("koranyi_ball"),
+            lambda p: rho2(p) ** 2 + p.t ** 2 <= ball4,
+            [(lambda s: (0.6, 0.0, s), 0.0, 1.5), (lambda s: (s, 0.3, 0.5), 0.0, 1.5)],
+        ),
+        (
+            gallery("euclidean_ball"),
+            lambda p: rho2(p) + p.t ** 2 <= ball2,
+            [(lambda s: (0.6, 0.1, s), 0.0, 1.5), (lambda s: (s, -0.3, 0.5), 0.0, 1.5)],
+        ),
+        (
+            gallery("cylinder"),
+            lambda p: rho2(p) <= ball2 and abs(p.t) <= unit,
+            [(lambda s: (s, 0.2, 0.5), 0.0, 1.5), (lambda s: (0.3, 0.1, s), 0.0, -1.5)],
+        ),
+        (
+            gallery("cylinder_hat"),
+            lambda p: rho2(p) <= ball2 and rho2(p) ** 2 + p.t ** 2 <= hat4,
+            [(lambda s: (s, 0.0, 1.0), 0.0, 1.5), (lambda s: (0.5, 0.2, s), 0.0, 4.5)],
+        ),
+        (
+            gallery("slab_x"),
+            lambda p: abs(p.x) <= unit,
+            [(lambda s: (s, 1.0, 2.0), 0.0, 2.0), (lambda s: (s, -3.0, 0.5), 0.0, -2.0)],
+        ),
+        (
+            box_oracle(box),
+            lambda p: all(Fraction(lo) <= c <= Fraction(hi) for c, (lo, hi) in zip(p, box)),
+            [(lambda s: (s, 0.5, 0.5), 0.0, 1.5), (lambda s: (0.1, 0.2, s), 0.0, -3.5)],
+        ),
+    ]
+
+
+def test_formulas_are_exact_on_fractions():
+    # the squared-out formulas use only arithmetic, comparisons, & and abs,
+    # so Fraction points are tested exactly: at the exact boundary crossing
+    # of each line and one ulp either side, contains is the rational test
+    for K, exact, lines in _exact_crossing_cases():
+        for point, lo, hi in lines:
+            def at(s, point=point):
+                return Point3(*map(Fraction, point(s)))
+
+            crossing = _crossing(lambda s: exact(at(s)), lo, hi)
+            outcomes = [exact(at(s)) for s in _ulps(crossing, 1)]
+            assert [K.contains(at(s)) for s in _ulps(crossing, 1)] == outcomes, K.label
+            assert set(outcomes) == {True, False}
+    # the group law and the curve formula return Fractions, exactly
+    p, q, r = (Point3(*map(Fraction, c)) for c in ((0.3, -0.7, 1.1), (1 / 3, 0.2, -0.9), (-2.5, 0.1, 0.4)))
+    pq = group_mul(p, q)
+    assert all(isinstance(c, Fraction) for c in pq)
+    assert pq == Point3(p.x + q.x, p.y + q.y, p.t + q.t + 2 * (q.x * p.y - p.x * q.y))
+    assert group_mul(pq, r) == group_mul(p, group_mul(q, r))
+    assert group_mul(p, group_inv(p)) == ORIGIN
+    a, b, tau, theta = Fraction(0.7), Fraction(-1.3), Fraction(2.5), Fraction(1, 3)
+    assert _horizontal_step(*p, a, b) == group_mul(p, exp_h(HVec(a, b)))
+    lam = 1 / ((1 - theta) + theta * tau)
+    curve = curve_point(*p, a, b, tau, theta)
+    assert all(isinstance(c, Fraction) for c in curve)
+    assert curve == dilate(lam, group_mul(p, exp_h(HVec(theta * a, theta * b))))
 
 
 @given(st.floats(min_value=0.25, max_value=4.0))
