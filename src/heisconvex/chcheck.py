@@ -40,6 +40,7 @@ from .core import (
 from .sets import (
     RadialProfile,
     SetOracle,
+    bisect_many,
     boundary_sample,
     dilation_level_many,
     escape_margin,
@@ -212,6 +213,15 @@ def curve_point(x0, y0, t0, a, b, tau, theta):
     return lam * (x0 + a), lam * (y0 + b), lam * lam * (t0 + 2 * (a * y0 - x0 * b))
 
 
+def _check_curve_inputs(xi0: Point3, v, tau: float, m: int) -> None:
+    if not all(map(math.isfinite, (*xi0, *v, tau))):
+        raise ValueError("curve needs finite xi0, v and tau")
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    if m < 2:
+        raise ValueError("need m >= 2 samples")
+
+
 def ch_curve(
     xi0: Point3,
     v: HVec,
@@ -222,11 +232,11 @@ def ch_curve(
     """The interpolation curve at m uniform theta samples of [0, 1].
 
     Endpoints are xi0 and dilate(1/tau, xi0 o exp_h(v)).
+
+    Raises:
+        ValueError: a non-finite input, tau <= 0 or m < 2.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if m < 2:
-        raise ValueError("need m >= 2 samples")
+    _check_curve_inputs(xi0, v, tau, m)
     # tau_theta runs between 1 and tau, reaching tau at theta = 1
     if tau <= tol.eps_eq:
         raise RuntimeError("interpolated level crossed zero")
@@ -259,12 +269,10 @@ def ch_curve_cases(
     uniform theta grid, so the output is pointwise comparable to ch_curve.
 
     Raises:
-        ValueError: an explicitly requested case does not match the inputs.
+        ValueError: a non-finite input, tau <= 0, m < 2, or an explicitly
+            requested case that does not match the inputs.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if m < 2:
-        raise ValueError("need m >= 2 samples")
+    _check_curve_inputs(xi0, (alpha, beta), tau, m)
     x0, y0, t0 = xi0
     actual = _case_of(xi0, alpha, beta, tau, tol)
     if case is not None and case != actual:
@@ -339,7 +347,7 @@ def falsify_ch(
 
     thetas = interior_thetas(m)
     try:
-        pool = np.array(boundary_sample(K, PAIR_CHUNK, seed, tol))
+        pool = boundary_sample(K, PAIR_CHUNK, seed, tol)
     except (ValueError, RuntimeError):
         pool = None
     for start in range(0, budget, PAIR_CHUNK):
@@ -446,9 +454,10 @@ def _outer_radii(P: RadialProfile, ts: np.ndarray, tol: Tolerances, grid: int = 
 
     Scans the grid + 1 radii r_hi * j / grid down from j = grid, in blocks
     of RADIUS_BLOCK and only for the heights not yet resolved, to the first
-    inside radius; then bisects all heights at once through contains2d_many,
-    a height dropping out once its bracket is within eps_geom.  Each radius
-    is bit for bit what scanning and bisecting that height alone gives.
+    inside radius; then bisects all heights at once with bisect_many
+    through contains2d_many, a height stopping once its bracket is within
+    eps_geom or after max_iter steps.  Each radius is bit for bit what
+    scanning and bisecting that height alone gives.
     """
     r_hi = P.r_max * 1.01 + 10.0 * tol.eps_geom
     radii = r_hi * np.arange(grid, -1, -1) / grid
@@ -462,20 +471,10 @@ def _outer_radii(P: RadialProfile, ts: np.ndarray, tol: Tolerances, grid: int = 
         todo = todo[~found]
         if not len(todo):
             break
-    rows = np.flatnonzero(~np.isnan(last))
-    lo = last[rows]
-    hi = np.minimum(lo + r_hi / grid, r_hi)
-    for _ in range(tol.max_iter):
-        live = np.flatnonzero(hi - lo > tol.eps_geom)
-        if not len(live):
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        inside = P.contains2d_many(mid, ts[rows[live]])
-        lo[live[inside]] = mid[inside]
-        hi[live[~inside]] = mid[~inside]
-    out = np.zeros(len(ts))
-    out[rows] = 0.5 * (lo + hi)
-    return out
+    # heights with no inside radius keep a NaN bracket and read 0
+    hi = np.minimum(last + r_hi / grid, r_hi)
+    lo, hi = bisect_many(lambda t, r: ~P.contains2d_many(r, t), (ts,), last, hi, tol, relative=False)
+    return np.where(np.isnan(lo), 0.0, 0.5 * (lo + hi))
 
 
 def radial_necessary(

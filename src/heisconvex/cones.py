@@ -31,7 +31,7 @@ from .sets import (
     check_axioms_ab,
     dilation_level,
     dilation_level_many,
-    sample_in_set,
+    uniform_points,
 )
 
 KINDS = ("heisenberg", "euclidean")
@@ -128,27 +128,19 @@ def cone_eval(C: ConeFunction, xi: Point3) -> float:
     return dilation_level(C.source, xi, C.tol, scaling=C.kind)
 
 
-def cone_eval_many(C: ConeFunction, x: np.ndarray, y: np.ndarray, t: np.ndarray, strict: bool = True) -> np.ndarray:
-    """cone_eval of every point (x, y, t), bit for bit; see dilation_level_many."""
-    return dilation_level_many(C.source, x, y, t, C.tol, C.kind, strict)
-
-
 def cone_fn_oracle(C: ConeFunction) -> FnOracle:
-    """The cone function as an FnOracle; eval_many evaluates by cone_eval_many."""
+    """The cone function as an FnOracle; eval_many evaluates by dilation_level_many."""
     return FnOracle(
         lambda p: cone_eval(C, p),
         f"cone[{C.source.label}]",
-        kernel=lambda x, y, t: cone_eval_many(C, x, y, t),
+        kernel=lambda x, y, t: dilation_level_many(C.source, x, y, t, C.tol, C.kind),
     )
 
 
 def _scaled_box(C: ConeFunction, factor: float) -> SetOracle:
-    (xlo, xhi), (ylo, yhi), (tlo, thi) = C.source.bbox
-    f2 = factor if C.kind == "euclidean" else factor * factor
-    return box_oracle(
-        ((factor * xlo, factor * xhi), (factor * ylo, factor * yhi), (f2 * tlo, f2 * thi)),
-        label=f"box({factor:g} x {C.source.label})",
-    )
+    """C's source box under the dilation of C's kind by factor."""
+    lo, hi = (_scale(C, factor, Point3(*corner)) for corner in zip(*C.source.bbox))
+    return box_oracle(tuple(zip(lo, hi)), label=f"box({factor:g} x {C.source.label})")
 
 
 def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
@@ -162,16 +154,15 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng([seed, 0xFA])
-    tol = C.tol
-    big = _scaled_box(C, 2.0)
-    (xlo, xhi), (ylo, yhi), (tlo, thi) = big.bbox
+    K, tol = C.source, C.tol
+    (xlo, xhi), (ylo, yhi), (tlo, thi) = _scaled_box(C, 2.0).bbox
 
     # I: the first point, in sample order, whose bracket runs away; the
     # stream then stands where a one-point-at-a-time loop would leave it
     m = max(1, n // 3)
     state = rng.bit_generator.state
     draws = rng.uniform((xlo, ylo, tlo), (xhi, yhi, thi), size=(m, 3))
-    ran_away = np.flatnonzero(np.isnan(cone_eval_many(C, *draws.T, strict=False)))
+    ran_away = np.flatnonzero(np.isnan(dilation_level_many(K, *draws.T, tol, C.kind, strict=False)))
     axiom_i_ok = not ran_away.size
     coverage_failure = None
     if not axiom_i_ok:
@@ -180,29 +171,33 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
         rng.bit_generator.state = state
         rng.uniform(size=3 * (k + 1))
 
+    # II: the first point, in sample order, whose (tau1 / tau2)-copy leaves
+    # K; the stream is then rewound as for I
     axiom_ii_ok = True
     nesting_witness = None
-    K = C.source
     try:
-        nested_pts = sample_in_set(K, max(1, n // 3), rng)
+        pts = uniform_points(K, m, rng)
     except RuntimeError:
-        nested_pts = []
+        pts = np.empty((0, 3))
         axiom_ii_ok = False
-    for p in nested_pts:
-        taus = np.exp(rng.uniform(np.log(0.125), np.log(8.0), 2))
-        tau1, tau2 = float(min(taus)), float(max(taus))
-        if tau2 - tau1 < 1e-3:
-            tau2 = tau1 * 1.5
-        if not K.contains(_scale(C, tau1 / tau2, p)):
-            axiom_ii_ok = False
-            nesting_witness = NestingWitness(tau1, tau2, _scale(C, tau1, p))
-            break
+    state = rng.bit_generator.state
+    taus = np.exp(rng.uniform(np.log(0.125), np.log(8.0), (len(pts), 2)))
+    tau1, tau2 = taus.min(axis=1), taus.max(axis=1)
+    tau2 = np.where(tau2 - tau1 < 1e-3, tau1 * 1.5, tau2)
+    escaped = np.flatnonzero(~K.contains_many(*_scale(C, tau1 / tau2, Point3(*pts.T))))
+    if escaped.size:
+        k = int(escaped[0])
+        axiom_ii_ok = False
+        tau1, tau2 = float(tau1[k]), float(tau2[k])
+        nesting_witness = NestingWitness(tau1, tau2, _scale(C, tau1, Point3(*pts[k].tolist())))
+        rng.bit_generator.state = state
+        rng.uniform(size=2 * (k + 1))
 
     axiom_iii_ok = True
     closedness_failure = None
     if axiom_i_ok:
         draws = rng.uniform((xlo, ylo, tlo), (xhi, yhi, thi), size=(m, 3))
-        level = cone_eval_many(C, *draws.T, strict=False)
+        level = dilation_level_many(K, *draws.T, tol, C.kind, strict=False)
         # points whose bracket runs away (NaN) or that sit at the vertex are skipped
         keep = np.flatnonzero(level > 0.0)
         steps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
@@ -252,8 +247,7 @@ def cone_validate(C: ConeFunction, n: int, seed: int = 0) -> ConeValidation:
         max_iter=tol.max_iter,
     )
     f = cone_fn_oracle(C)
-    (xlo, xhi), (ylo, yhi), (tlo, thi) = C.source.bbox
-    hom = check_homogeneous(f, max(50, n // 20), seed, loose, box=((xlo, xhi), (ylo, yhi), (tlo, thi)))
+    hom = check_homogeneous(f, max(50, n // 20), seed, loose, box=C.source.bbox)
     witness = check_hconvex_fn(f, _scaled_box(C, 1.5), n, grid=5, seed=seed, tol=loose)
     if not hom.ok:
         verdict = "homogeneity deviation above tolerance"
@@ -277,4 +271,5 @@ def compare_closed_form(C: ConeFunction, n: int, seed: int = 0) -> float:
     (xlo, xhi), (ylo, yhi), (tlo, thi) = _scaled_box(C, 1.5).bbox
     draws = rng.uniform((xlo, ylo, tlo), (xhi, yhi, thi), size=(n, 3))
     closed = C.source.closed_form_cone(Point3(*draws.T), ARRAYS)
-    return float(np.abs(cone_eval_many(C, *draws.T) - closed).max(initial=0.0))
+    level = dilation_level_many(C.source, *draws.T, C.tol, C.kind)
+    return float(np.abs(level - closed).max(initial=0.0))

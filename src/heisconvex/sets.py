@@ -499,6 +499,58 @@ def _vertex_level(tol: Tolerances) -> float:
     return max(tol.eps_geom, 2.0 ** -500)
 
 
+def _bracket_up(upper, cols: tuple, lo, hi, rows: np.ndarray, limit: float) -> np.ndarray:
+    """Double the brackets of rows, in place, until upper(*cols, hi) holds.
+
+    Each step sets lo = hi and doubles hi on the rows whose hi is still
+    below their level, as a one-row loop would; a row whose hi passes
+    limit stops there.  Returns the mask of those runaway rows.
+    """
+    ran_away = np.zeros(lo.size, dtype=bool)
+    while rows.size:
+        rows = rows[~upper(*(c[rows] for c in cols), hi[rows])]
+        lo[rows] = hi[rows]
+        hi[rows] *= 2.0
+        runaway = hi[rows] > limit
+        ran_away[rows[runaway]] = True
+        rows = rows[~runaway]
+    return ran_away
+
+
+def bisect_many(upper, cols: tuple, lo, hi, tol: Tolerances, relative: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect the bracket [lo, hi] of every row at once, in place; returns (lo, hi).
+
+    The one masked bisection behind dilation levels, boundary rays and
+    profile radii.  upper(*cols, mid) says row by row whether mid is at or
+    above the row's level: there mid becomes the new hi, elsewhere the new
+    lo.  A row stops on its own test, hi - lo <= eps_geom (times max(1, lo)
+    when relative), or after max_iter steps, so it takes exactly the steps
+    of its own scalar loop with mid = 0.5 * (lo + hi); a NaN bracket never
+    bisects.  Rows that have stopped test mid = 1.0 and keep their bracket,
+    and are dropped, with their cols, once fewer than half still bisect.
+    """
+    rows = np.arange(lo.size)
+    a, b = lo, hi
+    mid, gap = np.empty((2, lo.size))
+    for _ in range(tol.max_iter):
+        eps = np.multiply(tol.eps_geom, np.maximum(1.0, a, out=mid), out=mid) if relative else tol.eps_geom
+        go = np.greater(np.subtract(b, a, out=gap), eps)
+        count = np.count_nonzero(go)
+        if not count:
+            break
+        if 2 * count < go.size:
+            lo[rows], hi[rows] = a, b
+            rows, a, b, go, cols = rows[go], a[go], b[go], go[go], tuple(c[go] for c in cols)
+            mid, gap = np.empty((2, count))
+        np.multiply(0.5, np.add(a, b, out=mid), out=mid)
+        np.copyto(mid, 1.0, where=~go)
+        up = upper(*cols, mid)
+        np.copyto(b, mid, where=go & up)
+        np.copyto(a, mid, where=go & ~up)
+    lo[rows], hi[rows] = a, b
+    return lo, hi
+
+
 def dilation_level_many(
     K: SetOracle,
     x: np.ndarray,
@@ -510,7 +562,8 @@ def dilation_level_many(
 ) -> np.ndarray:
     """dilation_level of every point (x, y, t) at once, as a flat array.
 
-    All points are bracketed and bisected together through K.contains_many.
+    All points are bracketed and bisected together through K.contains_many
+    (the upward bracket by _bracket_up, the bisection by bisect_many).
     Each point runs exactly the steps of its own scalar loop with the same
     arithmetic (lam = 1.0 / tau, then lam * x and lam * lam * t; the
     euclidean scaling divides by tau), so every level is bit for bit its
@@ -530,71 +583,38 @@ def dilation_level_many(
     if bad.size:
         i = bad[0]
         raise ValueError(_non_finite_message(K, Point3(float(x[i]), float(y[i]), float(t[i]))))
-    # one point's scalar-loop arithmetic, in order, into out (None: new arrays)
+    # membership at level tau, with one point's scalar-loop arithmetic
     if scaling == "heisenberg":
-        def scaled(x, y, t, tau, out=(None, None, None)):
-            lam = np.divide(1.0, tau, out=out[2])
-            sx, sy = np.multiply(lam, x, out=out[0]), np.multiply(lam, y, out=out[1])
-            return sx, sy, np.multiply(np.multiply(lam, lam, out=lam), t, out=lam)
+        def upper(x, y, t, tau):
+            lam = 1.0 / tau
+            return K.contains_many(lam * x, lam * y, lam * lam * t)
     elif scaling == "euclidean":
-        def scaled(x, y, t, tau, out=(None, None, None)):
-            return tuple(np.divide(c, tau, out=o) for c, o in zip((x, y, t), out))
+        def upper(x, y, t, tau):
+            return K.contains_many(x / tau, y / tau, t / tau)
     else:
         raise ValueError(f"unknown scaling {scaling!r}")
 
-    def member(rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        return K.contains_many(*scaled(x[rows], y[rows], t[rows], tau))
-
-    n = x.size
-    limit = max(1.0, bbox_scale(K.bbox)) * 2.0 ** 32
+    cols = (x, y, t)
     vertex = _vertex_level(tol)
-    rows = np.arange(n)
-    inside = member(rows, np.ones(n))
+    inside = upper(*cols, np.ones(x.size))
     # inside at tau = 1: halve lo = 0.5, 0.25, ... while still inside; a
     # point that snaps to the vertex keeps a bracket [lo, 2 lo] that the
     # bisection cannot leave, so its level, below 2 lo < vertex, reads as 0
     lo = np.where(inside, 0.5, 1.0)
     hi = np.where(inside, 1.0, 2.0)
-    down = rows[inside]
+    down = np.flatnonzero(inside)
     while down.size:
-        down = down[member(down, lo[down])]
+        down = down[upper(x[down], y[down], t[down], lo[down])]
         hi[down] = lo[down]
         lo[down] *= 0.5
         down = down[lo[down] >= 0.25 * vertex]
     # outside at tau = 1: double hi = 2, 4, ... until inside
-    ran_away = np.zeros(n, dtype=bool)
-    up = rows[~inside]
-    while up.size:
-        up = up[~member(up, hi[up])]
-        lo[up] = hi[up]
-        hi[up] *= 2.0
-        runaway = hi[up] > limit
-        ran_away[up[runaway]] = True
-        up = up[~runaway]
+    limit = max(1.0, bbox_scale(K.bbox)) * 2.0 ** 32
+    ran_away = _bracket_up(upper, cols, lo, hi, np.flatnonzero(~inside), limit)
     if strict and ran_away.any():
         raise RuntimeError(_runaway_message(K))
-
-    # each point stops on its own break test or after max_iter steps; rows
-    # that stopped test mid = 1, and are dropped once fewer than half go on
     lo[ran_away] = hi[ran_away] = np.nan  # no bracket, never bisected
-    a, b, xs, ys, ts = lo, hi, x, y, t
-    mid, px, py, pt = np.empty((4, n))
-    for _ in range(tol.max_iter):
-        # go = b - a > eps_geom * max(1, a), with px as scratch
-        go = np.greater(np.subtract(b, a, out=px), np.multiply(tol.eps_geom, np.maximum(1.0, a, out=mid), out=mid))
-        count = np.count_nonzero(go)
-        if not count:
-            break
-        if 2 * count < go.size:
-            lo[rows], hi[rows] = a, b
-            rows, a, b, xs, ys, ts, go = (v[go] for v in (rows, a, b, xs, ys, ts, go))
-            mid, px, py, pt = np.empty((4, count))
-        np.multiply(0.5, np.add(a, b, out=mid), out=mid)
-        np.copyto(mid, 1.0, where=~go)
-        inside = K.contains_many(*scaled(xs, ys, ts, mid, (px, py, pt)))
-        np.copyto(b, mid, where=go & inside)
-        np.copyto(a, mid, where=go & ~inside)
-    lo[rows], hi[rows] = a, b
+    lo, hi = bisect_many(upper, cols, lo, hi, tol, relative=True)
     level = 0.5 * (lo + hi)
     level[level < vertex] = 0.0
     return level
@@ -706,15 +726,16 @@ def boundary_sample(
     n: int,
     seed: int,
     tol: Tolerances = DEFAULT_TOL,
-) -> list[Point3]:
-    """n near-boundary points found by bisecting dilation rays from e.
+) -> np.ndarray:
+    """n near-boundary points, as an (n, 3) array, by bisecting dilation rays from e.
 
     Point k depends only on (seed, k): ray k takes the k-th accepted
     direction of default_rng([seed, 0xB0]), so the first points do not
     depend on n (falsify_ch always asks for 256).  All rays are bracketed
-    and bisected together through K.contains_many; each ray runs exactly
-    the steps it would run on its own, so the result is bit for bit the
-    one-ray-at-a-time loop with K.contains.
+    (_bracket_up) and bisected (bisect_many) together through
+    K.contains_many; each ray runs exactly the steps it would run on its
+    own, so the result is bit for bit the one-ray-at-a-time loop with
+    K.contains.
 
     Requires a compact set with the identity interior (assumption a); the
     ray parameter is the dilation scale, which is exact for sets that are
@@ -722,7 +743,8 @@ def boundary_sample(
 
     Raises:
         ValueError: non-compact input (rays never exit the box).
-        RuntimeError: a ray fails to exit or the identity is not interior.
+        RuntimeError: a ray fails to exit within 60 doublings, or the
+            identity is not interior.
     """
     if not K.is_compact:
         raise ValueError(f"{K.label} is not compact: boundary rays never exit the box")
@@ -737,29 +759,17 @@ def boundary_sample(
         keep = length >= 1e-12
         dirs = np.concatenate([dirs, d[keep] / length[keep, None]])
     ux, uy, ut = dirs.T
+
+    def upper(ux, uy, ut, s):
+        return ~K.contains_many(s * ux, s * uy, s * s * ut)
+
     lo, hi = np.zeros(n), np.ones(n)
-    rays = np.arange(n)
-    steps = 0
-    while True:
-        h = hi[rays]
-        rays = rays[K.contains_many(h * ux[rays], h * uy[rays], h * h * ut[rays])]
-        if rays.size == 0:
-            break
-        lo[rays] = hi[rays]
-        hi[rays] *= 2.0
-        steps += 1
-        if steps > 60:
-            raise RuntimeError(f"ray from e never exits {K.label}: non-compact input?")
-    for _ in range(tol.max_iter):
-        rays = np.flatnonzero(hi - lo > tol.eps_geom)
-        if rays.size == 0:
-            break
-        mid = 0.5 * (lo[rays] + hi[rays])
-        inside = K.contains_many(mid * ux[rays], mid * uy[rays], mid * mid * ut[rays])
-        lo[rays[inside]] = mid[inside]
-        hi[rays[~inside]] = mid[~inside]
+    # more than 60 doublings from hi = 1 is exactly hi > 2**60
+    if _bracket_up(upper, (ux, uy, ut), lo, hi, np.arange(n), 2.0 ** 60).any():
+        raise RuntimeError(f"ray from e never exits {K.label}: non-compact input?")
+    lo, hi = bisect_many(upper, (ux, uy, ut), lo, hi, tol, relative=False)
     # inner bracket end: guaranteed member, still within eps of the boundary
-    return list(map(Point3, (lo * ux).tolist(), (lo * uy).tolist(), (lo * lo * ut).tolist()))
+    return np.stack([lo * ux, lo * uy, lo * lo * ut], axis=1)
 
 
 def theta_grid(m: int) -> list[float]:

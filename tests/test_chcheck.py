@@ -409,14 +409,16 @@ def test_radial_necessary_matches_scalar_reference(K):
 @pytest.mark.parametrize("K", radial_sets(), ids=lambda K: K.label)
 def test_outer_radii_match_scalar_scan(K, monkeypatch):
     # every height of a fine grid, past both ends of the profile (radius 0),
-    # bit for bit, with blocks of 1 and 7 radii as well as the default
+    # bit for bit, with blocks of 1 and 7 radii as well as the default, and
+    # under a max_iter cap that cuts the bisection short
     t_lo, t_hi = K.profile.t_range
     ts = np.linspace(1.1 * t_lo - 0.1, 1.1 * t_hi + 0.1, 301)
-    want = [reference_outer_radius(K.profile, float(t), DEFAULT_TOL) for t in ts]
-    assert want.count(0.0) >= 2
-    for block in (1, 7, chcheck.RADIUS_BLOCK):
-        monkeypatch.setattr(chcheck, "RADIUS_BLOCK", block)
-        assert chcheck._outer_radii(K.profile, ts, DEFAULT_TOL).tolist() == want, block
+    for tol in (DEFAULT_TOL, Tolerances(eps_geom=1e-4, eps_eq=1e-4, max_iter=5)):
+        want = [reference_outer_radius(K.profile, float(t), tol) for t in ts]
+        assert want.count(0.0) >= 2
+        for block in (1, 7, chcheck.RADIUS_BLOCK):
+            monkeypatch.setattr(chcheck, "RADIUS_BLOCK", block)
+            assert chcheck._outer_radii(K.profile, ts, tol).tolist() == want, (tol, block)
 
 
 @given(

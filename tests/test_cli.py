@@ -155,6 +155,15 @@ def test_cone_falsified_exit(tmp_path):
     assert rep["cone"]["convexity_witness"] is not None
 
 
+def test_cone_euclidean_kind_exit(tmp_path):
+    # the Euclidean scaling's levels are not homogeneous under the
+    # Heisenberg dilations that the homogeneity check applies
+    code = main(["cone", "--set", "koranyi_ball", "--kind", "euclidean", "--out", str(tmp_path)])
+    assert code == 2
+    rep = read_report(tmp_path / "cone_koranyi_ball_r_1_euclidean.json")
+    assert rep["cone"]["verdict"] == "homogeneity deviation above tolerance"
+
+
 def test_radial_command(tmp_path):
     code = main(["radial", "--set", "importante", "--samples", "1000", "--out", str(tmp_path)])
     assert code == 2
@@ -490,6 +499,13 @@ def test_bad_params_exit_1(tmp_path, tmp_path_factory, capsys):
         (specs / f"{i}.json").write_text(json.dumps(spec))
         assert main(["export", "--kind", "curve", "--curve-json", str(specs / f"{i}.json")] + out) == 1
         assert "heisconvex: error: curve spec needs xi0 [x, y, t], v [a, b] and tau" in capsys.readouterr().err
+    # curve specs with a NaN or infinite tau, a NaN coordinate or a NaN step
+    good = {"xi0": [0.1, 0.2, 0.3], "v": [0.3, 0.4], "tau": 1.5}
+    nonfinite = ({"tau": math.nan}, {"tau": math.inf}, {"xi0": [0.1, math.nan, 0.3]}, {"v": [math.nan, 0.4]})
+    for i, change in enumerate(nonfinite):
+        (specs / f"nonfinite{i}.json").write_text(json.dumps({**good, **change}))
+        assert main(["export", "--kind", "curve", "--curve-json", str(specs / f"nonfinite{i}.json")] + out) == 1
+        assert "heisconvex: error: curve needs finite xi0, v and tau" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

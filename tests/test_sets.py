@@ -35,6 +35,7 @@ from heisconvex.sets import (
     IMPORTANTE_R_MAX,
     SetOracle,
     bbox_scale,
+    bisect_many,
     box_oracle,
     dilate_oracle,
     dilation_level_many,
@@ -221,8 +222,8 @@ def test_sample_in_set_members_and_determinism():
 def test_boundary_sample_members_near_level_one():
     K = gallery("euclidean_ball")
     pts = boundary_sample(K, 32, seed=4)
-    assert len(pts) == 32
-    for p in pts:
+    assert pts.shape == (32, 3)
+    for p in map(Point3._make, pts.tolist()):
         assert K.contains(p)
         assert dilation_level(K, p) == pytest.approx(1.0, abs=1e-4)
 
@@ -230,6 +231,15 @@ def test_boundary_sample_members_near_level_one():
 def test_boundary_sample_needs_compact():
     with pytest.raises(ValueError):
         boundary_sample(gallery("slab_x"), 8, seed=0)
+    # a box flagged compact counts as unbounded once a ray stays inside at
+    # scale 2**60 (its 60th doubling); every ray leaves the 2**59 box before
+    for r, exits in ((2.0 ** 59, True), (2.0 ** 61, False)):
+        box = box_oracle(((-r, r), (-r, r), (-r * r, r * r)))
+        if exits:
+            assert boundary_sample(box, 8, seed=0).shape == (8, 3)
+        else:
+            with pytest.raises(RuntimeError, match="never exits"):
+                boundary_sample(box, 8, seed=0)
 
 
 def test_theta_grid_contains_half():
@@ -610,7 +620,7 @@ def _edge_points(K, seed):
     """Points within a few ulps of the membership boundary: rays bisected
     down to adjacent floats, then each coordinate stepped one ulp each way."""
     if K.is_compact:
-        pts = np.array(boundary_sample(K, 256, seed, FINE_TOL))
+        pts = boundary_sample(K, 256, seed, FINE_TOL)
     else:
         # the slabs: bisect x between the t-axis and the box face instead
         rng = np.random.default_rng(seed)
@@ -711,17 +721,51 @@ def _reference_boundary_sample(K, n, seed, tol=Tolerances()):
                 lo = mid
             else:
                 hi = mid
-        out.append(dilate(lo, u))
+        out.append(list(dilate(lo, u)))
     return out
 
 
 @pytest.mark.parametrize("name", ["koranyi_ball", "euclidean_ball", "cylinder", "cylinder_hat", "importante"])
 def test_boundary_sample_matches_per_ray_loop(name):
     K = gallery(name)
-    for seed in (0, 1, 2):
-        assert boundary_sample(K, 256, seed) == _reference_boundary_sample(K, 256, seed)
+    # also under a max_iter cap that cuts every ray's bisection short
+    for tol in (Tolerances(), Tolerances(eps_geom=1e-4, eps_eq=1e-4, max_iter=5)):
+        for seed in (0, 1, 2):
+            assert boundary_sample(K, 256, seed, tol).tolist() == _reference_boundary_sample(K, 256, seed, tol)
     # the first points do not depend on how many are asked for
-    assert boundary_sample(K, 10, 0) == boundary_sample(K, 256, 0)[:10]
+    assert boundary_sample(K, 10, 0).tolist() == boundary_sample(K, 256, 0)[:10].tolist()
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_bisect_many_matches_scalar_loop(relative):
+    # brackets of widths 1e-6 to 1e3 around random levels, and NaN brackets;
+    # under `capped` most rows stop on their own test, so the kernel compacts
+    # its rows, and the widest stop on the cap; FINE_TOL caps every row
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-10.0, 10.0, 2000)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 3.0, 2000)
+    level = rng.uniform(lo, hi)
+    lo[::97] = hi[::97] = np.nan
+    sizes = []
+
+    def upper(level, mid):
+        sizes.append(mid.size)
+        return mid >= level
+
+    capped = Tolerances(eps_geom=1e-2, eps_eq=1e-2, max_iter=8)
+    for tol, compacts in ((Tolerances(), True), (capped, True), (FINE_TOL, False)):
+        want = []
+        for a, b, c in zip(lo.tolist(), hi.tolist(), level.tolist()):
+            for _ in range(tol.max_iter):
+                if not b - a > tol.eps_geom * (max(1.0, a) if relative else 1.0):
+                    break
+                mid = 0.5 * (a + b)
+                a, b = (a, mid) if mid >= c else (mid, b)
+            want.append((a, b))
+        sizes.clear()
+        got = bisect_many(upper, (level,), lo.copy(), hi.copy(), tol, relative)
+        np.testing.assert_array_equal(np.column_stack(got), np.array(want))
+        assert sizes[0] == len(lo) and (sizes[-1] < len(lo) // 2) == compacts
 
 
 # "ulp" bisects down to adjacent floats, where the last bit of lam * x decides
