@@ -32,7 +32,6 @@ from .core import (
     Kit,
     Point3,
     Tolerances,
-    dilate,
     exp_h,
     group_mul,
     norm,
@@ -121,8 +120,9 @@ class EnvelopeReport:
     phi_endpoint_residual: float
     cap_identity_residual: float
 
-    def ok(self, slack: float = 1e-6) -> bool:
-        return self.solid_min_margin >= -slack and self.cap_min_margin >= -slack
+    def ok(self) -> bool:
+        """No margin fell below the floor envelope_check applies."""
+        return self.solid_failure is None and self.cap_failure is None
 
 
 def solve_tau_many(xi0, xi1, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,66 +243,6 @@ def ch_curve(
     return [Point3(*curve_point(*xi0, *v, tau, j / (m - 1))) for j in range(m)]
 
 
-def _case_of(xi0: Point3, alpha: float, beta: float, tau: float, tol: Tolerances) -> str:
-    scale = 1.0 + abs(xi0.x) + abs(xi0.y) + abs(alpha) + abs(beta) + abs(tau)
-    if abs(xi0.x * (tau - 1.0) - alpha) > tol.eps_eq * scale:
-        return "i"
-    if abs(xi0.y * (tau - 1.0) - beta) > tol.eps_eq * scale:
-        return "ii"
-    return "iii"
-
-
-def ch_curve_cases(
-    xi0: Point3,
-    alpha: float,
-    beta: float,
-    tau: float,
-    m: int,
-    tol: Tolerances = DEFAULT_TOL,
-    case: Optional[str] = None,
-) -> list[Point3]:
-    """The same curve as ch_curve, from the piecewise closed forms.
-
-    Case i applies when x0 (tau - 1) != alpha, case ii when that is an
-    equality but y0 (tau - 1) != beta, case iii when both are equalities.
-    The closed forms are evaluated at the parameter values matching the
-    uniform theta grid, so the output is pointwise comparable to ch_curve.
-
-    Raises:
-        ValueError: a non-finite input, tau <= 0, m < 2, or an explicitly
-            requested case that does not match the inputs.
-    """
-    _check_curve_inputs(xi0, (alpha, beta), tau, m)
-    x0, y0, t0 = xi0
-    actual = _case_of(xi0, alpha, beta, tau, tol)
-    if case is not None and case != actual:
-        raise ValueError(f"inputs select case {actual}, not case {case}")
-    A = x0 * beta - y0 * alpha
-    pts = []
-    for j in range(m):
-        th = j / (m - 1)
-        tau_th = (1.0 - th) + th * tau
-        if actual == "i":
-            s = (x0 + th * alpha) / tau_th
-            den = (tau - 1.0) * x0 - alpha
-            w = (tau - 1.0) * s - alpha
-            y = ((y0 * (tau - 1.0) - beta) * s + A) / den
-            t = (t0 * w * w - 2.0 * A * (x0 - s) * w) / (den * den)
-            pts.append(Point3(s, y, t))
-        elif actual == "ii":
-            s = (y0 + th * beta) / tau_th
-            den = (tau - 1.0) * y0 - beta
-            w = (tau - 1.0) * s - beta
-            a2 = x0 * (beta - (tau - 1.0) * y0)
-            t = (t0 * w * w - 2.0 * a2 * (y0 - s) * w) / (den * den)
-            pts.append(Point3(x0, s, t))
-        else:
-            s = th
-            den = 1.0 + s * (tau - 1.0)
-            pts.append(Point3(x0, y0, t0 / (den * den)))
-    return pts
-
-
 def falsify_ch(
     K: SetOracle,
     budget: int,
@@ -405,26 +345,6 @@ def _chunk_pairs(K: SetOracle, chunk: int, seed: int, pool: Optional[np.ndarray]
         pick = rng.integers(0, len(pool), size=(k, 2))
         xi0[:, 2], xi1[:, 2] = pool[pick[:, 0]], pool[pick[:, 1]]
     return xi0.reshape(PAIR_CHUNK, 3), xi1.reshape(PAIR_CHUNK, 3)
-
-
-def transport_witness(w: ChWitness, alpha: float) -> ChWitness:
-    """Carry a witness along the dilation by alpha.
-
-    Both endpoints and the escape point dilate, the step scales linearly,
-    tau and theta are invariant; the result witnesses the dilated set.
-    """
-    if alpha <= 0.0:
-        raise ValueError("dilation factor must be positive")
-    return ChWitness(
-        dilate(alpha, w.xi0),
-        dilate(alpha, w.xi1),
-        w.tau,
-        HVec(alpha * w.v.a, alpha * w.v.b),
-        w.theta_star,
-        dilate(alpha, w.escape_point),
-        w.margin,
-        w.pair_index,
-    )
 
 
 def replay_ch_witness(K: SetOracle, w: ChWitness, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -47,7 +47,7 @@ class RunConfig:
     seed: int = 0
     budget: int = 2000
     samples: int = 2000
-    tolerances: Tolerances = field(default_factory=lambda: DEFAULT_TOL)
+    tolerances: Tolerances = DEFAULT_TOL
     output_dir: Path = Path(".")
     compare_closed_form: bool = False
     tau_one: bool = False
@@ -75,7 +75,7 @@ def parse_descriptor(descriptor: str) -> tuple[str, dict]:
         text = path.read_text().strip()
     if text.startswith("{"):
         obj = json.loads(text)
-        params = obj.get("params") or {} if isinstance(obj, dict) else None
+        params = obj.get("params", {}) if isinstance(obj, dict) else None
         if not (isinstance(params, dict) and "set" in obj):
             raise ValueError('set descriptor JSON must look like {"set": name, "params": {...}}')
         return str(obj["set"]), dict(params)

@@ -47,13 +47,11 @@ class ConeFunction:
 
     source: SetOracle
     kind: str = "heisenberg"
-    tol: Tolerances = None
+    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.tol is None:
-            self.tol = DEFAULT_TOL
 
 
 @dataclass

@@ -8,10 +8,11 @@ with identity e = (0, 0, 0) and inverse (-x, -y, -t).  The anisotropic
 dilations delta_lam(x, y, t) = (lam*x, lam*y, lam^2*t) are group
 homomorphisms.  Horizontal vectors v = (a, b) exponentiate onto the plane
 t = 0; left translating gives the horizontal plane of a point, the set it
-can reach in one horizontal step.  On top of that this module provides the
-homogeneous norms, the shared numeric tolerances and the number kits FLOATS
-and ARRAYS, from which one formula takes sqrt, sin, pow and the rest for a
-point and for coordinate arrays alike, with the same rounding.  No state.
+can reach in one horizontal step.  On top of that this module provides
+the Koranyi and Euclidean norms, the shared numeric tolerances and the
+number kits FLOATS and ARRAYS, from which one formula takes sqrt, sin, pow
+and the rest for a point and for coordinate arrays alike, with the same
+rounding.  No state.
 """
 
 from __future__ import annotations
@@ -96,11 +97,6 @@ def group_mul(p: Point3, q: Point3) -> Point3:
     return Point3(p.x + q.x, p.y + q.y, p.t + q.t + 2 * (q.x * p.y - p.x * q.y))
 
 
-def group_inv(p: Point3) -> Point3:
-    """Group inverse (-x, -y, -t)."""
-    return Point3(-p.x, -p.y, -p.t)
-
-
 def dilate(lam: float, p: Point3) -> Point3:
     """Anisotropic dilation (lam*x, lam*y, lam^2*t).
 
@@ -122,17 +118,15 @@ def exp_h(v: HVec) -> Point3:
 
 
 def norm(p: Point3, kind: str = "koranyi", k: Kit = FLOATS) -> float:
-    """A norm of p: "koranyi", "quasi", or "euclidean".
+    """A norm of p: "koranyi" or "euclidean".
 
-    koranyi: ((x^2+y^2)^2 + t^2)^(1/4); quasi: max(|(x,y)|_E, |t|^(1/2));
-    euclidean: |(x,y,t)|_E.  The first two are homogeneous of degree one
-    under dilations.  With k=ARRAYS, p holds coordinate arrays.
+    koranyi: ((x^2+y^2)^2 + t^2)^(1/4), homogeneous of degree one under
+    dilations; euclidean: |(x,y,t)|_E.  With k=ARRAYS, p holds coordinate
+    arrays.
     """
     if kind == "koranyi":
         rho2 = p.x * p.x + p.y * p.y
         return k.pow(rho2 * rho2 + p.t * p.t, 0.25)
-    if kind == "quasi":
-        return k.max(k.hypot(p.x, p.y), k.sqrt(abs(p.t)))
     if kind == "euclidean":
         return k.sqrt(p.x * p.x + p.y * p.y + p.t * p.t)
     raise ValueError(f"unknown norm kind {kind!r}")

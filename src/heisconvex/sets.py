@@ -88,10 +88,6 @@ class SetOracle:
     closed_form_cone: Optional[Callable[[Point3, Kit], float]] = None
     kernel: Optional[Kernel] = None
 
-    @property
-    def is_radial(self) -> bool:
-        return self.profile is not None
-
     def contains_many(self, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
         if self.kernel is not None:
             return self.kernel(x, y, t)
@@ -772,20 +768,16 @@ def boundary_sample(
     return np.stack([lo * ux, lo * uy, lo * lo * ut], axis=1)
 
 
-def theta_grid(m: int) -> list[float]:
-    """m uniform samples of [0,1]; always contains 1/2."""
+def interior_thetas(m: int) -> np.ndarray:
+    """The interior points j / (m - 1), 0 < j < m - 1, of m uniform samples
+    of [0, 1], with 1/2 inserted when they miss it, as an ascending array."""
     if m < 2:
         raise ValueError("need at least 2 segment samples")
-    grid = [j / (m - 1) for j in range(m)]
+    grid = [j / (m - 1) for j in range(1, m - 1)]
     if 0.5 not in grid:
         grid.append(0.5)
         grid.sort()
-    return grid
-
-
-def interior_thetas(m: int) -> np.ndarray:
-    """The points of theta_grid(m) strictly inside (0, 1), as an array."""
-    return np.array([th for th in theta_grid(m) if 0.0 < th < 1.0])
+    return np.array(grid)
 
 
 def _horizontal_step(x0, y0, t0, a, b) -> Point3:
@@ -854,7 +846,7 @@ def scan_horizontal_segments(
 ) -> tuple[Optional[SegmentEscape], int]:
     """Hunt for a horizontal segment leaving K.
 
-    Tests the interior theta points of theta_grid(grid) on n probes of
+    Tests the points of interior_thetas(grid) on n probes of
     segment_chunks with escapes_many.  Returns (the escape or None,
     probes_used); the first escape in (probe, theta) order wins.
     """
@@ -926,35 +918,3 @@ def check_axioms(
     a_holds, b_holds, b_witness = check_axioms_ab(K, n, seed)
     found, used = scan_horizontal_segments(K, n, grid, seed, tol)
     return AxiomReport(a_holds, b_holds, found, used, seed, b_witness)
-
-
-def dilate_oracle(K: SetOracle, alpha: float) -> SetOracle:
-    """The dilated set: membership of p tested as dilate(1/alpha, p) in K."""
-    if alpha <= 0.0:
-        raise ValueError("dilation factor must be positive")
-    (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
-    a2 = alpha * alpha
-    lam = 1.0 / alpha
-    contains = lambda p: K.contains(dilate(lam, p))
-    kernel = lambda x, y, t: K.contains_many(lam * x, lam * y, lam * lam * t)
-    profile = None
-    if K.profile is not None:
-        inner = K.profile
-        profile = RadialProfile(
-            lambda r, t, k: inner.inside(lam * r, lam * lam * t, k),
-            inner.r_max * alpha,
-            (inner.t_range[0] * a2, inner.t_range[1] * a2),
-        )
-    cone = None
-    if K.closed_form_cone is not None:
-        inner_cone = K.closed_form_cone
-        cone = lambda p, k=FLOATS: inner_cone(p, k) / alpha
-    return SetOracle(
-        contains=contains,
-        bbox=((alpha * xlo, alpha * xhi), (alpha * ylo, alpha * yhi), (a2 * tlo, a2 * thi)),
-        label=f"dilate({alpha:g}, {K.label})",
-        is_compact=K.is_compact,
-        profile=profile,
-        closed_form_cone=cone,
-        kernel=kernel,
-    )

@@ -12,7 +12,9 @@ import numpy as np
 
 from heisconvex import DEFAULT_TOL, Point3, Tolerances, gallery
 from heisconvex.chcheck import RadialNecessityReport
-from heisconvex.sets import GALLERY, RadialProfile, dilate_oracle
+from heisconvex.sets import GALLERY, RadialProfile
+
+from ch_reference import dilate_oracle
 
 # README's plus-shaped radial profile
 PLUS_VERTICES = [[0, 2], [0.2, 2], [0.2, 0.2], [2, 0.2], [2, -0.2], [0.2, -0.2], [0.2, -2], [0, -2]]

@@ -20,7 +20,6 @@ from heisconvex import (
     HVec,
     Point3,
     ch_curve,
-    ch_curve_cases,
     check_axioms,
     check_hconvex_fn,
     check_homogeneous,
@@ -39,9 +38,10 @@ from heisconvex import (
     radial_necessary,
     replay_ch_witness,
     replay_witness,
-    transport_witness,
 )
-from heisconvex.sets import IMPORTANTE_R_MAX, box_oracle, dilate_oracle, polygon_profile, radial_to_oracle
+from heisconvex.sets import IMPORTANTE_R_MAX, box_oracle, polygon_profile, radial_to_oracle
+
+from ch_reference import ch_curve_cases, dilate_oracle, transport_witness
 
 PLUS_VERTICES = [
     (0.0, 2.0), (0.2, 2.0), (0.2, 0.2), (2.0, 0.2),

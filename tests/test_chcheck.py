@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from heisconvex import (
     Point3,
     Tolerances,
     ch_curve,
-    ch_curve_cases,
     EnvelopeReport,
     dilate,
     dilation_level,
@@ -27,12 +27,12 @@ from heisconvex import (
     replay_ch_witness,
     solve_tau,
     tau_residual,
-    transport_witness,
 )
 from heisconvex import chcheck
 from heisconvex.chcheck import DEGENERATE_TAU_GRID, ChWitness, TauSolution, curve_point, solve_tau_many
 from heisconvex.core import DEFAULT_TOL
-from heisconvex.sets import IMPORTANTE_R_MAX, dilate_oracle, polygon_profile, radial_to_oracle
+from heisconvex.sets import IMPORTANTE_R_MAX, polygon_profile, radial_to_oracle
+from ch_reference import ch_curve_cases, dilate_oracle, transport_witness
 from radial_reference import radial_sets, reference_outer_radius, reference_radial_necessary
 
 coord = st.floats(min_value=-3.0, max_value=3.0)
@@ -362,6 +362,37 @@ def test_replay_rejects_fabricated_witness():
     assert not replay_ch_witness(K, w)
 
 
+def test_replay_rejects_tau_off_the_quadratic():
+    # the frozen cylinder witness with tau moved by one part in a million,
+    # its step and escape point recomputed from the moved tau: the curve
+    # still escapes, but xi1 no longer lies on it
+    K = gallery("cylinder")
+    w = falsify_ch(K, 2000, seed=0)
+    tau = w.tau * (1.0 + 1e-6)
+    v = HVec(tau * w.xi1.x - w.xi0.x, tau * w.xi1.y - w.xi0.y)
+    moved = dataclasses.replace(w, tau=tau, v=v, escape_point=Point3(*curve_point(*w.xi0, *v, tau, w.theta_star)))
+    assert escapes(K, moved.escape_point)
+    assert abs(tau_residual(w.xi0, w.xi1, tau)) > 100 * 1e-9 * (1.0 + abs(w.xi0.t) + abs(w.xi1.t)) * (1.0 + tau) ** 2
+    assert not replay_ch_witness(K, moved)
+
+
+def test_replay_rejects_escape_within_pullback_slack():
+    # the frozen cylinder witness moved back along its curve to the first
+    # theta (to the last bit) whose point is outside K: that point is within
+    # membership slack of the boundary, so it is no escape
+    K = gallery("cylinder")
+    w = falsify_ch(K, 2000, seed=0)
+
+    def at(theta):
+        return Point3(*curve_point(*w.xi0, *w.v, w.tau, theta))
+
+    lo, hi = 0.0, w.theta_star
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if K.contains(at(mid)) else (lo, mid)
+    assert not K.contains(at(hi)) and not escapes(K, at(hi))
+    assert not replay_ch_witness(K, dataclasses.replace(w, theta_star=hi, escape_point=at(hi)))
+
+
 RADIAL_TABLE = {
     "koranyi_ball": (True, True),
     "euclidean_ball": (False, True),
@@ -390,6 +421,16 @@ def test_radial_necessary_importante_witness():
     assert abs(w.x - IMPORTANTE_R_MAX) <= 1e-3
     assert w.y == 0.0 and w.t == 0.0
     assert rep.r_sup > rep.r_flat
+
+
+def test_radial_necessary_thm_ii_sees_a_1e4_bulge():
+    # a unit cylinder whose side bulges out to radius 1 + 1e-4 at t = 1/2:
+    # the widest slice exceeds r* = 1 by 1e-4, far above the eps_geom slack
+    P = polygon_profile([(0.0, 1.0), (1.0, 1.0), (1.0001, 0.5), (1.0, 0.0), (1.0, -1.0), (0.0, -1.0)])
+    rep = radial_necessary(P, 1000, seed=0)
+    assert rep.thm_i_ok and not rep.thm_ii_ok
+    assert rep.r_sup - rep.r_flat == pytest.approx(1e-4, rel=1e-3)
+    assert rep.thm_ii_witness == Point3(rep.r_sup, 0.0, 0.0)
 
 
 def test_radial_necessary_validates_n():

@@ -61,6 +61,7 @@ def import_curve(path):
 def test_parse_descriptor_forms(tmp_path):
     assert parse_descriptor("koranyi_ball") == ("koranyi_ball", {})
     assert parse_descriptor('{"set": "cylinder"}') == ("cylinder", {})
+    assert parse_descriptor('{"set": "cylinder", "params": {}}') == ("cylinder", {})
     spec = tmp_path / "set.json"
     spec.write_text('{"set": "koranyi_ball", "params": {"r": 2.0}}')
     assert parse_descriptor(str(spec)) == ("koranyi_ball", {"r": 2.0})
@@ -489,8 +490,8 @@ def test_bad_params_exit_1(tmp_path, tmp_path_factory, capsys):
     for vertices in ("5", '[[0, 0], [1, 0], [1, "a"]]'):
         assert main(["axioms", "--set", "radial_custom", "--params", f'{{"vertices": {vertices}}}'] + out) == 1
         assert "heisconvex: error: polygon profile vertices must be [r, t] pairs" in capsys.readouterr().err
-    # params that are not a JSON object, inside an inline descriptor
-    for params in ("[1]", '"ab"'):
+    # params that are not a JSON object, inside an inline descriptor, empty ones too
+    for params in ("[1]", '"ab"', "[]", "0", "false", '""', "null"):
         assert main(["axioms", "--set", f'{{"set": "koranyi_ball", "params": {params}}}'] + out) == 1
         assert 'heisconvex: error: set descriptor JSON must look like {"set"' in capsys.readouterr().err
     # curve specs without xi0, with a two-element xi0, and not an object

@@ -224,12 +224,24 @@ def _shelled_set():
     return SetOracle(contains, ((-1.32, 1.32), (-1.32, 1.32), (-1.72, 1.72)), "shelled")
 
 
+def _gapped_set():
+    # the Koranyi ball less a thin gap just inside its sphere: from a level
+    # on the sphere, the closedness probe 1e-4 above it falls into the gap,
+    # and the probes 1e-2, 1e-3 and 1e-5 above it miss the gap
+    def contains(p):
+        g = norm(p, "koranyi")
+        return g <= 1.0 - 1.5e-4 or 1.0 - 0.5e-4 <= g <= 1.0
+
+    return SetOracle(contains, ((-1.01, 1.01), (-1.01, 1.01), (-1.01, 1.01)), "gapped")
+
+
 FAMILY_CASES = {
     "koranyi_ball": (lambda: gallery("koranyi_ball"), "heisenberg"),
     "koranyi_ball_euclidean": (lambda: gallery("koranyi_ball"), "euclidean"),
     "cylinder_hat": (lambda: gallery("cylinder_hat"), "heisenberg"),
     "ring": (ring_set, "heisenberg"),
     "shelled": (_shelled_set, "heisenberg"),
+    "gapped": (_gapped_set, "heisenberg"),
 }
 
 
@@ -243,6 +255,12 @@ def test_family_axioms_match_reference(case):
         assert all(r.coverage_failure is not None and r.nesting_witness is not None for r in reports)
     if case == "shelled":
         assert any(r.closedness_failure is not None for r in reports)
+    if case == "gapped":
+        # every seed fails axiom III, first at the 1e-4 step
+        for r in reports:
+            p, tau = r.closedness_failure
+            assert r.axiom_i_ok and not r.axiom_iii_ok
+            assert tau / norm(p, "koranyi") - 1.0 == pytest.approx(1e-4, rel=1e-2)
 
 
 def test_closed_form_comparison_matches_reference(euclid_cone, koranyi_cone):

@@ -24,7 +24,7 @@ from heisconvex import (
 )
 from heisconvex.cones import _scaled_box
 from heisconvex.convexity import _chunk_groups
-from heisconvex.sets import box_oracle, interior_thetas, segment_chunks, theta_grid
+from heisconvex.sets import box_oracle, interior_thetas, segment_chunks
 from stream_reference import reference_probes
 
 BOX3 = box_oracle(((-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0)), "box3")
@@ -136,7 +136,7 @@ def test_closed_form_cones_are_homogeneous():
 
 def _reference_scan(f, domain, n, grid, seed, tol, quasi):
     """The probe-by-probe scan that the chunked scan must reproduce."""
-    thetas = [th for th in theta_grid(max(grid, 2)) if 0.0 < th < 1.0]
+    thetas = interior_thetas(max(grid, 2)).tolist()
     produced = 0
     for p, v, q in reference_probes(domain, n, seed, 0xF):
         produced += 1

@@ -12,7 +12,6 @@ from heisconvex import (
     Tolerances,
     dilate,
     exp_h,
-    group_inv,
     group_mul,
     norm,
 )
@@ -67,7 +66,7 @@ def test_associativity(p, q, r):
 def test_identity_and_inverse(p):
     assert group_mul(p, ORIGIN) == p
     assert group_mul(ORIGIN, p) == p
-    w = group_mul(p, group_inv(p))
+    w = group_mul(p, Point3(-p.x, -p.y, -p.t))
     assert w.x == 0.0 and w.y == 0.0
     assert abs(w.t) <= 1e-9 * (1.0 + abs(p.t))
 
@@ -104,20 +103,15 @@ def test_dilate_rejects_negative():
 
 @given(scales, points)
 def test_norm_homogeneity(lam, p):
-    for kind in ("koranyi", "quasi"):
-        assert norm(dilate(lam, p), kind) == pytest.approx(
-            lam * norm(p, kind), rel=1e-9, abs=1e-12
-        )
+    assert norm(dilate(lam, p), "koranyi") == pytest.approx(lam * norm(p, "koranyi"), rel=1e-9, abs=1e-12)
 
 
 def test_norm_values():
     p = Point3(3.0, 4.0, 0.0)
     assert norm(p, "koranyi") == pytest.approx(5.0)
-    assert norm(p, "quasi") == pytest.approx(5.0)
     assert norm(p, "euclidean") == pytest.approx(5.0)
     q = Point3(0.0, 0.0, 9.0)
     assert norm(q, "koranyi") == pytest.approx(3.0)
-    assert norm(q, "quasi") == pytest.approx(3.0)
     # gauge-sphere point that leaves the euclidean unit ball
     s = Point3(2.0 ** -0.5, 0.0, math.sqrt(3.0) / 2.0)
     assert norm(s, "koranyi") == pytest.approx(1.0, abs=1e-15)
@@ -125,8 +119,9 @@ def test_norm_values():
 
 
 def test_norm_unknown_kind():
-    with pytest.raises(ValueError):
-        norm(Point3(0.0, 0.0, 0.0), "taxicab")
+    for kind in ("taxicab", "quasi"):
+        with pytest.raises(ValueError):
+            norm(Point3(0.0, 0.0, 0.0), kind)
 
 
 @given(points, st.builds(HVec, coord, coord))

@@ -23,7 +23,6 @@ from heisconvex import (
     escapes,
     exp_h,
     gallery,
-    group_inv,
     group_mul,
     norm,
     sample_in_set,
@@ -37,7 +36,6 @@ from heisconvex.sets import (
     bbox_scale,
     bisect_many,
     box_oracle,
-    dilate_oracle,
     dilation_level_many,
     check_axioms_ab,
     escapes_many,
@@ -47,9 +45,9 @@ from heisconvex.sets import (
     radial_to_oracle,
     scan_horizontal_segments,
     segment_chunks,
-    theta_grid,
     uniform_points,
 )
+from ch_reference import dilate_oracle
 from radial_reference import radial_sets
 from stream_reference import reference_probes
 
@@ -171,7 +169,7 @@ def test_membership_spot_checks():
 def test_importante_profile_constants():
     # widest slice sits at t = -pi/2 (depth 3/2), flat slice at depth 2
     K = gallery("importante")
-    assert K.is_radial
+    assert K.profile is not None
     assert K.profile.contains2d(IMPORTANTE_R_FLAT - 1e-9, 0.0)
     assert not K.profile.contains2d(IMPORTANTE_R_FLAT + 1e-3, 0.0)
     assert K.profile.contains2d(IMPORTANTE_R_MAX - 1e-9, -math.pi / 2.0)
@@ -242,14 +240,14 @@ def test_boundary_sample_needs_compact():
                 boundary_sample(box, 8, seed=0)
 
 
-def test_theta_grid_contains_half():
+def test_interior_thetas_contains_half():
     for m in (2, 3, 9, 10, 33):
-        grid = theta_grid(m)
+        grid = interior_thetas(m)
         assert 0.5 in grid
-        assert grid[0] == 0.0 and grid[-1] == 1.0
-        assert grid == sorted(grid)
+        assert 0.0 < grid[0] and grid[-1] < 1.0
+        assert list(grid) == sorted(grid)
     with pytest.raises(ValueError):
-        theta_grid(1)
+        interior_thetas(1)
 
 
 AXIOM_TABLE = {
@@ -295,7 +293,7 @@ def test_scan_clean_on_koranyi():
 def _reference_scan(K, n, grid, seed, tol=Tolerances()):
     """The probe-by-probe theta loop that scan_horizontal_segments must
     reproduce: (escape or None, probes used), or the error it stops on."""
-    thetas = [th for th in theta_grid(grid) if 0.0 < th < 1.0]
+    thetas = interior_thetas(grid).tolist()
     used = 0
     try:
         for p, v, _q in reference_probes(K, n, seed):
@@ -506,7 +504,7 @@ def test_formulas_are_exact_on_fractions():
     assert all(isinstance(c, Fraction) for c in pq)
     assert pq == Point3(p.x + q.x, p.y + q.y, p.t + q.t + 2 * (q.x * p.y - p.x * q.y))
     assert group_mul(pq, r) == group_mul(p, group_mul(q, r))
-    assert group_mul(p, group_inv(p)) == ORIGIN
+    assert group_mul(p, Point3(-p.x, -p.y, -p.t)) == ORIGIN
     a, b, tau, theta = Fraction(0.7), Fraction(-1.3), Fraction(2.5), Fraction(1, 3)
     assert _horizontal_step(*p, a, b) == group_mul(p, exp_h(HVec(a, b)))
     lam = 1 / ((1 - theta) + theta * tau)
@@ -540,7 +538,7 @@ def test_polygon_profile_plus():
     assert P.contains2d(0.0, 1.9)
     assert not P.contains2d(1.0, 1.0)
     K = radial_to_oracle(P, "plus")
-    assert K.is_radial
+    assert K.profile is not None
     assert K.contains(Point3(0.0, 1.9, 0.0))
     assert K.contains(Point3(-1.9, 0.0, 0.0))  # radial: any planar rotation
 
