@@ -78,6 +78,9 @@ def parse_descriptor(descriptor: str) -> tuple[str, dict]:
         params = obj.get("params", {}) if isinstance(obj, dict) else None
         if not (isinstance(params, dict) and "set" in obj):
             raise ValueError('set descriptor JSON must look like {"set": name, "params": {...}}')
+        unknown = sorted(set(obj) - {"set", "params"})
+        if unknown:
+            raise ValueError(f'set descriptor JSON takes only "set" and "params", got {unknown}')
         return str(obj["set"]), dict(params)
     return text, {}
 

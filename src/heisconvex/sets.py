@@ -16,6 +16,7 @@ horizontal-segment scan) shared by the falsifiers in the other modules.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -48,6 +49,8 @@ class RadialProfile:
     contains2d_many is contains2d on arrays of one shape, element for
     element: radial_to_oracle turns it into the oracle's array kernel, and
     chcheck.radial_necessary scans and bisects all its heights through it.
+    A polygon profile writes its edge formula once and runs it edge by
+    edge on floats and edge-major, in blocks, on arrays.
     """
 
     inside: Callable[[float, float, Kit], bool]
@@ -304,11 +307,49 @@ def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+# A polygon profile tests fewer than _POLYGON_EDGE_AT_A_TIME points at a time
+# edge-major, all edges against a block of about _POLYGON_BLOCK (edge, point)
+# pairs in one broadcast; the blocks keep the temporaries in cache.  From
+# that many points on, one edge at a time over all points is faster, since
+# numpy's per-call cost is then small beside each call's work.
+_POLYGON_BLOCK = 4096
+_POLYGON_EDGE_AT_A_TIME = 1536
+
+
+def _edge_near(edge, r, t, k: Kit, eps2: float):
+    """Whether (r, t) is within eps of the edge (ax, ay, vx, vy, vv) from
+    (ax, ay) along (vx, vy).
+
+    vv is vx^2 + vy^2, None for a zero-length edge.  The edge is floats and
+    (r, t) a point or arrays of points, or the edge values are (E, m)
+    arrays, one row per edge, and so are r and t.
+    """
+    ax, ay, vx, vy, vv = edge
+    wx, wy = r - ax, t - ay
+    s = 0.0 if vv is None else k.max(0.0, k.min(1.0, (wx * vx + wy * vy) / vv))
+    dx, dy = wx - s * vx, wy - s * vy
+    return dx * dx + dy * dy <= eps2
+
+
+def _edge_crosses(edge, r, t):
+    """Whether the rightward ray from (r, t) crosses the non-horizontal edge
+    (ax, ay, by, vx, vy) from (ax, ay) along (vx, vy), which ends at height
+    by; shaped as _edge_near."""
+    ax, ay, by, vx, vy = edge
+    return ((ay > t) != (by > t)) & (ax + (t - ay) * vx / vy > r)
+
+
 def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAULT_TOL) -> RadialProfile:
     """Closed polygon in the (r, t) half-plane, even-odd membership.
 
-    Points within eps_geom of an edge count as inside (closed set).  The
-    one formula tests floats and, through contains2d_many, arrays.
+    Points within eps_geom of an edge count as inside (closed set); the
+    rest are inside when the rightward ray crosses an odd number of the
+    non-horizontal edges.  The edge arithmetic is written once, in
+    _edge_near and _edge_crosses: floats run it one edge at a time, and
+    arrays (contains2d_many) edge-major, all edges against a block of
+    points in one broadcast (one edge at a time from
+    _POLYGON_EDGE_AT_A_TIME points on), each element with the same
+    operations in the same order as on floats.
 
     Raises:
         ValueError: vertices not a list of [r, t] pairs of finite numbers,
@@ -327,22 +368,67 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
     t_lo = min(t for _, t in verts)
     t_hi = max(t for _, t in verts)
     eps2 = tol.eps_geom * tol.eps_geom
-    edges = [(ax, ay, bx, by) for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]
+    near_edges, cross_edges = [], []
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        vx, vy = bx - ax, by - ay
+        vv = vx * vx + vy * vy
+        near_edges.append((ax, ay, vx, vy, None if vv == 0.0 else vv))
+        if ay != by:
+            cross_edges.append((ax, ay, by, vx, vy))
+    block = max(1, _POLYGON_BLOCK // len(near_edges))
+
+    def tiles(edges):
+        # each edge value repeated along a block, one row per edge; a
+        # zero-length edge's vv stays None
+        return tuple(None if c[0] is None else np.repeat(np.array(c)[:, None], block, axis=1) for c in zip(*edges))
+
+    # the zero-length edges apart, since their vv is None
+    proper = [e for e in near_edges if e[4] is not None]
+    zero_length = [e for e in near_edges if e[4] is None]
+    near_tiles = [tiles(g) for g in (proper, zero_length) if g]
+    cross_tiles = [tiles(cross_edges)] if cross_edges else []
+
+    def cut(g, m):
+        return tuple(c if c is None else c[:, :m] for c in g)
+
+    def edge_at_a_time(r, t, k: Kit):
+        near = inside = False
+        for e in near_edges:
+            near = near | _edge_near(e, r, t, k, eps2)
+        for e in cross_edges:
+            inside = inside ^ _edge_crosses(e, r, t)
+        return near | inside
 
     def member(r, t, k: Kit):
-        # within eps of an edge, or inside by the even-odd crossing rule
-        near = inside = False
-        for ax, ay, bx, by in edges:
-            vx, vy = bx - ax, by - ay
-            wx, wy = r - ax, t - ay
-            vv = vx * vx + vy * vy
-            s = 0.0 if vv == 0.0 else k.max(0.0, k.min(1.0, (wx * vx + wy * vy) / vv))
-            dx, dy = wx - s * vx, wy - s * vy
-            near = near | (dx * dx + dy * dy <= eps2)
-            if ay != by:
-                crosses = (ay > t) != (by > t)
-                inside = inside ^ (crosses & (ax + (t - ay) * vx / vy > r))
-        return near | inside
+        return member_many(r, t) if k is ARRAYS else edge_at_a_time(r, t, k)
+
+    def member_many(r, t):
+        r, t = np.asarray(r), np.asarray(t)
+        if r.shape != t.shape:
+            r, t = np.broadcast_arrays(r, t)
+        if r.size >= _POLYGON_EDGE_AT_A_TIME:
+            return edge_at_a_time(r, t, ARRAYS)
+        out = np.empty(r.shape, dtype=bool)
+        flat, rs, ts = out.reshape(-1), r.reshape(-1), t.reshape(-1)
+        size = flat.size
+        # the points of a block, copied into each row
+        R = np.empty((len(near_edges), min(block, size)))
+        T = np.empty_like(R)
+        for lo in range(0, size, block):
+            m = min(block, size - lo)
+            Rb, Tb = R[:, :m], T[:, :m]
+            np.copyto(Rb, rs[lo : lo + m])
+            np.copyto(Tb, ts[lo : lo + m])
+            hits = [
+                np.logical_xor.reduce(_edge_crosses(cut(g, m), Rb[: len(g[0])], Tb[: len(g[0])]), axis=0)
+                for g in cross_tiles
+            ]
+            hits += [
+                np.logical_or.reduce(_edge_near(cut(g, m), Rb[: len(g[0])], Tb[: len(g[0])], ARRAYS, eps2), axis=0)
+                for g in near_tiles
+            ]
+            flat[lo : lo + m] = functools.reduce(np.logical_or, hits)
+        return out
 
     return RadialProfile(member, r_max, (t_lo, t_hi))
 

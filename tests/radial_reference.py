@@ -1,9 +1,11 @@
-"""The radial necessary conditions checked one height and one cap at a time.
+"""The radial scans checked one height, one cap and one edge at a time.
 
 The reference that chcheck.radial_necessary must reproduce: the outer
 radius at each height by a scan down a 513-radius grid and a bisection,
 one contains2d call per radius, then the theorem-i caps tested one by one
 with uniforms drawn one call at a time, stopping at the first failure.
+And the reference that polygon_profile's membership must reproduce on
+floats and on arrays: the loop over the polygon's edges.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from heisconvex import DEFAULT_TOL, Point3, Tolerances, gallery
+from heisconvex.core import Kit
 from heisconvex.chcheck import RadialNecessityReport
 from heisconvex.sets import GALLERY, RadialProfile
 
@@ -24,6 +27,30 @@ def radial_sets():
     """Every radial gallery set, the plus shape and a dilated Koranyi ball."""
     sets = [gallery(name) for name, entry in GALLERY.items() if entry.expect and entry.expect.radial]
     return sets + [gallery("radial_custom", {"vertices": PLUS_VERTICES}), dilate_oracle(gallery("koranyi_ball"), 1.7)]
+
+
+def reference_polygon_member(vertices, tol: Tolerances = DEFAULT_TOL):
+    """polygon_profile's membership formula member(r, t, k), one edge at a time."""
+    verts = [(float(r), float(t)) for r, t in vertices]
+    eps2 = tol.eps_geom * tol.eps_geom
+    edges = [(ax, ay, bx, by) for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]
+
+    def member(r, t, k: Kit):
+        # within eps of an edge, or inside by the even-odd crossing rule
+        near = inside = False
+        for ax, ay, bx, by in edges:
+            vx, vy = bx - ax, by - ay
+            wx, wy = r - ax, t - ay
+            vv = vx * vx + vy * vy
+            s = 0.0 if vv == 0.0 else k.max(0.0, k.min(1.0, (wx * vx + wy * vy) / vv))
+            dx, dy = wx - s * vx, wy - s * vy
+            near = near | (dx * dx + dy * dy <= eps2)
+            if ay != by:
+                crosses = (ay > t) != (by > t)
+                inside = inside ^ (crosses & (ax + (t - ay) * vx / vy > r))
+        return near | inside
+
+    return member
 
 
 def reference_outer_radius(P: RadialProfile, t: float, tol: Tolerances, grid: int = 512) -> float:

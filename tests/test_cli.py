@@ -494,6 +494,9 @@ def test_bad_params_exit_1(tmp_path, tmp_path_factory, capsys):
     for params in ("[1]", '"ab"', "[]", "0", "false", '""', "null"):
         assert main(["axioms", "--set", f'{{"set": "koranyi_ball", "params": {params}}}'] + out) == 1
         assert 'heisconvex: error: set descriptor JSON must look like {"set"' in capsys.readouterr().err
+    # a descriptor key other than set and params: a misspelt params is not ignored
+    assert main(["axioms", "--set", '{"set": "koranyi_ball", "parms": {"r": 2}}'] + out) == 1
+    assert """error: set descriptor JSON takes only "set" and "params", got ['parms']""" in capsys.readouterr().err
     # curve specs without xi0, with a two-element xi0, and not an object
     specs = tmp_path_factory.mktemp("specs")
     for i, spec in enumerate(({}, {"xi0": [0.1, 0.2], "v": [0.3, 0.4], "tau": 1.5}, [1, 2], {"ch": 3})):

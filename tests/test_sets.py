@@ -28,6 +28,8 @@ from heisconvex import (
     sample_in_set,
 )
 from heisconvex.chcheck import curve_point
+from heisconvex.core import ARRAYS, FLOATS
+from heisconvex import sets
 from heisconvex.sets import (
     GALLERY_NAMES,
     IMPORTANTE_R_FLAT,
@@ -48,7 +50,7 @@ from heisconvex.sets import (
     uniform_points,
 )
 from ch_reference import dilate_oracle
-from radial_reference import radial_sets
+from radial_reference import radial_sets, reference_polygon_member
 from stream_reference import reference_probes
 
 PLUS_VERTICES = [
@@ -587,6 +589,75 @@ def test_profile_batch_membership_is_the_oracle_slice(K, fr, ft):
     assert many.dtype == bool and many.shape == rs.shape
     assert many.tolist() == [bool(P.contains2d(x, y)) for x, y in points]
     assert many.tolist() == [bool(K.contains(Point3(x, 0.0, y))) for x, y in points]
+
+
+POLYGONS = {
+    "plus": PLUS_VERTICES,
+    "dumbbell": [(0, -2), (1, -2), (1, -1), (0.1, -1), (0.1, 1), (1, 1), (1, 2), (0, 2)],
+    "ring": [(1.0, 1.0), (2.0, 1.0), (2.0, -1.0), (1.0, -1.0)],
+    "triangle": [(0.0, -1.0), (1.5, 0.3), (0.0, 1.0)],
+    # a repeated vertex: a zero-length edge
+    "repeated_vertex": [(0.0, -1.0), (1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)],
+    # an edge whose squared length underflows to 0 but which is not horizontal
+    "underflow_edge": [(0.0, -1.0), (0.5, 0.0), (0.5, 1e-170), (0.0, 1.0)],
+    # 64 vertices on the Koranyi profile r^4 + t^2 = 1
+    "koranyi_64": [
+        (math.sqrt(max(0.0, math.cos(a))), math.sin(a)) for a in np.linspace(-math.pi / 2.0, math.pi / 2.0, 64).tolist()
+    ],
+}
+
+
+def _polygon_points(vertices, tol=Tolerances()):
+    """(r, t) arrays: random points, points eps_geom (1 +- 1e-3) from each
+    slanted edge, the vertices with their 3-ulp neighbours, and non-finite
+    coordinates."""
+    rng = np.random.default_rng(14)
+    r_hi = 1.2 * max(r for r, _ in vertices) + 0.1
+    t_hi = 1.2 * max(abs(t) for _, t in vertices) + 0.1
+    points = list(zip(rng.uniform(-0.1, r_hi, 2000).tolist(), rng.uniform(-t_hi, t_hi, 2000).tolist()))
+    for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
+        length = math.hypot(bx - ax, by - ay)
+        if ax != bx and ay != by:
+            nx, ny = (by - ay) / length, (ax - bx) / length
+            for s in (0.1, 0.5, 0.9):
+                for d in (1.0 - 1e-3, 1.0 + 1e-3):
+                    for sign in (1.0, -1.0):
+                        off = sign * d * tol.eps_geom
+                        points.append((ax + s * (bx - ax) + off * nx, ay + s * (by - ay) + off * ny))
+    for r, t in vertices:
+        points += [(x, y) for x in _ulps(float(r)) for y in _ulps(float(t))]
+    for bad in (math.nan, math.inf, -math.inf):
+        points += [(bad, 0.0), (0.5, bad), (bad, bad)]
+    return (np.array(c) for c in zip(*points))
+
+
+@pytest.mark.parametrize("name", sorted(POLYGONS))
+def test_polygon_membership_is_the_edge_loop(name):
+    # contains2d_many is the one-edge-at-a-time loop on arrays, and
+    # contains2d is it on floats, bit for bit, at every batch size the
+    # blocks and the edge-at-a-time switch can meet
+    vertices = POLYGONS[name]
+    P = polygon_profile(vertices)
+    member = reference_polygon_member(vertices)
+    r, t = _polygon_points(vertices)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = member(r, t, ARRAYS)
+        assert P.contains2d_many(r, t).tolist() == want.tolist()
+        assert want.any() and not want.all()
+        for x, y, w in zip(r.tolist(), t.tolist(), want.tolist()):
+            got = P.contains2d(x, y)
+            assert type(got) is bool and got == member(x, y, FLOATS) == w, (x, y)
+        block = sets._POLYGON_BLOCK // len(vertices)
+        switch = sets._POLYGON_EDGE_AT_A_TIME
+        rng = np.random.default_rng(15)
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 5, switch - 1, switch, 10**4):
+            idx = rng.integers(0, len(r), n)
+            got = P.contains2d_many(r[idx], t[idx])
+            assert got.dtype == bool and got.shape == (n,)
+            assert got.tolist() == want[idx].tolist(), n
+        grid = rng.integers(0, len(r), (7, 45))
+        got = P.contains2d_many(r[grid], t[grid])
+        assert got.shape == (7, 45) and got.tolist() == want[grid].tolist()
 
 
 def test_cylinder_hat_closed_form_matches_oracle():
