@@ -54,8 +54,6 @@ DEGENERATE_TAU_GRID = (0.25, 0.5, 2.0, 4.0)
 # falsify_ch draws pairs in chunks of this many, each from its own stream;
 # it is also the size of the boundary pool
 PAIR_CHUNK = 256
-# rows (pair, tau) whose curve points are evaluated at once
-CURVE_TILE = 64
 # radii per height that the outer-radius scan tests at once
 RADIUS_BLOCK = 64
 
@@ -266,11 +264,13 @@ def falsify_ch(
     depends only on (seed, i): a larger budget extends the search and
     never reshuffles it.  Each chunk is screened with array operations:
     rejection sampling and membership through K.contains_many, the levels
-    through solve_tau_many, and the curve points in tiles of CURVE_TILE
-    (pair, tau) rows through curve_point and escapes_many.
+    through solve_tau_many, and the curve points of all its admissible
+    (pair, tau) rows in one curve_point and escapes_many call.
 
-    Requires assumptions a and b on K (the escape predicate and the
-    boundary sampler rely on them); run check_axioms first.
+    A witness stands on any K: replay_ch_witness checks that its escape
+    point lies on the curve and outside K.  Without assumption a there is
+    no boundary pool (those pairs are uniform), and a margin whose level
+    bracket runs away reads inf (escape_margin).
 
     Returns:
         The first witness in (pair, tau, theta) order, or None after
@@ -295,28 +295,26 @@ def falsify_ch(
         xi0, xi1 = xi0[: budget - start], xi1[: budget - start]
         taus = solve_tau_many(xi0.T, xi1.T, tol)[0]
         # row-major order: pairs in sample order, each pair's taus ascending
-        pair, root = np.nonzero(~np.isnan(taus))
-        for s in range(0, len(pair), CURVE_TILE):
-            p = pair[s : s + CURVE_TILE]
-            tau = taus[p, root[s : s + CURVE_TILE]]
-            a = tau * xi1[p, 0] - xi0[p, 0]
-            b = tau * xi1[p, 1] - xi0[p, 1]
-            x0, y0, t0 = xi0[p].T[:, :, None]
-            px, py, pt = curve_point(x0, y0, t0, a[:, None], b[:, None], tau[:, None], thetas)
-            hits = np.flatnonzero(escapes_many(K, px, py, pt, tol))
-            if hits.size:
-                r, j = divmod(int(hits[0]), len(thetas))
-                escape = Point3(float(px[r, j]), float(py[r, j]), float(pt[r, j]))
-                return ChWitness(
-                    Point3(*xi0[p[r]].tolist()),
-                    Point3(*xi1[p[r]].tolist()),
-                    float(tau[r]),
-                    HVec(float(a[r]), float(b[r])),
-                    float(thetas[j]),
-                    escape,
-                    escape_margin(K, escape, tol),
-                    pair_index=start + int(p[r]),
-                )
+        p, root = np.nonzero(~np.isnan(taus))
+        tau = taus[p, root]
+        a = tau * xi1[p, 0] - xi0[p, 0]
+        b = tau * xi1[p, 1] - xi0[p, 1]
+        x0, y0, t0 = xi0[p].T[:, :, None]
+        px, py, pt = curve_point(x0, y0, t0, a[:, None], b[:, None], tau[:, None], thetas)
+        hits = np.flatnonzero(escapes_many(K, px, py, pt, tol))
+        if hits.size:
+            r, j = divmod(int(hits[0]), len(thetas))
+            escape = Point3(float(px[r, j]), float(py[r, j]), float(pt[r, j]))
+            return ChWitness(
+                Point3(*xi0[p[r]].tolist()),
+                Point3(*xi1[p[r]].tolist()),
+                float(tau[r]),
+                HVec(float(a[r]), float(b[r])),
+                float(thetas[j]),
+                escape,
+                escape_margin(K, escape, tol),
+                pair_index=start + int(p[r]),
+            )
     return None
 
 

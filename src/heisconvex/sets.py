@@ -50,7 +50,7 @@ class RadialProfile:
     element: radial_to_oracle turns it into the oracle's array kernel, and
     chcheck.radial_necessary scans and bisects all its heights through it.
     A polygon profile writes its edge formula once and runs it edge by
-    edge on floats and edge-major, in blocks, on arrays.
+    edge on floats and in one all-edge broadcast on small arrays.
     """
 
     inside: Callable[[float, float, Kit], bool]
@@ -307,13 +307,11 @@ def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-# A polygon profile tests fewer than _POLYGON_EDGE_AT_A_TIME points at a time
-# edge-major, all edges against a block of about _POLYGON_BLOCK (edge, point)
-# pairs in one broadcast; the blocks keep the temporaries in cache.  From
-# that many points on, one edge at a time over all points is faster, since
-# numpy's per-call cost is then small beside each call's work.
-_POLYGON_BLOCK = 4096
-_POLYGON_EDGE_AT_A_TIME = 1536
+# A polygon profile tests all edges against all points of an array in one
+# broadcast while that is at most _POLYGON_PAIRS (edge, point) pairs; above
+# that, one edge at a time over all points is faster, since numpy's per-call
+# cost is then small beside each call's work.
+_POLYGON_PAIRS = 16384
 
 
 def _edge_near(edge, r, t, k: Kit, eps2: float):
@@ -321,8 +319,8 @@ def _edge_near(edge, r, t, k: Kit, eps2: float):
     (ax, ay) along (vx, vy).
 
     vv is vx^2 + vy^2, None for a zero-length edge.  The edge is floats and
-    (r, t) a point or arrays of points, or the edge values are (E, m)
-    arrays, one row per edge, and so are r and t.
+    (r, t) a point or arrays of points, or the edge values are (E, 1)
+    columns, one row per edge, and r and t are (m,) arrays.
     """
     ax, ay, vx, vy, vv = edge
     wx, wy = r - ax, t - ay
@@ -346,9 +344,9 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
     rest are inside when the rightward ray crosses an odd number of the
     non-horizontal edges.  The edge arithmetic is written once, in
     _edge_near and _edge_crosses: floats run it one edge at a time, and
-    arrays (contains2d_many) edge-major, all edges against a block of
-    points in one broadcast (one edge at a time from
-    _POLYGON_EDGE_AT_A_TIME points on), each element with the same
+    arrays (contains2d_many) all edges against all points in one
+    broadcast up to _POLYGON_PAIRS (edge, point) pairs after broadcasting
+    r against t, edge by edge above that; each element gets the same
     operations in the same order as on floats.
 
     Raises:
@@ -375,21 +373,16 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
         near_edges.append((ax, ay, vx, vy, None if vv == 0.0 else vv))
         if ay != by:
             cross_edges.append((ax, ay, by, vx, vy))
-    block = max(1, _POLYGON_BLOCK // len(near_edges))
 
-    def tiles(edges):
-        # each edge value repeated along a block, one row per edge; a
-        # zero-length edge's vv stays None
-        return tuple(None if c[0] is None else np.repeat(np.array(c)[:, None], block, axis=1) for c in zip(*edges))
+    def columns(edges):
+        # each edge value as an (E, 1) column; a zero-length edge's vv stays None
+        return tuple(None if c[0] is None else np.array(c)[:, None] for c in zip(*edges))
 
     # the zero-length edges apart, since their vv is None
     proper = [e for e in near_edges if e[4] is not None]
     zero_length = [e for e in near_edges if e[4] is None]
-    near_tiles = [tiles(g) for g in (proper, zero_length) if g]
-    cross_tiles = [tiles(cross_edges)] if cross_edges else []
-
-    def cut(g, m):
-        return tuple(c if c is None else c[:, :m] for c in g)
+    near_columns = [columns(g) for g in (proper, zero_length) if g]
+    cross_columns = [columns(cross_edges)] if cross_edges else []
 
     def edge_at_a_time(r, t, k: Kit):
         near = inside = False
@@ -406,34 +399,17 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
         r, t = np.asarray(r), np.asarray(t)
         if r.shape != t.shape:
             r, t = np.broadcast_arrays(r, t)
-        if r.size >= _POLYGON_EDGE_AT_A_TIME:
+        if r.size * len(near_edges) > _POLYGON_PAIRS:
             return edge_at_a_time(r, t, ARRAYS)
-        out = np.empty(r.shape, dtype=bool)
-        flat, rs, ts = out.reshape(-1), r.reshape(-1), t.reshape(-1)
-        size = flat.size
-        # the points of a block, copied into each row
-        R = np.empty((len(near_edges), min(block, size)))
-        T = np.empty_like(R)
-        for lo in range(0, size, block):
-            m = min(block, size - lo)
-            Rb, Tb = R[:, :m], T[:, :m]
-            np.copyto(Rb, rs[lo : lo + m])
-            np.copyto(Tb, ts[lo : lo + m])
-            hits = [
-                np.logical_xor.reduce(_edge_crosses(cut(g, m), Rb[: len(g[0])], Tb[: len(g[0])]), axis=0)
-                for g in cross_tiles
-            ]
-            hits += [
-                np.logical_or.reduce(_edge_near(cut(g, m), Rb[: len(g[0])], Tb[: len(g[0])], ARRAYS, eps2), axis=0)
-                for g in near_tiles
-            ]
-            flat[lo : lo + m] = functools.reduce(np.logical_or, hits)
-        return out
+        rs, ts = r.reshape(-1), t.reshape(-1)
+        hits = [np.logical_xor.reduce(_edge_crosses(g, rs, ts), axis=0) for g in cross_columns]
+        hits += [np.logical_or.reduce(_edge_near(g, rs, ts, ARRAYS, eps2), axis=0) for g in near_columns]
+        return functools.reduce(np.logical_or, hits).reshape(r.shape)
 
     return RadialProfile(member, r_max, (t_lo, t_hi))
 
 
-def radial_to_oracle(P: RadialProfile, label: str = "radial", tol: Tolerances = DEFAULT_TOL) -> SetOracle:
+def radial_to_oracle(P: RadialProfile, label: str = "radial") -> SetOracle:
     """Rotate a profile around the t-axis into a full membership oracle:
     the profile's formula at r = |(x, y)|_E."""
 
@@ -447,7 +423,7 @@ def radial_to_oracle(P: RadialProfile, label: str = "radial", tol: Tolerances = 
 def _radial_custom(tol: Tolerances, vertices: Optional[Sequence[Sequence[float]]] = None) -> SetOracle:
     if vertices is None:
         raise ValueError("radial_custom requires params['vertices']")
-    return radial_to_oracle(polygon_profile(vertices, tol), "radial_custom", tol)
+    return radial_to_oracle(polygon_profile(vertices, tol), "radial_custom")
 
 
 class Verdicts(NamedTuple):
@@ -798,9 +774,15 @@ def escapes_many(K: SetOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray, tol:
 def escape_margin(K: SetOracle, p: Point3, tol: Tolerances = DEFAULT_TOL) -> float:
     """How far outside K the point sits, in dilation-level units.
 
-    Positive for escaped points: the dilation level of p minus one.
+    Positive for escaped points: the dilation level of p minus one; inf,
+    an unreliable margin, when the level bracket runs away (the identity
+    is not interior, or K is not star-shaped under dilations).
     """
-    return dilation_level(K, p, tol) - 1.0
+    try:
+        return dilation_level(K, p, tol) - 1.0
+    except RuntimeError:
+        # the level bisection diverges, but the escape itself still stands
+        return math.inf
 
 
 def boundary_sample(
@@ -943,14 +925,8 @@ def scan_horizontal_segments(
         if hits.size:
             r, j = divmod(int(hits[0]), len(thetas))
             pt = Point3(float(x[r, j]), float(y[r, j]), float(t[r, j]))
-            try:
-                margin = escape_margin(K, pt, tol)
-            except RuntimeError:
-                # margin needs the level bisection; on sets violating
-                # assumption b it diverges, but the escape still stands
-                margin = math.inf
             base, step = Point3(*p[r].tolist()), HVec(*v[r].tolist())
-            return SegmentEscape(base, step, float(thetas[j]), pt, margin), used + r + 1
+            return SegmentEscape(base, step, float(thetas[j]), pt, escape_margin(K, pt, tol)), used + r + 1
         used += len(p)
     return None, used
 

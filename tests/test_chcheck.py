@@ -17,6 +17,7 @@ from heisconvex import (
     envelope_check,
     envelope_phi,
     envelope_psi,
+    escape_margin,
     escapes,
     falsify_ch,
     gallery,
@@ -311,6 +312,17 @@ def test_falsify_pairs_shared_across_chunk_boundary(monkeypatch):
 def test_falsify_clean_sets():
     for name in ("koranyi_ball", "cylinder_hat", "slab_x"):
         assert falsify_ch(gallery(name), 1500, seed=0) is None
+
+
+def test_falsify_ring_witness_has_unreliable_margin():
+    # the identity is not interior, so there is no boundary pool and the
+    # level bracket of the escape point runs away: the witness still
+    # stands, with margin inf
+    ring = radial_to_oracle(polygon_profile([(0.5, -0.5), (1.0, -0.5), (1.0, 0.5), (0.5, 0.5)]), "ring")
+    w = falsify_ch(ring, 2000, seed=0)
+    assert w is not None and w.margin == math.inf
+    assert replay_ch_witness(ring, w)
+    assert escape_margin(ring, w.escape_point) == math.inf
 
 
 def test_tau_one_mode_matches_set_checker():

@@ -635,7 +635,7 @@ def _polygon_points(vertices, tol=Tolerances()):
 def test_polygon_membership_is_the_edge_loop(name):
     # contains2d_many is the one-edge-at-a-time loop on arrays, and
     # contains2d is it on floats, bit for bit, at every batch size the
-    # blocks and the edge-at-a-time switch can meet
+    # switch between one broadcast and the edge-at-a-time loop can meet
     vertices = POLYGONS[name]
     P = polygon_profile(vertices)
     member = reference_polygon_member(vertices)
@@ -647,10 +647,9 @@ def test_polygon_membership_is_the_edge_loop(name):
         for x, y, w in zip(r.tolist(), t.tolist(), want.tolist()):
             got = P.contains2d(x, y)
             assert type(got) is bool and got == member(x, y, FLOATS) == w, (x, y)
-        block = sets._POLYGON_BLOCK // len(vertices)
-        switch = sets._POLYGON_EDGE_AT_A_TIME
+        switch = sets._POLYGON_PAIRS // len(vertices)
         rng = np.random.default_rng(15)
-        for n in (0, 1, block - 1, block, block + 1, 3 * block + 5, switch - 1, switch, 10**4):
+        for n in (0, 1, switch - 1, switch, switch + 1, 10**4):
             idx = rng.integers(0, len(r), n)
             got = P.contains2d_many(r[idx], t[idx])
             assert got.dtype == bool and got.shape == (n,)
