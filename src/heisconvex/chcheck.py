@@ -54,6 +54,8 @@ DEGENERATE_TAU_GRID = (0.25, 0.5, 2.0, 4.0)
 # falsify_ch draws pairs in chunks of this many, each from its own stream;
 # it is also the size of the boundary pool
 PAIR_CHUNK = 256
+# chunks that pick from one boundary pool: 2048 of its 65536 ordered pairs
+POOL_GROUP = 8
 # radii per height that the outer-radius scan tests at once
 RADIUS_BLOCK = 64
 
@@ -251,26 +253,26 @@ def falsify_ch(
 ) -> Optional[ChWitness]:
     """Hunt for a pair of points whose interpolation curve leaves K.
 
-    Samples point pairs (half uniform, a quarter near the boundary, a
-    quarter biased to the vertical extremes), solves for every admissible
-    tau, and tests the m-sample curve with the robust escape predicate.
-    With tau_one=True the search restricts to horizontally reachable pairs
-    at tau = 1, which is literally the horizontal-segment convexity check
-    of the set module (same probe stream, same verdicts on equal seeds).
+    Samples pairs of boundary points, which lose nothing on a set
+    star-shaped under dilations (every escape has a boundary pair that
+    escapes at least as far), solves for every admissible tau, and tests
+    the m-sample curve with the robust escape predicate.  With
+    tau_one=True the search restricts to horizontally reachable pairs at
+    tau = 1, which is literally the horizontal-segment convexity check of
+    the set module (same probe stream, same verdicts on equal seeds).
 
     Pairs come in chunks of PAIR_CHUNK = 256; chunk c is drawn whole from
-    default_rng([seed, 0xC4, c]) and the near-boundary pairs pick from one
-    256-point boundary_sample pool, whatever the budget.  So pair i
+    default_rng([seed, 0xC4, c]), and each group of POOL_GROUP = 8 chunks
+    picks from its own 256-point boundary_sample pool, built when the
+    group is first reached (uniform_points without a pool).  So pair i
     depends only on (seed, i): a larger budget extends the search and
     never reshuffles it.  Each chunk is screened with array operations:
-    rejection sampling and membership through K.contains_many, the levels
-    through solve_tau_many, and the curve points of all its admissible
-    (pair, tau) rows in one curve_point and escapes_many call.
+    the levels through solve_tau_many, and the curve points of all its
+    admissible (pair, tau) rows in one curve_point and escapes_many call.
 
     A witness stands on any K: replay_ch_witness checks that its escape
     point lies on the curve and outside K.  Without assumption a there is
-    no boundary pool (those pairs are uniform), and a margin whose level
-    bracket runs away reads inf (escape_margin).
+    no boundary pool, and a margin that is no level reads inf (escape_margin).
 
     Returns:
         The first witness in (pair, tau, theta) order, or None after
@@ -286,12 +288,13 @@ def falsify_ch(
         return ChWitness(p, group_mul(p, exp_h(v)), 1.0, v, found.theta, found.escape_point, found.margin, used - 1)
 
     thetas = interior_thetas(m)
-    try:
-        pool = boundary_sample(K, PAIR_CHUNK, seed, tol)
-    except (ValueError, RuntimeError):
-        pool = None
-    for start in range(0, budget, PAIR_CHUNK):
-        xi0, xi1 = _chunk_pairs(K, start // PAIR_CHUNK, seed, pool)
+    for chunk, start in enumerate(range(0, budget, PAIR_CHUNK)):
+        if chunk % POOL_GROUP == 0:
+            try:
+                pool = boundary_sample(K, PAIR_CHUNK, seed, tol, chunk // POOL_GROUP)
+            except (ValueError, RuntimeError):
+                pool = None
+        xi0, xi1 = _chunk_pairs(K, chunk, seed, pool)
         xi0, xi1 = xi0[: budget - start], xi1[: budget - start]
         taus = solve_tau_many(xi0.T, xi1.T, tol)[0]
         # row-major order: pairs in sample order, each pair's taus ascending
@@ -321,28 +324,16 @@ def falsify_ch(
 def _chunk_pairs(K: SetOracle, chunk: int, seed: int, pool: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The PAIR_CHUNK pairs of one chunk, as two (PAIR_CHUNK, 3) arrays.
 
-    Pair i has mode i % 4: 0 and 1 take two uniform points, 2 two pool
-    points (two uniform ones without a pool), 3 the |t|-largest of 8
-    uniform points and one more.  Uniform points are used in the order
-    mode-0/1 xi0s, mode-0/1 xi1s, mode-3 groups of 8, mode-3 xi1s, then
-    mode-2 xi0s and xi1s when there is no pool.
+    With a pool, pair k is (pool[i], pool[j]) for row k of the chunk
+    stream's (PAIR_CHUNK, 2) integers; without one, it is the chunk
+    stream's uniform points 2k and 2k + 1.
     """
     rng = np.random.default_rng([seed, 0xC4, chunk])
-    k = PAIR_CHUNK // 4  # pairs per mode
-    pts = uniform_points(K, 13 * k if pool is not None else 15 * k, rng)
-    xi0 = np.empty((k, 4, 3))
-    xi1 = np.empty((k, 4, 3))
-    xi0[:, :2] = pts[: 2 * k].reshape(k, 2, 3)
-    xi1[:, :2] = pts[2 * k : 4 * k].reshape(k, 2, 3)
-    groups = pts[4 * k : 12 * k].reshape(k, 8, 3)
-    xi0[:, 3] = groups[np.arange(k), np.argmax(abs(groups[:, :, 2]), axis=1)]
-    xi1[:, 3] = pts[12 * k : 13 * k]
     if pool is None:
-        xi0[:, 2], xi1[:, 2] = pts[13 * k : 14 * k], pts[14 * k :]
-    else:
-        pick = rng.integers(0, len(pool), size=(k, 2))
-        xi0[:, 2], xi1[:, 2] = pool[pick[:, 0]], pool[pick[:, 1]]
-    return xi0.reshape(PAIR_CHUNK, 3), xi1.reshape(PAIR_CHUNK, 3)
+        pts = uniform_points(K, 2 * PAIR_CHUNK, rng).reshape(PAIR_CHUNK, 2, 3)
+        return pts[:, 0], pts[:, 1]
+    pick = rng.integers(0, len(pool), size=(PAIR_CHUNK, 2))
+    return pool[pick[:, 0]], pool[pick[:, 1]]
 
 
 def replay_ch_witness(K: SetOracle, w: ChWitness, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -79,8 +79,7 @@ class SetOracle:
     array kernel for it; an oracle built from a bare scalar predicate
     (kernel=None) falls back to a row loop over contains.  The batch
     falsifier (chcheck.falsify_ch) tests all its points this way, in
-    streams where pair i depends only on (seed, i) and the boundary pool
-    holds 256 points whatever the budget.
+    streams where pair i depends only on (seed, i).
     """
 
     contains: Callable[[Point3], bool]
@@ -507,8 +506,10 @@ def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_
 def uniform_points(K: SetOracle, need: int, rng: np.random.Generator) -> np.ndarray:
     """The first need bbox-uniform draws that land in K, as a (need, 3) array.
 
-    The one rejection sampler: rounds draw max(64, 4 * missing) x, y and t
-    values in turn and test them with K.contains_many.
+    The one rejection sampler: rounds draw m x, y and t values in turn and
+    test them with K.contains_many.  The first has m = max(64, 4 * need);
+    later ones are sized from the acceptance seen so far,
+    m = max(64, ceil(1.25 * missing * tries / max(got, 1))).
 
     Raises:
         RuntimeError: fewer than need points after 1000 + 400 need draws.
@@ -517,12 +518,13 @@ def uniform_points(K: SetOracle, need: int, rng: np.random.Generator) -> np.ndar
     max_tries = 1000 + 400 * need
     kept = [np.empty((0, 3))]
     got = tries = 0
+    m = max(64, 4 * need)
     while got < need:
         if tries >= max_tries:
             raise RuntimeError(
                 f"rejection sampling stalled on {K.label}: {got}/{need} after {tries} tries"
             )
-        m = min(max(64, 4 * (need - got)), max_tries - tries)
+        m = min(m, max_tries - tries)
         x = rng.uniform(xlo, xhi, m)
         y = rng.uniform(ylo, yhi, m)
         t = rng.uniform(tlo, thi, m)
@@ -530,6 +532,7 @@ def uniform_points(K: SetOracle, need: int, rng: np.random.Generator) -> np.ndar
         inside = K.contains_many(x, y, t)
         kept.append(np.stack([x[inside], y[inside], t[inside]], axis=1))
         got += len(kept[-1])
+        m = max(64, math.ceil(1.25 * (need - got) * tries / max(got, 1)))
     return np.concatenate(kept)[:need]
 
 
@@ -774,15 +777,21 @@ def escapes_many(K: SetOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray, tol:
 def escape_margin(K: SetOracle, p: Point3, tol: Tolerances = DEFAULT_TOL) -> float:
     """How far outside K the point sits, in dilation-level units.
 
-    Positive for escaped points: the dilation level of p minus one; inf,
+    Positive for escaped points: the dilation level L of p minus one; inf,
     an unreliable margin, when the level bracket runs away (the identity
-    is not interior, or K is not star-shaped under dilations).
+    is not interior) or when dilate(1/tau, p) is in K at some level
+    tau = L 2**(-k/4) below L, k = 1..32 (K is not star-shaped under
+    dilations, so L is one of several flips of membership).
     """
     try:
-        return dilation_level(K, p, tol) - 1.0
+        level = dilation_level(K, p, tol)
     except RuntimeError:
         # the level bisection diverges, but the escape itself still stands
         return math.inf
+    lam = 1.0 / (level * 2.0 ** (-np.arange(1, 33) / 4))
+    if K.contains_many(lam * p.x, lam * p.y, lam * lam * p.t).any():
+        return math.inf
+    return level - 1.0
 
 
 def boundary_sample(
@@ -790,16 +799,16 @@ def boundary_sample(
     n: int,
     seed: int,
     tol: Tolerances = DEFAULT_TOL,
+    group: int = 0,
 ) -> np.ndarray:
     """n near-boundary points, as an (n, 3) array, by bisecting dilation rays from e.
 
-    Point k depends only on (seed, k): ray k takes the k-th accepted
-    direction of default_rng([seed, 0xB0]), so the first points do not
-    depend on n (falsify_ch always asks for 256).  All rays are bracketed
-    (_bracket_up) and bisected (bisect_many) together through
-    K.contains_many; each ray runs exactly the steps it would run on its
-    own, so the result is bit for bit the one-ray-at-a-time loop with
-    K.contains.
+    Point k depends only on (seed, group, k): ray k takes the k-th
+    accepted direction of default_rng([seed, 0xB0, group]), so the first
+    points do not depend on n.  All rays are bracketed (_bracket_up) and
+    bisected (bisect_many) together through K.contains_many; each ray
+    runs exactly the steps it would run on its own, so the result is bit
+    for bit the one-ray-at-a-time loop with K.contains.
 
     Requires a compact set with the identity interior (assumption a); the
     ray parameter is the dilation scale, which is exact for sets that are
@@ -814,7 +823,7 @@ def boundary_sample(
         raise ValueError(f"{K.label} is not compact: boundary rays never exit the box")
     if not K.contains(ORIGIN):
         raise RuntimeError(f"identity not inside {K.label}; cannot shoot rays from e")
-    rng = np.random.default_rng([seed, 0xB0])
+    rng = np.random.default_rng([seed, 0xB0, group])
     dirs = np.empty((0, 3))
     while len(dirs) < n:
         # normal(size=(k, 3)) draws the same values as k draws of size 3

@@ -32,7 +32,7 @@ from heisconvex import (
 from heisconvex import chcheck
 from heisconvex.chcheck import DEGENERATE_TAU_GRID, ChWitness, TauSolution, curve_point, solve_tau_many
 from heisconvex.core import DEFAULT_TOL
-from heisconvex.sets import IMPORTANTE_R_MAX, polygon_profile, radial_to_oracle
+from heisconvex.sets import IMPORTANTE_R_MAX, boundary_sample, polygon_profile, radial_to_oracle
 from ch_reference import ch_curve_cases, dilate_oracle, transport_witness
 from radial_reference import radial_sets, reference_outer_radius, reference_radial_necessary
 
@@ -261,10 +261,10 @@ def test_falsify_cylinder_frozen():
     K = gallery("cylinder")
     w = falsify_ch(K, 2000, seed=0)
     assert w is not None
-    assert w.pair_index == 78
-    assert w.tau == pytest.approx(0.4508658511703597, abs=1e-9)
+    assert w.pair_index == 7
+    assert w.tau == pytest.approx(1.6290873090895175, abs=1e-9)
     assert w.theta_star == 0.03125
-    assert w.margin == pytest.approx(4.714102e-03, rel=1e-3)
+    assert w.margin == pytest.approx(1.6461313e-03, rel=1e-3)
     assert replay_ch_witness(K, w)
 
 
@@ -272,8 +272,8 @@ def test_falsify_euclidean_ball_frozen():
     K = gallery("euclidean_ball")
     w = falsify_ch(K, 2000, seed=0)
     assert w is not None
-    assert w.pair_index == 2
-    assert w.tau == pytest.approx(1.5660928085931614, abs=1e-9)
+    assert w.pair_index == 5
+    assert w.tau == pytest.approx(9.051875113438033, abs=1e-9)
     assert replay_ch_witness(K, w)
 
 
@@ -292,26 +292,48 @@ def test_falsify_prefix_stable(name):
 
 
 def test_falsify_pairs_shared_across_chunk_boundary(monkeypatch):
-    seen = []
+    # across a chunk boundary (pair 256) and a pool-group boundary (pair
+    # 2048, where the second boundary pool is built) the stream stays
+    # prefix stable
+    seen, pools = [], []
 
     def spy(xi0, xi1, tol):
         seen.append(np.concatenate([xi0, xi1]).T.copy())
         return solve_tau_many(xi0, xi1, tol)
 
+    def pool_spy(K, n, seed, tol, group):
+        pools.append(group)
+        return boundary_sample(K, n, seed, tol, group)
+
     monkeypatch.setattr(chcheck, "solve_tau_many", spy)
-    runs = {}
-    for budget in (256, 257, 600):
-        seen.clear()
-        assert falsify_ch(gallery("koranyi_ball"), budget, seed=4) is None
-        runs[budget] = np.concatenate(seen)
-        assert len(runs[budget]) == budget
-    assert (runs[257][:256] == runs[256]).all()
-    assert (runs[600][:257] == runs[257]).all()
+    monkeypatch.setattr(chcheck, "boundary_sample", pool_spy)
+    K = gallery("koranyi_ball")
+    for budgets in ((256, 257, 600), (2048, 2049, 4200)):
+        runs = {}
+        for budget in budgets:
+            seen.clear()
+            pools.clear()
+            assert falsify_ch(K, budget, seed=4) is None
+            runs[budget] = np.concatenate(seen)
+            assert len(runs[budget]) == budget
+            # one pool per group of 8 chunks, built when the group is reached
+            assert pools == list(range(math.ceil(budget / 2048)))
+        short, mid, long = budgets
+        assert (runs[mid][:short] == runs[short]).all()
+        assert (runs[long][:mid] == runs[mid]).all()
+    # the second group's pairs join points of its own pool
+    second = runs[4200][2048:4096]
+    assert np.isin(second, boundary_sample(K, 256, 4, group=1)).all()
+    assert not np.isin(second, boundary_sample(K, 256, 4)).any()
 
 
 def test_falsify_clean_sets():
     for name in ("koranyi_ball", "cylinder_hat", "slab_x"):
         assert falsify_ch(gallery(name), 1500, seed=0) is None
+    # every seed of the benchmark's clean jobs
+    for name in ("koranyi_ball", "cylinder_hat"):
+        K = gallery(name)
+        assert [s for s in range(64) if falsify_ch(K, 2000, seed=s) is not None] == []
 
 
 def test_falsify_ring_witness_has_unreliable_margin():

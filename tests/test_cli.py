@@ -100,8 +100,8 @@ def test_ch_witness_and_curve(tmp_path):
     assert code == 2
     rep = read_report(tmp_path / "ch_cylinder.json")
     w = rep["ch"]["witness"]
-    assert w["pair_index"] == 78
-    assert w["tau"] == pytest.approx(0.4508658511703597)
+    assert w["pair_index"] == 7
+    assert w["tau"] == pytest.approx(1.6290873090895175)
     curve = import_curve(tmp_path / "ch_curve_cylinder.csv")
     assert len(curve) == 101
     assert curve[0].x == pytest.approx(w["xi0"][0])
@@ -184,20 +184,21 @@ def test_gallery_matches_expectations(tmp_path):
     assert code == 0
     rep = read_report(tmp_path / "gallery.json")
     assert rep["all_match"]
-    assert rep["gallery"]["cylinder"]["ch_witness"]["pair_index"] == 78
+    assert rep["gallery"]["cylinder"]["ch_witness"]["pair_index"] == 7
     assert rep["gallery"]["importante"]["radial"] == [False, False]
     assert all(block["inconclusive"] == [] for block in rep["gallery"].values())
 
 
 def test_gallery_unfound_witness_is_inconclusive(tmp_path, capsys):
-    # importante's witness is due, but 500 pairs at seed 0 do not reach it
-    assert main(["gallery", "--samples", "400", "--budget", "500", "--out", str(tmp_path)]) == 0
+    # importante's witness is due, but 50 pairs at seed 0 do not reach it
+    # (pair 76 does); the cylinder's and the euclidean ball's do
+    assert main(["gallery", "--samples", "400", "--budget", "50", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "gallery importante: inconclusive (ch: no witness in 500 pairs)" in out
+    assert "gallery importante: inconclusive (ch: no witness in 50 pairs)" in out
     assert "gallery: no mismatches, 1 inconclusive" in out
     rep = read_report(tmp_path / "gallery.json")
     assert rep["all_match"]
-    assert rep["gallery"]["importante"]["inconclusive"] == ["ch: no witness in 500 pairs"]
+    assert rep["gallery"]["importante"]["inconclusive"] == ["ch: no witness in 50 pairs"]
     assert rep["gallery"]["importante"]["mismatches"] == []
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -209,6 +210,51 @@ def test_escapes_and_margin():
     assert escape_margin(K, out) == pytest.approx(0.1, abs=1e-5)
 
 
+def test_escape_margin_flags_a_non_monotone_ray():
+    # the dumbbell fails assumption b: along the ray of this escape point,
+    # membership flips more than once, so the bisected 1.104 is no level
+    K = radial_to_oracle(
+        polygon_profile([(0, -2), (1, -2), (1, -1), (0.1, -1), (0.1, 1), (1, 1), (1, 2), (0, 2)]), "dumbbell"
+    )
+    p = Point3(0.009180772108855333, 0.10999218263229252, 0.6798846419619698)
+    assert escapes(K, p)
+    assert dilation_level(K, p) == pytest.approx(1.104, abs=1e-3)
+    assert escape_margin(K, p) == math.inf
+
+
+def _counting(K):
+    """K, and the sizes of the contains_many calls its kernel receives."""
+    sizes = []
+
+    def kernel(x, y, t):
+        sizes.append(np.size(x))
+        return K.kernel(x, y, t)
+
+    return dataclasses.replace(K, kernel=kernel), sizes
+
+
+def test_uniform_points_sizes_rounds_from_acceptance():
+    # the plus shape keeps about 8 % of its box: the first round of 1024
+    # draws sizes the next, so 256 points take at most three rounds
+    K, sizes = _counting(plus_set())
+    for seed in range(20):
+        sizes.clear()
+        pts = uniform_points(K, 256, np.random.default_rng(seed))
+        assert pts.shape == (256, 3) and K.contains_many(*pts.T).all()
+        assert sizes[0] == 1024 and len(sizes) <= 3, (seed, sizes)
+
+
+def test_uniform_points_on_a_box_is_one_round():
+    # a set that fills its box is done in the first round of
+    # max(64, 4 need) draws of x, then y, then t: criterion 2's box stream
+    box = box_oracle(((-2.0, 2.0), (-1.0, 3.0), (-4.0, 0.5)))
+    for need in (0, 1, 16, 17, 300):
+        m = max(64, 4 * need)
+        rng = np.random.default_rng(need)
+        want = np.stack([rng.uniform(lo, hi, m) for lo, hi in box.bbox], axis=1)[:need]
+        assert uniform_points(box, need, np.random.default_rng(need)).tolist() == want.tolist()
+
+
 def test_sample_in_set_members_and_determinism():
     K = gallery("cylinder_hat")
     pts1 = sample_in_set(K, 64, np.random.default_rng(9))
@@ -357,14 +403,17 @@ def test_scan_matches_reference_loop():
     }
     assert all(kinds.values()), kinds
     assert all(k[0] == "sliver" for k in kinds["thin"])
-    # an escape found before a stall is reported: at seed 0 probe 10 of the
-    # tall stripes escapes, and drawing chunk 1, after 98 probes, stalls
+    # an escape found before a stall is reported: at seed 6 probe 14 of the
+    # tall stripes escapes, and drawing chunk 1, after 107 probes, stalls
+    stripes = cases["tall stripes"][0]
     drawn = []
     with pytest.raises(RuntimeError, match="stalled"):
-        for p, _v, _q, _seg in segment_chunks(cases["tall stripes"][0], 200, interior_thetas(9), 0):
+        for p, _v, _q, _seg in segment_chunks(stripes, 200, interior_thetas(9), 6):
             drawn.append(len(p))
-    assert drawn == [98]
-    assert outcomes["tall stripes", 9, 0][1] == 10
+    assert drawn == [107]
+    want = _reference_scan(stripes, 200, 9, 6)
+    assert _scan_outcome(stripes, 200, 9, 6) == want
+    assert isinstance(want[0], SegmentEscape) and want[1] == 14
 
 
 def _stream(K, n, seed):
@@ -762,9 +811,9 @@ def test_escapes_many_matches_escapes():
         assert got.any() and not got.all()
 
 
-def _reference_boundary_sample(K, n, seed, tol=Tolerances()):
+def _reference_boundary_sample(K, n, seed, tol=Tolerances(), group=0):
     """The one-ray-at-a-time loop boundary_sample must reproduce bit for bit."""
-    rng = np.random.default_rng([seed, 0xB0])
+    rng = np.random.default_rng([seed, 0xB0, group])
     out = []
     while len(out) < n:
         d = rng.normal(size=3)
@@ -802,6 +851,10 @@ def test_boundary_sample_matches_per_ray_loop(name):
             assert boundary_sample(K, 256, seed, tol).tolist() == _reference_boundary_sample(K, 256, seed, tol)
     # the first points do not depend on how many are asked for
     assert boundary_sample(K, 10, 0).tolist() == boundary_sample(K, 256, 0)[:10].tolist()
+    # each group of falsify_ch's pair chunks has a pool of its own
+    later = boundary_sample(K, 256, 0, group=3)
+    assert later.tolist() == _reference_boundary_sample(K, 256, 0, group=3)
+    assert not np.isin(later, boundary_sample(K, 256, 0)).any()
 
 
 @pytest.mark.parametrize("relative", [False, True])
