@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -269,6 +269,7 @@ def falsify_ch(
     never reshuffles it.  Each chunk is screened with array operations:
     the levels through solve_tau_many, and the curve points of all its
     admissible (pair, tau) rows in one curve_point and escapes_many call.
+    That search is ch_escapes; the witness is its first escape.
 
     A witness stands on any K: replay_ch_witness checks that its escape
     point lies on the curve and outside K.  Without assumption a there is
@@ -287,6 +288,19 @@ def falsify_ch(
         p, v = found.base, found.v
         return ChWitness(p, group_mul(p, exp_h(v)), 1.0, v, found.theta, found.escape_point, found.margin, used - 1)
 
+    w = next(ch_escapes(K, budget, m, seed, tol), None)
+    if w is not None:
+        w.margin = escape_margin(K, w.escape_point, tol)
+    return w
+
+
+def ch_escapes(K: SetOracle, budget: int, m: int = 33, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Iterator[ChWitness]:
+    """Every escape of falsify_ch's search, lazily, in (pair, tau, theta) order.
+
+    Each is a ChWitness whose margin is NaN (escape_margin gives it); a
+    chunk is drawn and screened only when the escapes of the chunks
+    before it are used up.
+    """
     thetas = interior_thetas(m)
     for chunk, start in enumerate(range(0, budget, PAIR_CHUNK)):
         if chunk % POOL_GROUP == 0:
@@ -304,21 +318,18 @@ def falsify_ch(
         b = tau * xi1[p, 1] - xi0[p, 1]
         x0, y0, t0 = xi0[p].T[:, :, None]
         px, py, pt = curve_point(x0, y0, t0, a[:, None], b[:, None], tau[:, None], thetas)
-        hits = np.flatnonzero(escapes_many(K, px, py, pt, tol))
-        if hits.size:
-            r, j = divmod(int(hits[0]), len(thetas))
-            escape = Point3(float(px[r, j]), float(py[r, j]), float(pt[r, j]))
-            return ChWitness(
+        for hit in np.flatnonzero(escapes_many(K, px, py, pt, tol)).tolist():
+            r, j = divmod(hit, len(thetas))
+            yield ChWitness(
                 Point3(*xi0[p[r]].tolist()),
                 Point3(*xi1[p[r]].tolist()),
                 float(tau[r]),
                 HVec(float(a[r]), float(b[r])),
                 float(thetas[j]),
-                escape,
-                escape_margin(K, escape, tol),
+                Point3(float(px[r, j]), float(py[r, j]), float(pt[r, j])),
+                math.nan,
                 pair_index=start + int(p[r]),
             )
-    return None
 
 
 def _chunk_pairs(K: SetOracle, chunk: int, seed: int, pool: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

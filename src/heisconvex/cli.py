@@ -70,9 +70,9 @@ class RunConfig:
 def parse_descriptor(descriptor: str) -> tuple[str, dict]:
     """Resolve a bare name, inline JSON, or JSON file path to (name, params)."""
     text = descriptor.strip()
-    path = Path(text)
-    if text.endswith(".json") or path.is_file():
-        text = path.read_text().strip()
+    # inline JSON first: is_file() on a name over 255 bytes raises OSError
+    if not text.startswith("{") and (text.endswith(".json") or Path(text).is_file()):
+        text = Path(text).read_text().strip()
     if text.startswith("{"):
         obj = json.loads(text)
         params = obj.get("params", {}) if isinstance(obj, dict) else None

@@ -5,9 +5,13 @@ interior, the nested family {dilate(tau, K)} determines the function
 f(p) = min{tau >= 0 : p in dilate(tau, K)}; this module evaluates it by
 monotone bisection, checks the three level-family axioms (coverage,
 nesting, closedness from above) by sampling, and validates the built
-function's homogeneity and horizontal convexity with the falsifiers.
-A Euclidean variant scales all three coordinates by the same factor,
-giving the classical cone baseline f(p) = min{tau : p in tau K}.
+function's homogeneity by sampling.  Its horizontal convexity is, by the
+paper's equivalence, condition C_H of the family: the verdict comes from
+the C_H search of the set (chcheck.ch_escapes), each escape carried over
+to a segment witness of f.  A Euclidean variant scales all three
+coordinates by the same factor, giving the classical cone baseline
+f(p) = min{tau : p in tau K}; it has no C_H counterpart, so its
+convexity is hunted on f itself (check_hconvex_fn).
 """
 
 from __future__ import annotations
@@ -17,13 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ARRAYS, DEFAULT_TOL, Point3, Tolerances
+from .chcheck import ch_escapes
+from .core import ARRAYS, DEFAULT_TOL, HVec, Point3, Tolerances, dilate
 from .convexity import (
     ConvexityWitness,
     FnOracle,
     HomogeneityReport,
     check_hconvex_fn,
     check_homogeneous,
+    segment_sides,
 )
 from .sets import (
     SetOracle,
@@ -230,9 +236,14 @@ def _scale(C: ConeFunction, lam, p: Point3) -> Point3:
 def cone_validate(C: ConeFunction, n: int, seed: int = 0) -> ConeValidation:
     """Validate the built function: family axioms, homogeneity, convexity.
 
-    Bisection output carries eps_geom-level noise, so the falsifiers run
-    with slack an order above it; genuine violations (the flat cylinder's
-    arcs overshoot by ~1e-2) sit far above that.
+    The Heisenberg kind takes its convexity witness from the C_H search of
+    the source set (falsify_ch's n pairs at this seed, see
+    _ch_convexity_witness); the Euclidean kind scans f on n horizontal
+    segments of a 1.5x box, and so does the Heisenberg kind when the
+    search escapes but no escape clears the slack.  Bisection output
+    carries eps_geom-level noise, so a witness must clear slack an order
+    above it; genuine violations (the flat cylinder's arcs overshoot by
+    ~1e-2) sit far above that.
     """
     family = family_axioms_check(C, min(n, 600), seed)
     if not family.all_ok:
@@ -246,7 +257,11 @@ def cone_validate(C: ConeFunction, n: int, seed: int = 0) -> ConeValidation:
     )
     f = cone_fn_oracle(C)
     hom = check_homogeneous(f, max(50, n // 20), seed, loose, box=C.source.bbox)
-    witness = check_hconvex_fn(f, _scaled_box(C, 1.5), n, grid=5, seed=seed, tol=loose)
+    witness, scan = None, C.kind == "euclidean"
+    if not scan:
+        witness, scan = _ch_convexity_witness(C, f, n, seed, loose)
+    if scan:
+        witness = check_hconvex_fn(f, _scaled_box(C, 1.5), n, grid=5, seed=seed, tol=loose)
     if not hom.ok:
         verdict = "homogeneity deviation above tolerance"
     elif witness is not None:
@@ -254,6 +269,32 @@ def cone_validate(C: ConeFunction, n: int, seed: int = 0) -> ConeValidation:
     else:
         verdict = "candidate cone function (not falsified)"
     return ConeValidation(family, hom, witness, verdict)
+
+
+def _ch_convexity_witness(C: ConeFunction, f: FnOracle, n: int, seed: int, loose: Tolerances):
+    """(witness, scan): the first escape of the C_H search on C's source
+    (n pairs) that is a witness of f, or None and whether f must be scanned.
+
+    An escape (xi0, xi1, tau, v, theta) puts f(xi0 o exp_h(theta v)) above
+    (1 - theta) + theta tau, which bounds (1 - theta) f(xi0) + theta
+    f(xi0 o exp_h(v)).  It is first dilated by 1/max(1, tau), which keeps
+    it a violation (f is homogeneous) and its levels near or below 1, where
+    the bisected f is accurate to about eps_geom.  The sides are taken as
+    replay_witness takes them, so the witness replays; an escape whose gap
+    does not clear loose.eps_eq is passed over.  Escapes that all fall
+    below it (margins about 1e-6 on a fine polygon) still show that f is
+    not horizontally convex, so scan is then true: f is to be searched
+    for a witness that clears it.
+    """
+    escaped = False
+    for w in ch_escapes(C.source, n, seed=seed, tol=C.tol):
+        escaped = True
+        lam = 1.0 / max(1.0, w.tau)
+        base, v = dilate(lam, w.xi0), HVec(lam * w.v.a, lam * w.v.b)
+        lhs, rhs = segment_sides(f, base, v, w.theta_star)
+        if lhs > rhs + loose.eps_eq:
+            return ConvexityWitness(base, v, w.theta_star, lhs, rhs), False
+    return None, escaped
 
 
 def compare_closed_form(C: ConeFunction, n: int, seed: int = 0) -> float:

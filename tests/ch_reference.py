@@ -2,14 +2,16 @@
 
 The program's checks are compared against these: the piecewise closed
 forms of the interpolation curve (ch_curve must agree with them point by
-point), the dilated copy of a set, and a witness carried along the
-dilation to that copy (it must replay against it).
+point), the dilated copy of a set, a witness carried along the dilation
+to that copy (it must replay against it), and a convexity witness of the
+cone function carried back to a C_H witness of its set.
 """
 
+import math
 from typing import Optional
 
-from heisconvex import DEFAULT_TOL, HVec, Point3, Tolerances, dilate
-from heisconvex.chcheck import ChWitness, _check_curve_inputs
+from heisconvex import DEFAULT_TOL, ConvexityWitness, FnOracle, HVec, Point3, Tolerances, dilate, exp_h, group_mul
+from heisconvex.chcheck import ChWitness, _check_curve_inputs, curve_point
 from heisconvex.core import FLOATS
 from heisconvex.sets import RadialProfile, SetOracle
 
@@ -124,3 +126,21 @@ def dilate_oracle(K: SetOracle, alpha: float) -> SetOracle:
         closed_form_cone=cone,
         kernel=kernel,
     )
+
+
+def ch_witness_of_cone(f: FnOracle, w: ConvexityWitness, pull: float = 1.0 + 1e-6) -> ChWitness:
+    """A convexity witness (p, v, theta) of the level function f, as a C_H witness.
+
+    With a = f(p) and b = f(p o exp_h(v)), the endpoints dilate(1/a, p) and
+    dilate(1/b, q) lie on the boundary, joined at level b/a by the step
+    v/a, and the curve point at theta has level f(p o exp_h(theta v)) over
+    (1 - theta) a + theta b, above 1.  a and b both grow by pull, which
+    keeps the level and the joining exact and pulls the endpoints inside
+    K, since a bisected level is a bracket midpoint.
+    """
+    p, theta = w.base, w.theta
+    q = group_mul(p, exp_h(w.v))
+    a, b = pull * f.eval(p), pull * f.eval(q)
+    xi0, v = dilate(1.0 / a, p), HVec(w.v.a / a, w.v.b / a)
+    escape = Point3(*curve_point(*xi0, *v, b / a, theta))
+    return ChWitness(xi0, dilate(1.0 / b, q), b / a, v, theta, escape, math.nan)

@@ -46,6 +46,11 @@ PLUS_PARAMS = json.dumps(
     {"vertices": [[0, 2], [0.2, 2], [0.2, 0.2], [2, 0.2], [2, -0.2], [0.2, -0.2], [0.2, -2], [0, -2]]}
 )
 
+# 66 vertices on the Korányi ball's profile r**4 + t**2 = 1, from (0, 1) to (0, -1)
+KORANYI_66_PARAMS = json.dumps(
+    {"vertices": [[round(math.sqrt(math.sin(math.pi * k / 65)), 6), round(math.cos(math.pi * k / 65), 6)] for k in range(66)]}
+)
+
 
 def read_report(path):
     return json.loads(path.read_text())
@@ -67,6 +72,29 @@ def test_parse_descriptor_forms(tmp_path):
     assert parse_descriptor(str(spec)) == ("koranyi_ball", {"r": 2.0})
     with pytest.raises(ValueError):
         parse_descriptor('{"params": {}}')
+
+
+def test_inline_descriptor_longer_than_a_file_name(tmp_path):
+    # no file name is this long: the descriptor must be read as JSON
+    # without asking the file system about it
+    descriptor = json.dumps({"set": "radial_custom", "params": json.loads(KORANYI_66_PARAMS)})
+    assert len(KORANYI_66_PARAMS) > 255
+    assert parse_descriptor(descriptor) == ("radial_custom", json.loads(KORANYI_66_PARAMS))
+    out = ["--out", str(tmp_path)]
+    # a polygon inscribed in a clean profile fails theorem i: exit 2
+    assert main(["radial", "--set", "radial_custom", "--params", KORANYI_66_PARAMS] + out) == 2
+    assert not read_report(tmp_path / "radial_radial_custom.json")["radial"]["thm_i_ok"]
+    assert main(["axioms", "--set", descriptor] + out) == 0
+
+
+def test_cone_scans_f_when_no_escape_clears_the_slack(tmp_path):
+    # at seed 1 every C_H escape of the inscribed polygon has a gap on f
+    # below the slack (margins about 1e-6); f is not convex all the same,
+    # and the scan of f finds a witness that clears it: exit 2
+    argv = ["cone", "--set", "radial_custom", "--params", KORANYI_66_PARAMS, "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    cone = read_report(tmp_path / "cone_radial_custom_heisenberg.json")["cone"]
+    assert cone["verdict"] == "horizontal convexity witness found"
 
 
 def test_runconfig_validation():

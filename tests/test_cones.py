@@ -10,6 +10,7 @@ from heisconvex import (
     FamilyReport,
     NestingWitness,
     Point3,
+    Tolerances,
     cone_eval,
     cone_fn_oracle,
     cone_validate,
@@ -19,11 +20,15 @@ from heisconvex import (
     gallery,
     make_cone,
     norm,
+    replay_ch_witness,
+    replay_witness,
     sample_in_set,
 )
 from heisconvex import sets
 from heisconvex.cones import _scaled_box
 from heisconvex.sets import SetOracle, polygon_profile, radial_to_oracle
+
+from ch_reference import ch_witness_of_cone
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +136,17 @@ def test_family_axioms_flag_ring():
 
 
 def test_validate_candidates():
+    # also the cone command's 2000 pairs and the gallery's 800, at the
+    # seeds the benchmark's clean cone jobs draw from
     for name in ("koranyi_ball", "cylinder_hat"):
         C = make_cone(gallery(name), seed=0)
-        val = cone_validate(C, 1000, seed=0)
-        assert val.verdict == "candidate cone function (not falsified)"
-        assert val.family.all_ok
-        assert val.homogeneity.ok
-        assert val.convexity_witness is None
+        for n, seeds in ((1000, [0]), (2000, range(64)), (800, range(64))):
+            for seed in seeds:
+                val = cone_validate(C, n, seed=seed)
+                assert val.verdict == "candidate cone function (not falsified)", (name, n, seed)
+                assert val.family.all_ok
+                assert val.homogeneity.ok
+                assert val.convexity_witness is None
 
 
 def test_validate_falsifies_euclidean_ball(euclid_cone):
@@ -147,6 +156,40 @@ def test_validate_falsifies_euclidean_ball(euclid_cone):
     assert val.verdict == "horizontal convexity witness found"
     assert val.convexity_witness is not None
     assert val.family.all_ok
+
+
+def _euclidean_gauge(x, y, t):
+    # the unit euclidean ball's dilation level L: L**4 = (x**2 + y**2) L**2 + t**2
+    r2 = x * x + y * y
+    return math.sqrt(0.5 * (r2 + math.sqrt(r2 * r2 + 4.0 * t * t)))
+
+
+def test_cone_witness_passes_the_benchmark_gate(euclid_cone):
+    # what the benchmark asks of a cone witness: it replays at the slack
+    # cone_validate applies, and its three points sit within 1e-6 of the
+    # gauge, which holds once the escape is dilated to levels about 1
+    tol = euclid_cone.tol
+    slack = max(100.0 * tol.eps_geom, tol.eps_eq)
+    loose = Tolerances(eps_geom=max(tol.eps_geom, slack), eps_eq=slack, max_iter=tol.max_iter)
+    f = cone_fn_oracle(euclid_cone)
+    for seed in range(64):
+        w = cone_validate(euclid_cone, 2000, seed).convexity_witness
+        assert replay_witness(f, w, loose), seed
+        p = w.base
+        for s in (0.0, 1.0, w.theta):
+            # p o exp_h(s v), written out so the check does not reuse the program's group law
+            a, b = s * w.v.a, s * w.v.b
+            q = Point3(p.x + a, p.y + b, p.t + 2.0 * (a * p.y - p.x * b))
+            assert abs(cone_eval(euclid_cone, q) - _euclidean_gauge(*q)) <= 1e-6, (seed, s)
+
+
+def test_cone_witnesses_replay_as_ch_witnesses():
+    for name in ("euclidean_ball", "cylinder", "importante"):
+        C = make_cone(gallery(name))
+        f = cone_fn_oracle(C)
+        for seed in range(8):
+            w = cone_validate(C, 2000, seed).convexity_witness
+            assert replay_ch_witness(C.source, ch_witness_of_cone(f, w), C.tol), (name, seed)
 
 
 def test_cone_fn_oracle_labels(koranyi_cone):
