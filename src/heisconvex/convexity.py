@@ -202,17 +202,13 @@ def check_hquasiconvex_fn(
     return _segment_scan(f, domain, n, grid, seed, tol, quasi=True)
 
 
-def segment_sides(f: FnOracle, p: Point3, v: HVec, theta: float, quasi: bool = False) -> tuple[float, float]:
-    """(lhs, rhs) of the segment inequality at theta, by scalar f.eval."""
-    q = group_mul(p, exp_h(v))
-    lhs = f.eval(group_mul(p, exp_h(HVec(theta * v.a, theta * v.b))))
-    f0, f1 = f.eval(p), f.eval(q)
-    return lhs, max(f0, f1) if quasi else (1.0 - theta) * f0 + theta * f1
-
-
 def replay_witness(f: FnOracle, w: ConvexityWitness, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Re-evaluate a stored witness; true when the violation reproduces."""
-    lhs, rhs = segment_sides(f, w.base, w.v, w.theta, w.kind == "quasi")
+    p = w.base
+    q = group_mul(p, exp_h(w.v))
+    lhs = f.eval(group_mul(p, exp_h(HVec(w.theta * w.v.a, w.theta * w.v.b))))
+    f0, f1 = f.eval(p), f.eval(q)
+    rhs = max(f0, f1) if w.kind == "quasi" else (1.0 - w.theta) * f0 + w.theta * f1
     return lhs > rhs + tol.eps_eq
 
 

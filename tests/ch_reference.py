@@ -128,18 +128,19 @@ def dilate_oracle(K: SetOracle, alpha: float) -> SetOracle:
     )
 
 
-def ch_witness_of_cone(f: FnOracle, w: ConvexityWitness, pull: float = 1.0 + 1e-6) -> ChWitness:
+def ch_witness_of_cone(f: FnOracle, w: ConvexityWitness) -> ChWitness:
     """A convexity witness (p, v, theta) of the level function f, as a C_H witness.
 
     With a = f(p) and b = f(p o exp_h(v)), the endpoints dilate(1/a, p) and
     dilate(1/b, q) lie on the boundary, joined at level b/a by the step
     v/a, and the curve point at theta has level f(p o exp_h(theta v)) over
-    (1 - theta) a + theta b, above 1.  a and b both grow by pull, which
-    keeps the level and the joining exact and pulls the endpoints inside
-    K, since a bisected level is a bracket midpoint.
+    (1 - theta) a + theta b, above 1.  a and b both grow by 1 + 1e-6,
+    which keeps the level and the joining exact and pulls the endpoints
+    inside K, since a bisected level is a bracket midpoint.
     """
     p, theta = w.base, w.theta
     q = group_mul(p, exp_h(w.v))
+    pull = 1.0 + 1e-6
     a, b = pull * f.eval(p), pull * f.eval(q)
     xi0, v = dilate(1.0 / a, p), HVec(w.v.a / a, w.v.b / a)
     escape = Point3(*curve_point(*xi0, *v, b / a, theta))

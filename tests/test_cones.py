@@ -192,6 +192,29 @@ def test_cone_witnesses_replay_as_ch_witnesses():
             assert replay_ch_witness(C.source, ch_witness_of_cone(f, w), C.tol), (name, seed)
 
 
+# the seeds of 0-63 at which the C_H search over 2000 pairs finds no escape
+# of the 66-vertex polygon inscribed in the Korányi profile
+KORANYI_66_UNSEEN = {4, 5, 7, 8, 13, 15, 20, 21, 25, 34, 35, 36, 38, 41, 42, 48, 55, 59, 60, 63}
+
+
+def test_inscribed_polygon_verdicts_are_pinned():
+    # the polygon is not H-convex (theorem i fails), but its violations
+    # are small (gaps about 1e-5) and rare on the boundary; a scan of f
+    # found a witness at every seed, the C_H search misses these 20, and
+    # this keeps that loss from growing unnoticed
+    vertices = [[round(math.sqrt(math.sin(math.pi * k / 65)), 6), round(math.cos(math.pi * k / 65), 6)] for k in range(66)]
+    C = make_cone(radial_to_oracle(polygon_profile(vertices), "radial_custom"))
+    unseen = set()
+    for seed in range(64):
+        val = cone_validate(C, 2000, seed)
+        if val.convexity_witness is None:
+            assert val.verdict == "candidate cone function (not falsified)", seed
+            unseen.add(seed)
+        else:
+            assert val.verdict == "horizontal convexity witness found", seed
+    assert unseen == KORANYI_66_UNSEEN
+
+
 def test_cone_fn_oracle_labels(koranyi_cone):
     f = cone_fn_oracle(koranyi_cone)
     assert "koranyi" in f.label
