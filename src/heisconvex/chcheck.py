@@ -35,6 +35,7 @@ from .core import (
     exp_h,
     group_mul,
     norm,
+    scale,
 )
 from .sets import (
     RadialProfile,
@@ -54,6 +55,8 @@ DEGENERATE_TAU_GRID = (0.25, 0.5, 2.0, 4.0)
 # falsify_ch draws pairs in chunks of this many, each from its own stream;
 # it is also the size of the boundary pool
 PAIR_CHUNK = 256
+# uniform theta samples of [0, 1] per curve, and per tau = 1 segment
+CURVE_SAMPLES = 33
 # chunks that pick from one boundary pool: 2048 of its 65536 ordered pairs
 POOL_GROUP = 8
 # radii per height that the outer-radius scan tests at once
@@ -137,19 +140,19 @@ def solve_tau_many(xi0, xi1, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray,
     x0, y0, t0 = (np.asarray(c, dtype=float) for c in xi0)
     x1, y1, t1 = (np.asarray(c, dtype=float) for c in xi1)
     cross = x0 * y1 - x1 * y0
-    scale = 1.0 + abs(t0) + abs(t1) + abs(cross)
+    size = 1.0 + abs(t0) + abs(t1) + abs(cross)
     res_bound = tol.eps_eq * (1.0 + abs(t0) + abs(t1))
 
     def verified(tau):
         # every returned root must replay the quadratic; this rejects the
         # Vieta complement when clamping or cancellation corrupted it
         ok = np.isfinite(tau) & (tau > tol.eps_eq)
-        return ok & (abs(t1 * tau * tau + 2.0 * cross * tau - t0) <= res_bound)
+        return ok & (abs(tau_residual(Point3(x0, y0, t0), Point3(x1, y1, t1), tau)) <= res_bound)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         linear = t1 == 0.0
         disc = cross * cross + t0 * t1
-        disc = np.where((disc < 0.0) & (disc >= -tol.eps_eq * scale * scale), 0.0, disc)
+        disc = np.where((disc < 0.0) & (disc >= -tol.eps_eq * size * size), 0.0, disc)
         root = np.sqrt(disc)
         # stable quadratic: avoid cancellation between -cross and the root
         q = np.where(cross >= 0.0, -(cross + root), -(cross - root))
@@ -159,7 +162,7 @@ def solve_tau_many(xi0, xi1, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray,
         second = np.where(linear, np.nan, second)
         disc = np.where(linear, cross * cross, disc)
         ok1 = verified(first)
-        ok2 = verified(second) & ~(ok1 & (abs(second - first) <= tol.eps_eq * scale))
+        ok2 = verified(second) & ~(ok1 & (abs(second - first) <= tol.eps_eq * size))
     first = np.where(ok1, first, np.nan)
     second = np.where(ok2, second, np.nan)
     tau = np.full((len(x0), len(DEGENERATE_TAU_GRID)), np.nan)
@@ -194,7 +197,7 @@ def solve_tau(
 
 
 def tau_residual(xi0: Point3, xi1: Point3, tau: float) -> float:
-    """Residual of the connecting quadratic at tau."""
+    """Residual of the connecting quadratic at tau; floats or arrays."""
     cross = xi0.x * xi1.y - xi1.x * xi0.y
     return xi1.t * tau * tau + 2.0 * cross * tau - xi0.t
 
@@ -207,10 +210,9 @@ def curve_point(x0, y0, t0, a, b, tau, theta):
     arrays that broadcast, with the same rounding either way, or
     Fractions, which stay exact.
     """
-    lam = 1 / ((1 - theta) + theta * tau)
     a = theta * a
     b = theta * b
-    return lam * (x0 + a), lam * (y0 + b), lam * lam * (t0 + 2 * (a * y0 - x0 * b))
+    return scale(1 / ((1 - theta) + theta * tau), x0 + a, y0 + b, t0 + 2 * (a * y0 - x0 * b))
 
 
 def _check_curve_inputs(xi0: Point3, v, tau: float, m: int) -> None:
@@ -246,7 +248,6 @@ def ch_curve(
 def falsify_ch(
     K: SetOracle,
     budget: int,
-    m: int = 33,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
     tau_one: bool = False,
@@ -256,10 +257,10 @@ def falsify_ch(
     Samples pairs of boundary points, which lose nothing on a set
     star-shaped under dilations (every escape has a boundary pair that
     escapes at least as far), solves for every admissible tau, and tests
-    the m-sample curve with the robust escape predicate.  With
+    the CURVE_SAMPLES-sample curve with the robust escape predicate.  With
     tau_one=True the search restricts to horizontally reachable pairs at
     tau = 1, which is literally the horizontal-segment convexity check of
-    the set module (same probe stream, same verdicts on equal seeds).
+    the set module (same probe stream, same verdicts and errors on equal seeds).
 
     Pairs come in chunks of PAIR_CHUNK = 256; chunk c is drawn whole from
     default_rng([seed, 0xC4, c]), and each group of POOL_GROUP = 8 chunks
@@ -282,26 +283,26 @@ def falsify_ch(
     if budget < 1:
         raise ValueError("need budget >= 1")
     if tau_one:
-        found, used = scan_horizontal_segments(K, budget, m, seed, tol)
+        found, used = scan_horizontal_segments(K, budget, CURVE_SAMPLES, seed, tol)
         if found is None:
             return None
         p, v = found.base, found.v
         return ChWitness(p, group_mul(p, exp_h(v)), 1.0, v, found.theta, found.escape_point, found.margin, used - 1)
 
-    w = next(ch_escapes(K, budget, m, seed, tol), None)
+    w = next(ch_escapes(K, budget, seed, tol), None)
     if w is not None:
         w.margin = escape_margin(K, w.escape_point, tol)
     return w
 
 
-def ch_escapes(K: SetOracle, budget: int, m: int = 33, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Iterator[ChWitness]:
+def ch_escapes(K: SetOracle, budget: int, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Iterator[ChWitness]:
     """Every escape of falsify_ch's search, lazily, in (pair, tau, theta) order.
 
     Each is a ChWitness whose margin is NaN (escape_margin gives it); a
     chunk is drawn and screened only when the escapes of the chunks
     before it are used up.
     """
-    thetas = interior_thetas(m)
+    thetas = interior_thetas(CURVE_SAMPLES)
     for chunk, start in enumerate(range(0, budget, PAIR_CHUNK)):
         if chunk % POOL_GROUP == 0:
             try:
@@ -351,8 +352,8 @@ def replay_ch_witness(K: SetOracle, w: ChWitness, tol: Tolerances = DEFAULT_TOL)
     """Re-verify a witness from its stored fields alone."""
     if not (K.contains(w.xi0) and K.contains(w.xi1)):
         return False
-    scale = 1.0 + abs(w.xi0.t) + abs(w.xi1.t)
-    if abs(tau_residual(w.xi0, w.xi1, w.tau)) > 1e-9 * scale * (1.0 + abs(w.tau)) ** 2:
+    tscale = 1.0 + abs(w.xi0.t) + abs(w.xi1.t)
+    if abs(tau_residual(w.xi0, w.xi1, w.tau)) > 1e-9 * tscale * (1.0 + abs(w.tau)) ** 2:
         return False
     expect_v = HVec(w.tau * w.xi1.x - w.xi0.x, w.tau * w.xi1.y - w.xi0.y)
     vscale = 1.0 + abs(expect_v.a) + abs(expect_v.b)

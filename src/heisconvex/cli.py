@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .chcheck import ch_curve, envelope_check, falsify_ch, radial_necessary
-from .cones import make_cone, cone_validate, compare_closed_form
-from .core import DEFAULT_TOL, HVec, Point3, Tolerances
+from .cones import KINDS, make_cone, cone_validate, compare_closed_form
+from .core import DEFAULT_TOL, HVec, Point3, Tolerances, scale
 from .sets import GALLERY, GALLERY_NAMES, SetOracle, check_axioms, gallery
 
 MESH_KINDS = ("mesh", "curve")
@@ -253,7 +253,7 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
     if not (math.isfinite(inv * inv) and np.isfinite(np.concatenate([xs, ys, ts])).all()):
         raise ValueError(f"tau={tau!r} overflows the dilated grid or 1/tau**2")
     X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
-    field_ = K.contains_many(inv * X, inv * Y, inv * inv * T)
+    field_ = K.contains_many(*scale(inv, X, Y, T))
     del X, Y, T
 
     edge, tris = _march(field_)
@@ -522,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cone = sub.add_parser("cone", help="build and validate the cone function of a set")
     common(cone)
-    cone.add_argument("--kind", dest="cone_kind", choices=("heisenberg", "euclidean"), default="heisenberg")
+    cone.add_argument("--kind", dest="cone_kind", choices=KINDS, default="heisenberg")
     cone.add_argument(
         "--compare-closed-form",
         action="store_true",

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .chcheck import ch_escapes
-from .core import ARRAYS, DEFAULT_TOL, HVec, Point3, Tolerances, dilate, exp_h, group_mul
+from .core import ARRAYS, DEFAULT_TOL, HVec, Point3, Tolerances, dilate, exp_h, group_mul, scale
 from .convexity import (
     ConvexityWitness,
     FnOracle,
@@ -143,7 +143,7 @@ def cone_fn_oracle(C: ConeFunction) -> FnOracle:
 
 def _scaled_box(C: ConeFunction, factor: float) -> SetOracle:
     """C's source box under the dilation of C's kind by factor."""
-    lo, hi = (_scale(C, factor, Point3(*corner)) for corner in zip(*C.source.bbox))
+    lo, hi = (scale(factor, *corner, C.kind) for corner in zip(*C.source.bbox))
     return box_oracle(tuple(zip(lo, hi)), label=f"box({factor:g} x {C.source.label})")
 
 
@@ -188,12 +188,12 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
     taus = np.exp(rng.uniform(np.log(0.125), np.log(8.0), (len(pts), 2)))
     tau1, tau2 = taus.min(axis=1), taus.max(axis=1)
     tau2 = np.where(tau2 - tau1 < 1e-3, tau1 * 1.5, tau2)
-    escaped = np.flatnonzero(~K.contains_many(*_scale(C, tau1 / tau2, Point3(*pts.T))))
+    escaped = np.flatnonzero(~K.contains_many(*scale(tau1 / tau2, *pts.T, C.kind)))
     if escaped.size:
         k = int(escaped[0])
         axiom_ii_ok = False
         tau1, tau2 = float(tau1[k]), float(tau2[k])
-        nesting_witness = NestingWitness(tau1, tau2, _scale(C, tau1, Point3(*pts[k].tolist())))
+        nesting_witness = NestingWitness(tau1, tau2, Point3(*scale(tau1, *pts[k].tolist(), C.kind)))
         rng.bit_generator.state = state
         rng.uniform(size=2 * (k + 1))
 
@@ -206,8 +206,7 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
         keep = np.flatnonzero(level > 0.0)
         steps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         tau = level[keep, None] * (1.0 + steps) + tol.eps_geom
-        points = Point3(*(draws[keep, i, None] for i in range(3)))
-        inside = K.contains_many(*_scale(C, 1.0 / tau, points))
+        inside = K.contains_many(*scale(1.0 / tau, *(draws[keep, i, None] for i in range(3)), C.kind))
         # the first failure in (point, step) order
         failed = np.flatnonzero(~inside)
         if failed.size:
@@ -225,12 +224,6 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
         coverage_failure=coverage_failure,
         closedness_failure=closedness_failure,
     )
-
-
-def _scale(C: ConeFunction, lam, p: Point3) -> Point3:
-    """The dilation of C's kind by lam; lam and p hold floats or arrays of one shape."""
-    t_factor = lam if C.kind == "euclidean" else lam * lam
-    return Point3(lam * p.x, lam * p.y, t_factor * p.t)
 
 
 def cone_validate(C: ConeFunction, n: int, seed: int = 0) -> ConeValidation:

@@ -23,6 +23,7 @@ from .core import (
     Tolerances,
     exp_h,
     group_mul,
+    scale,
 )
 from .sets import SetOracle, interior_thetas, segment_chunks
 
@@ -127,8 +128,9 @@ def _chunk_witness(
 def _chunk_groups(chunks):
     """The chunks in lists of 1, 2, 4, ... up to 16 chunks, in order.
 
-    A stall's RuntimeError comes after a last list of the chunks drawn
-    before it, where a chunk by chunk loop would meet it.
+    The stream's RuntimeError (a stall, or too few probes) comes after a
+    last list of the chunks drawn before it, where a chunk by chunk loop
+    would meet it.
     """
     group, size = [], 1
     try:
@@ -159,14 +161,10 @@ def _segment_scan(
     if n < 1 or grid < 1:
         raise ValueError("need n >= 1 samples and grid >= 1")
     thetas = interior_thetas(max(grid, 2))
-    produced = 0
     for group in _chunk_groups(segment_chunks(domain, n, thetas, seed, 0xF)):
-        produced += sum(len(chunk[0]) for chunk in group)
         witness = _chunk_witness(f, group, thetas, tol, quasi)
         if witness is not None:
             return witness
-    if produced < n:
-        raise RuntimeError(f"domain {domain.label} too thin: {produced}/{n} probes found")
     return None
 
 
@@ -232,7 +230,7 @@ def check_homogeneous(
     draws = rng.uniform([xlo, ylo, tlo, math.log(0.25)], [xhi, yhi, thi, math.log(4.0)], size=(n, 4))
     x, y, t = draws[:, 0], draws[:, 1], draws[:, 2]
     lam = np.array([math.exp(u) for u in draws[:, 3].tolist()])
-    values = f.eval_many(np.concatenate([x, lam * x]), np.concatenate([y, lam * y]), np.concatenate([t, lam * lam * t]))
+    values = f.eval_many(*map(np.concatenate, zip((x, y, t), scale(lam, x, y, t))))
     fp, fd = values[:n], values[n:]
     dev = np.abs(fd - lam * fp) / ((1.0 + np.abs(fp)) * lam)
     # the first largest positive deviation; NaN counts as none

@@ -97,6 +97,17 @@ def group_mul(p: Point3, q: Point3) -> Point3:
     return Point3(p.x + q.x, p.y + q.y, p.t + q.t + 2 * (q.x * p.y - p.x * q.y))
 
 
+def scale(lam, x, y, t, scaling: str = "heisenberg"):
+    """(lam*x, lam*y, lam*lam*t), or (lam*x, lam*y, lam*t) for "euclidean":
+    the one dilation formula, in plain arithmetic on floats, arrays that
+    broadcast, or Fractions (which stay exact).  Other scalings raise ValueError."""
+    if scaling == "heisenberg":
+        return lam * x, lam * y, lam * lam * t
+    if scaling == "euclidean":
+        return lam * x, lam * y, lam * t
+    raise ValueError(f"unknown scaling {scaling!r}")
+
+
 def dilate(lam: float, p: Point3) -> Point3:
     """Anisotropic dilation (lam*x, lam*y, lam^2*t).
 
@@ -109,7 +120,7 @@ def dilate(lam: float, p: Point3) -> Point3:
     """
     if lam < 0.0:
         raise ValueError(f"dilation factor must be nonnegative, got {lam}")
-    return Point3(lam * p.x, lam * p.y, lam * lam * p.t)
+    return Point3(*scale(lam, p.x, p.y, p.t))
 
 
 def exp_h(v: HVec) -> Point3:

@@ -34,6 +34,7 @@ from .core import (
     Tolerances,
     dilate,
     norm,
+    scale,
 )
 
 Bbox = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
@@ -626,9 +627,8 @@ def dilation_level_many(
     All points are bracketed and bisected together through K.contains_many
     (the upward bracket by _bracket_up, the bisection by bisect_many).
     Each point runs exactly the steps of its own scalar loop with the same
-    arithmetic (lam = 1.0 / tau, then lam * x and lam * lam * t; the
-    euclidean scaling divides by tau), so every level is bit for bit its
-    dilation_level.
+    arithmetic (core.scale by lam = 1.0 / tau, for either scaling), so
+    every level is bit for bit its dilation_level.
 
     Args:
         strict: when False, a point whose bracket runs away gets level NaN
@@ -645,15 +645,8 @@ def dilation_level_many(
         i = bad[0]
         raise ValueError(_non_finite_message(K, Point3(float(x[i]), float(y[i]), float(t[i]))))
     # membership at level tau, with one point's scalar-loop arithmetic
-    if scaling == "heisenberg":
-        def upper(x, y, t, tau):
-            lam = 1.0 / tau
-            return K.contains_many(lam * x, lam * y, lam * lam * t)
-    elif scaling == "euclidean":
-        def upper(x, y, t, tau):
-            return K.contains_many(x / tau, y / tau, t / tau)
-    else:
-        raise ValueError(f"unknown scaling {scaling!r}")
+    def upper(x, y, t, tau):
+        return K.contains_many(*scale(1.0 / tau, x, y, t, scaling))
 
     cols = (x, y, t)
     vertex = _vertex_level(tol)
@@ -700,8 +693,7 @@ def dilation_level(
     every witness.
 
     Args:
-        scaling: "heisenberg" for anisotropic dilations, "euclidean" for
-            plain scalar scaling.
+        scaling: "heisenberg" or "euclidean", the dilations of core.scale.
 
     Raises:
         ValueError: q has a non-finite coordinate, or unknown scaling.
@@ -710,14 +702,8 @@ def dilation_level(
     """
     if not (math.isfinite(q.x) and math.isfinite(q.y) and math.isfinite(q.t)):
         raise ValueError(_non_finite_message(K, q))
-    if scaling == "heisenberg":
-        def member(tau: float) -> bool:
-            return K.contains(dilate(1.0 / tau, q))
-    elif scaling == "euclidean":
-        def member(tau: float) -> bool:
-            return K.contains(Point3(q.x / tau, q.y / tau, q.t / tau))
-    else:
-        raise ValueError(f"unknown scaling {scaling!r}")
+    def member(tau: float) -> bool:
+        return K.contains(Point3(*scale(1.0 / tau, q.x, q.y, q.t, scaling)))
 
     limit = max(1.0, bbox_scale(K.bbox)) * 2.0 ** 32
     vertex = _vertex_level(tol)
@@ -769,8 +755,7 @@ def escapes_many(K: SetOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray, tol:
     """escapes on coordinate arrays of one shape, element for element."""
     out = ~K.contains_many(x, y, t)
     idx = out.nonzero()
-    lam = _pullback(tol)
-    out[idx] = ~K.contains_many(lam * x[idx], lam * y[idx], lam * lam * t[idx])
+    out[idx] = ~K.contains_many(*scale(_pullback(tol), x[idx], y[idx], t[idx]))
     return out
 
 
@@ -789,7 +774,7 @@ def escape_margin(K: SetOracle, p: Point3, tol: Tolerances = DEFAULT_TOL) -> flo
         # the level bisection diverges, but the escape itself still stands
         return math.inf
     lam = 1.0 / (level * 2.0 ** (-np.arange(1, 33) / 4))
-    if K.contains_many(lam * p.x, lam * p.y, lam * lam * p.t).any():
+    if K.contains_many(*scale(lam, *p)).any():
         return math.inf
     return level - 1.0
 
@@ -834,7 +819,7 @@ def boundary_sample(
     ux, uy, ut = dirs.T
 
     def upper(ux, uy, ut, s):
-        return ~K.contains_many(s * ux, s * uy, s * s * ut)
+        return ~K.contains_many(*scale(s, ux, uy, ut))
 
     lo, hi = np.zeros(n), np.ones(n)
     # more than 60 doublings from hi = 1 is exactly hi > 2**60
@@ -842,7 +827,7 @@ def boundary_sample(
         raise RuntimeError(f"ray from e never exits {K.label}: non-compact input?")
     lo, hi = bisect_many(upper, (ux, uy, ut), lo, hi, tol, relative=False)
     # inner bracket end: guaranteed member, still within eps of the boundary
-    return np.stack([lo * ux, lo * uy, lo * lo * ut], axis=1)
+    return np.stack(scale(lo, ux, uy, ut), axis=1)
 
 
 def interior_thetas(m: int) -> np.ndarray:
@@ -868,6 +853,8 @@ def _horizontal_step(x0, y0, t0, a, b) -> Point3:
 
 # candidate probes drawn per chunk of the horizontal probe stream
 PROBE_CHUNK = 256
+# theta samples of [0, 1] per segment in the assumption-c check
+SEGMENT_GRID = 9
 
 
 def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int = 0xC):
@@ -881,7 +868,8 @@ def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int
     log(1e-3) and the log of the bbox diameter; candidates whose q leaves K
     are dropped.  So probe i depends only on (seed, i), and a larger n
     extends the stream and never reshuffles it.  The stream gives up after
-    1000 + 400 n candidates.  Tag 0xC is the horizontal-segment axiom
+    1000 + 400 n candidates and raises, so no scan passes probes it never
+    tested.  Tag 0xC is the horizontal-segment axiom
     check, which the tau = 1 restriction of the family falsifier shares,
     so the two deliver identical verdicts on identical seeds; tag 0xF is
     the function falsifiers of the convexity module.
@@ -891,8 +879,8 @@ def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int
     r.  q and seg are bit for bit what group_mul computes.
 
     Raises:
-        RuntimeError: rejection sampling stalls on a chunk; the chunks
-            before it have been yielded.
+        RuntimeError: a chunk's rejection sampling stalls, or the stream
+            runs short of n probes (too thin); earlier chunks are yielded.
     """
     log_lo = math.log(1e-3)
     log_hi = math.log(max(bbox_diameter(K.bbox), 2e-3))
@@ -912,6 +900,8 @@ def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int
             p, v, q = p[keep], v[keep], q[keep]
             produced += len(keep)
             yield p, v, q, _horizontal_step(*p.T[:, :, None], thetas * v[:, :1], thetas * v[:, 1:])
+    if produced < n:
+        raise RuntimeError(f"domain {K.label} too thin: {produced}/{n} probes found")
 
 
 def scan_horizontal_segments(
@@ -926,6 +916,9 @@ def scan_horizontal_segments(
     Tests the points of interior_thetas(grid) on n probes of
     segment_chunks with escapes_many.  Returns (the escape or None,
     probes_used); the first escape in (probe, theta) order wins.
+
+    Raises:
+        RuntimeError: the stream stalls or runs short (segment_chunks).
     """
     thetas = interior_thetas(grid)
     used = 0
@@ -967,7 +960,7 @@ def check_axioms_ab(K: SetOracle, n: int, seed: int) -> tuple[bool, bool, Option
     pts = uniform_points(K, n, rng)
     taus = rng.uniform(0.0, 1.0, n)
     # dilate(tau, p) of every point, the first failure wins
-    bad = np.flatnonzero(~K.contains_many(taus * pts[:, 0], taus * pts[:, 1], taus * taus * pts[:, 2]))
+    bad = np.flatnonzero(~K.contains_many(*scale(taus, *pts.T)))
     if bad.size:
         k = int(bad[0])
         return a_holds, False, DilationEscape(Point3(*pts[k].tolist()), float(taus[k]))
@@ -979,13 +972,13 @@ def check_axioms(
     n: int,
     seed: int,
     tol: Tolerances = DEFAULT_TOL,
-    grid: int = 9,
 ) -> AxiomReport:
     """Check assumptions a, b, c on K by seeded sampling.
 
     a and b as in check_axioms_ab; c scans n horizontal segments with both
-    endpoints in K on a theta grid (scan_horizontal_segments).
+    endpoints in K on the SEGMENT_GRID theta grid (scan_horizontal_segments,
+    which raises when its probe stream stalls or runs short).
     """
     a_holds, b_holds, b_witness = check_axioms_ab(K, n, seed)
-    found, used = scan_horizontal_segments(K, n, grid, seed, tol)
+    found, used = scan_horizontal_segments(K, n, SEGMENT_GRID, seed, tol)
     return AxiomReport(a_holds, b_holds, found, used, seed, b_witness)

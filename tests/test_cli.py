@@ -97,6 +97,18 @@ def test_cone_scans_f_when_no_escape_clears_the_slack(tmp_path):
     assert cone["verdict"] == "horizontal convexity witness found"
 
 
+def test_thin_probe_stream_exits_1(tmp_path, capsys):
+    # a disk 2e-9 thick: q = p o exp_h(v) almost never lands back inside,
+    # so the probe stream gives up short of its budget and no verdict stands
+    params = '{"vertices": [[0,-1e-9],[1,-1e-9],[1,1e-9],[0,1e-9]]}'
+    out = ["--set", "radial_custom", "--params", params, "--out", str(tmp_path)]
+    assert main(["ch", "--tau-one", "--budget", "50"] + out) == 1
+    assert "too thin" in capsys.readouterr().err
+    assert main(["axioms", "--samples", "50"] + out) == 1
+    assert "too thin" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig("axioms", budget=0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from heisconvex import (
     group_mul,
     norm,
 )
-from heisconvex.core import DEFAULT_TOL, ORIGIN
+from heisconvex.chcheck import curve_point
+from heisconvex.core import DEFAULT_TOL, ORIGIN, scale
+from heisconvex.sets import dilation_level_many
 
 
 def horizontal_plane_t(p: Point3, x: float, y: float) -> float:
@@ -99,6 +102,32 @@ def test_dilation_composition(lam, mu, p):
 def test_dilate_rejects_negative():
     with pytest.raises(ValueError):
         dilate(-0.5, Point3(1.0, 0.0, 0.0))
+
+
+def test_scale_dilate_and_curve_point_are_exact_on_fractions():
+    x, y, t = Fraction(0.3), Fraction(-7, 3), Fraction(1.1)
+    lam = Fraction(5, 7)
+    for scaling, t_factor in (("heisenberg", lam * lam), ("euclidean", lam)):
+        got = scale(lam, x, y, t, scaling)
+        assert all(isinstance(c, Fraction) for c in got)
+        assert got == (lam * x, lam * y, t_factor * t)
+    p = dilate(lam, Point3(x, y, t))
+    assert all(isinstance(c, Fraction) for c in p)
+    assert p == Point3(lam * x, lam * y, lam * lam * t)
+    a, b, tau, theta = Fraction(0.7), Fraction(-1.3), Fraction(5, 2), Fraction(1, 3)
+    mu = 1 / ((1 - theta) + theta * tau)
+    sa, sb = theta * a, theta * b
+    curve = curve_point(x, y, t, a, b, tau, theta)
+    assert all(isinstance(c, Fraction) for c in curve)
+    assert curve == (mu * (x + sa), mu * (y + sb), mu * mu * (t + 2 * (sa * y - x * sb)))
+
+
+def test_scale_rejects_unknown_scaling():
+    with pytest.raises(ValueError) as scaled:
+        scale(2.0, 1.0, 0.0, 0.0, "spherical")
+    with pytest.raises(ValueError) as levels:
+        dilation_level_many(heisconvex.gallery("koranyi_ball"), [0.5], [0.0], [0.0], scaling="spherical")
+    assert str(scaled.value) == str(levels.value) == "unknown scaling 'spherical'"
 
 
 @given(scales, points)

@@ -340,7 +340,8 @@ def test_scan_clean_on_koranyi():
 
 def _reference_scan(K, n, grid, seed, tol=Tolerances()):
     """The probe-by-probe theta loop that scan_horizontal_segments must
-    reproduce: (escape or None, probes used), or the error it stops on."""
+    reproduce: (escape or None, probes used), or the error it stops on,
+    which is "too thin" when the stream gives up short of n probes."""
     thetas = interior_thetas(grid).tolist()
     used = 0
     try:
@@ -354,6 +355,8 @@ def _reference_scan(K, n, grid, seed, tol=Tolerances()):
                     except RuntimeError:
                         margin = math.inf
                     return SegmentEscape(p, v, th, pt, margin), used
+        if used < n:
+            raise RuntimeError(f"domain {K.label} too thin: {used}/{n} probes found")
     except RuntimeError as exc:
         return RuntimeError, str(exc)
     return None, used
@@ -398,10 +401,11 @@ def test_scan_matches_reference_loop():
     kinds = {
         "escape": [k for k, (w, _) in outcomes.items() if isinstance(w, SegmentEscape)],
         "clean": [k for k, (w, used) in outcomes.items() if w is None and used == cases[k[0]][1]],
-        "thin": [k for k, (w, used) in outcomes.items() if w is None and used < cases[k[0]][1]],
-        "stall": [k for k, (w, _) in outcomes.items() if w is RuntimeError],
+        "thin": [k for k, (w, msg) in outcomes.items() if w is RuntimeError and "too thin" in msg],
+        "stall": [k for k, (w, msg) in outcomes.items() if w is RuntimeError and "stalled" in msg],
     }
     assert all(kinds.values()), kinds
+    assert sum(map(len, kinds.values())) == len(outcomes)
     assert all(k[0] == "sliver" for k in kinds["thin"])
     # an escape found before a stall is reported: at seed 6 probe 14 of the
     # tall stripes escapes, and drawing chunk 1, after 107 probes, stalls
