@@ -242,7 +242,8 @@ def ch_curve(
     # tau_theta runs between 1 and tau, reaching tau at theta = 1
     if tau <= tol.eps_eq:
         raise RuntimeError("interpolated level crossed zero")
-    return [Point3(*curve_point(*xi0, *v, tau, j / (m - 1))) for j in range(m)]
+    # one array call, with the rounding of m scalar ones
+    return [Point3(*p) for p in np.stack(curve_point(*xi0, *v, tau, np.arange(m) / (m - 1)), axis=1).tolist()]
 
 
 def falsify_ch(

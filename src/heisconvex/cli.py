@@ -144,8 +144,8 @@ _WRITE_BLOCK = 4096
 
 def _tet_cases() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Marching-tetrahedra table, indexed [tet, code] where bit s of code is
-    whether the tet's s-th corner is inside (built per export, in about a
-    millisecond, so importing the package builds nothing).
+    whether the tet's s-th corner is inside (built per export, by
+    _cube_cases, so importing the package builds nothing).
 
     Returns (ends, n_mid, faces, n_faces): the cube corners of up to 4
     crossing edges, whose midpoints become vertices in that order; how many
@@ -176,48 +176,74 @@ def _tet_cases() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return ends, n_mid, faces, n_faces
 
 
-def _strings(fmt: str, values) -> np.ndarray:
+def _cube_cases(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The _tet_cases of a whole cube, indexed [code] where bit c of code is
+    whether cube corner c is inside, for an n^3 grid (built per export with
+    numpy, in about a millisecond).
+
+    Returns (key, valid, tris, tri_valid): the crossing edges of the six
+    tets in _TETS order, 4 slots a tet, each as 7 * (flat grid offset of its
+    lower end from corner 0) + direction - 1, where direction = 4 dx + 2 dy +
+    dz is the step to its upper end (a Kuhn edge joins two corners ordered
+    coordinate by coordinate); which slots are used; 2 triangles a tet, as
+    positions among the used slots; which are used.
+    """
+    ends, n_mid, faces, n_faces = _tet_cases()
+    tet = np.arange(len(_TETS))
+    codes = np.arange(256)[:, None]
+    tcode = sum((codes >> np.array(_TETS)[:, s] & 1) << s for s in range(4))
+    a, b = np.moveaxis(np.array(_CUBE_CORNERS)[ends[tet, tcode]], -2, 0)
+    key = 7 * (np.minimum(a, b) @ [n * n, n, 1]) + np.abs(a - b) @ [4, 2, 1] - 1
+    mids = n_mid[tet, tcode]
+    tris = (np.cumsum(mids, axis=1) - mids)[..., None, None] + faces[tet, tcode]
+    valid = np.arange(4) < mids[..., None]
+    tri_valid = np.arange(2) < n_faces[tet, tcode][..., None]
+    return key.reshape(256, -1), valid.reshape(256, -1), tris.reshape(256, -1, 3), tri_valid.reshape(256, -1)
+
+
+def _strings(fmt: bytes, values) -> np.ndarray:
     # a table of formatted values, indexed by rows in _write_rows
     return np.array(list(map(fmt.__mod__, values)), dtype=object)
 
 
-def _write_rows(fh, template: str, table: np.ndarray, rows: np.ndarray) -> None:
-    # rows index the string table; one %-format per block of rows, so no
-    # whole-file string is held
+def _write_rows(fh, template: bytes, table: np.ndarray, rows: np.ndarray) -> None:
+    # rows index the table of values the template formats; one %-format per
+    # block of rows, so no whole-file bytes are held
     for s in range(0, len(rows), _WRITE_BLOCK):
         block = rows[s : s + _WRITE_BLOCK]
         fh.write((template * len(block)) % tuple(table[block].ravel().tolist()))
 
 
 def _march(field_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Marching tetrahedra on a boolean grid, in march order.
+    """Marching tetrahedra on a boolean n^3 grid, in march order.
 
-    Returns (edge, tris): each crossing edge once per tetrahedron that
-    meets it, in the order a cube-by-cube march meets them, as the key
-    lo * field_.size + hi of its two flat grid indices; and the triangles
-    as triples of positions in edge.
+    Returns (verts, faces): the crossing edges, one per vertex in the order
+    a cube-by-cube march first meets them, as 7 * (flat grid index of the
+    lower end) + direction - 1 (see _cube_cases); and the triangles as
+    triples of vertex numbers, counted from 1.
     """
     n = field_.shape[0]
     m = n - 1
+    # bit c of a cube's code says whether its corner c is inside
+    code = np.zeros((m, m, m), dtype=np.uint8)
+    for c, (dx, dy, dz) in enumerate(_CUBE_CORNERS):
+        code |= np.left_shift(field_[dx : dx + m, dy : dy + m, dz : dz + m], c, dtype=np.uint8)
     # mixed cubes in (i, j, k) order, by their corner 0 grid point
-    count = sum(field_[dx : dx + m, dy : dy + m, dz : dz + m].astype(np.uint8) for dx, dy, dz in _CUBE_CORNERS)
-    i, j, k = np.nonzero((count > 0) & (count < 8))
-    inside = np.stack([field_[i + dx, j + dy, k + dz] for dx, dy, dz in _CUBE_CORNERS], axis=1).astype(np.uint8)
-    codes = np.stack([sum(inside[:, c] << s for s, c in enumerate(tet)) for tet in _TETS], axis=1)
-    # mixed tetrahedra in (cube, tet) order, then their crossing edges in order
-    ends, n_mid, face_ix, n_faces = _tet_cases()
-    cube, tet = np.divmod(np.flatnonzero(n_mid[np.arange(len(_TETS)), codes]), len(_TETS))
-    code = codes[cube, tet]
-    base = ((i * n + j) * n + k)[cube]
-    offsets = np.array([(dx * n + dy) * n + dz for dx, dy, dz in _CUBE_CORNERS])
-    mids = n_mid[tet, code]
-    edge = np.empty((len(tet), 4), dtype=np.int64)
-    for slot in range(4):
-        ga, gb = (base + offsets[ends[tet, code, slot, end]] for end in (0, 1))
-        edge[:, slot] = np.minimum(ga, gb) * field_.size + np.maximum(ga, gb)
-    first_mid = np.cumsum(mids) - mids
-    tris = (first_mid[:, None, None] + face_ix[tet, code])[np.arange(2) < n_faces[tet, code][:, None]]
-    return edge[np.arange(4) < mids[:, None]], tris
+    i, j, k = np.nonzero((code != 0) & (code != 255))
+    code = code[i, j, k]
+    key, valid, tris, tri_valid = _cube_cases(n)
+    # each crossing edge once per tetrahedron that meets it, in march order
+    edge = (7 * ((i * n + j) * n + k)[:, None] + key[code])[valid[code]]
+    count = valid.sum(axis=1)[code]
+    tri = ((np.cumsum(count) - count)[:, None, None] + tris[code])[tri_valid[code]]
+    # an edge's vertex is new where the edge first comes up: numbered 1, 2, ...
+    pos = np.arange(len(edge), dtype=np.int32)
+    first = np.empty(7 * n**3, dtype=np.int32)
+    first[edge] = len(edge)
+    np.minimum.at(first, edge, pos)
+    first = first[edge]
+    new = first == pos
+    return edge[new], np.cumsum(new)[first][tri]
 
 
 def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Path:
@@ -226,10 +252,12 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
     Marches tetrahedra (Doi and Koide 1991) over a resolution^3 grid of the
     dilated bounding box; crossing vertices sit at edge midpoints of the
     binary membership field, so they are within one cell diagonal of the
-    true boundary.  Cubes and tetrahedra are classified with numpy, and the
+    true boundary.  Each cube gets an 8-bit code of its inside corners and
+    one table lookup per code gives its crossing edges and triangles; the
     file is byte for byte what a cube-by-cube march writes: cubes in (i, j,
     k) order, the six tetrahedra in _TETS order, each vertex numbered when
-    its edge first comes up.  Lines are written in blocks, from string
+    its edge first comes up (found without a sort, by the least march
+    position of each edge).  Lines are written as bytes in blocks, from
     tables: every coordinate and vertex number is formatted once.
 
     Raises:
@@ -256,31 +284,23 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
     field_ = K.contains_many(*scale(inv, X, Y, T))
     del X, Y, T
 
-    edge, tris = _march(field_)
-    # vertices numbered from 1 in order of first occurrence
-    keys, first, which = np.unique(edge, return_index=True, return_inverse=True)
-    del edge
-    order = np.argsort(first)
-    number = np.empty(len(keys), dtype=np.int64)
-    number[order] = np.arange(1, len(keys) + 1)
-    a, b = np.divmod(keys[order], field_.size)
-    a, b = np.unravel_index(a, field_.shape), np.unravel_index(b, field_.shape)
-    # the two ends of a Kuhn-triangulation edge differ by 0 or 1 on each
-    # axis, so a vertex coordinate (axis[a] + axis[b]) / 2 is entry a + b of
-    # that axis' 2n - 1 grid points and midpoints; the three axes' tables
-    # are formatted once, one after the other
+    verts, faces = _march(field_)
+    # a vertex joins its edge's lower end to lower end + step, so on each
+    # axis its coordinate (axis[lo] + axis[lo + step]) / 2 is entry
+    # 2 lo + step of that axis' 2n - 1 grid points and midpoints; the three
+    # axes' tables are formatted once, one after the other
+    lo, step = np.unravel_index(verts // 7, field_.shape), verts % 7 + 1
     m = 2 * n - 1
-    lo, hi = np.arange(m) // 2, np.arange(1, m + 1) // 2
-    coords = _strings("%.17g", np.concatenate([(axis[lo] + axis[hi]) / 2.0 for axis in (xs, ys, ts)]).tolist())
-    slots = np.stack([a[d] + b[d] + d * m for d in range(3)], axis=1)
-    faces = number[which][tris]
+    slots = np.stack([2 * lo[d] + (step >> (2 - d) & 1) + d * m for d in range(3)], axis=1)
+    below, above = np.arange(m) // 2, np.arange(1, m + 1) // 2
+    coords = _strings(b"%.17g", np.concatenate([(axis[below] + axis[above]) / 2.0 for axis in (xs, ys, ts)]).tolist())
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write(f"# level-set mesh: {K.label}, tau={tau:g}, resolution={resolution}\n")
-        _write_rows(fh, "v %s %s %s\n", coords, slots)
-        _write_rows(fh, "f %s %s %s\n", _strings("%d", range(len(keys) + 1)), faces)
+    with path.open("wb") as fh:
+        fh.write(f"# level-set mesh: {K.label}, tau={tau:g}, resolution={resolution}\n".encode())
+        _write_rows(fh, b"v %s %s %s\n", coords, slots)
+        _write_rows(fh, b"f %s %s %s\n", _strings(b"%d", range(len(verts) + 1)), faces)
     return path
 
 
@@ -291,11 +311,10 @@ def export_curve(curve: list[Point3], path: Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     m = len(curve)
-    with path.open("w", newline="") as fh:
-        fh.write("theta,x,y,t\n")
-        for j, p in enumerate(curve):
-            th = j / (m - 1) if m > 1 else 0.0
-            fh.write(f"{th:.17g},{p.x:.17g},{p.y:.17g},{p.t:.17g}\n")
+    rows = np.column_stack([np.arange(m) / max(m - 1, 1), np.array(curve, dtype=float)])
+    with path.open("wb") as fh:
+        fh.write(b"theta,x,y,t\n")
+        _write_rows(fh, b"%.17g,%.17g,%.17g,%.17g\n", rows, np.arange(m))
     return path
 
 

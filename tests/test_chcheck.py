@@ -203,6 +203,19 @@ def test_ch_curve_endpoints_and_validation():
         ch_curve(xi0, v, tau, 1)
 
 
+def test_ch_curve_matches_scalar_curve_point_bitwise():
+    # one array call rounds as m scalar calls of curve_point do, bit for bit
+    rng = np.random.default_rng(1919)
+    for m in (2, 3, 11, 101):
+        for _ in range(50):
+            x0, y0, t0, a, b = rng.uniform(-2.0, 2.0, 5).tolist()
+            tau = float(rng.uniform(0.2, 4.0))
+            got = ch_curve(Point3(x0, y0, t0), HVec(a, b), tau, m)
+            want = [curve_point(x0, y0, t0, a, b, tau, j / (m - 1)) for j in range(m)]
+            assert all(type(c) is float for p in got for c in p)
+            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64)), m
+
+
 def test_cylinder_hand_instance_escapes():
     # vertical overshoot of the dilation-interpolating arc on the cylinder
     xi0 = Point3(0.5, 0.0, 1.0)

@@ -447,35 +447,34 @@ def test_export_mesh_batch_field_matches_row_loop(tmp_path, name):
     assert faces and set(edges.values()) == {2}
 
 
-def _reference_levelset(K, tau, resolution, path):
-    """The cube-by-cube march whose OBJ bytes export_levelset must reproduce."""
-    corners_at = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
-    tets = ((0, 5, 1, 6), (0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6), (0, 7, 4, 6), (0, 4, 5, 6))
-    (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
-    n = resolution
-    xs = [tau * 1.05 * (xlo + (xhi - xlo) * i / (n - 1)) for i in range(n)]
-    ys = [tau * 1.05 * (ylo + (yhi - ylo) * i / (n - 1)) for i in range(n)]
-    ts = [tau * tau * 1.05 * (tlo + (thi - tlo) * i / (n - 1)) for i in range(n)]
-    inv = 1.0 / tau
-    X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
-    field = K.contains_many(inv * X, inv * Y, inv * inv * T).tolist()
-    verts, vert_list, faces = {}, [], []
+_REF_CORNERS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
+_REF_TETS = ((0, 5, 1, 6), (0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6), (0, 7, 4, 6), (0, 4, 5, 6))
+
+
+def _reference_march(field):
+    """Cube-by-cube marching tetrahedra on a boolean n^3 grid (nested lists).
+
+    Returns (edges, faces): each vertex's edge as its two grid points, lower
+    first, in numbering order; the triangles as vertex numbers from 1.
+    """
+    n = len(field)
+    verts, edges, faces = {}, [], []
 
     def midpoint(a, b):
         key = (a, b) if a <= b else (b, a)
         if key not in verts:
-            vert_list.append(((xs[a[0]] + xs[b[0]]) / 2.0, (ys[a[1]] + ys[b[1]]) / 2.0, (ts[a[2]] + ts[b[2]]) / 2.0))
-            verts[key] = len(vert_list)
+            edges.append(key)
+            verts[key] = len(edges)
         return verts[key]
 
     for i in range(n - 1):
         for j in range(n - 1):
             for k in range(n - 1):
-                corner = [(i + dx, j + dy, k + dz) for dx, dy, dz in corners_at]
+                corner = [(i + dx, j + dy, k + dz) for dx, dy, dz in _REF_CORNERS]
                 inside = [field[a][b][c] for a, b, c in corner]
                 if all(inside) or not any(inside):
                     continue
-                for tet in tets:
+                for tet in _REF_TETS:
                     ins = [c for c in tet if inside[c]]
                     outs = [c for c in tet if not inside[c]]
                     if not ins or not outs:
@@ -488,9 +487,24 @@ def _reference_levelset(K, tau, resolution, path):
                         m_pr, m_ps = midpoint(corner[p], corner[r]), midpoint(corner[p], corner[s])
                         m_qr, m_qs = midpoint(corner[q], corner[r]), midpoint(corner[q], corner[s])
                         faces += [(m_pr, m_ps, m_qr), (m_ps, m_qs, m_qr)]
+    return edges, faces
+
+
+def _reference_levelset(K, tau, resolution, path):
+    """The cube-by-cube march whose OBJ bytes export_levelset must reproduce."""
+    (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
+    n = resolution
+    xs = [tau * 1.05 * (xlo + (xhi - xlo) * i / (n - 1)) for i in range(n)]
+    ys = [tau * 1.05 * (ylo + (yhi - ylo) * i / (n - 1)) for i in range(n)]
+    ts = [tau * tau * 1.05 * (tlo + (thi - tlo) * i / (n - 1)) for i in range(n)]
+    inv = 1.0 / tau
+    X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
+    edges, faces = _reference_march(K.contains_many(inv * X, inv * Y, inv * inv * T).tolist())
     with open(path, "w") as fh:
         fh.write(f"# level-set mesh: {K.label}, tau={tau:g}, resolution={resolution}\n")
-        fh.writelines(f"v {x:.17g} {y:.17g} {t:.17g}\n" for x, y, t in vert_list)
+        for a, b in edges:
+            x, y, t = (xs[a[0]] + xs[b[0]]) / 2.0, (ys[a[1]] + ys[b[1]]) / 2.0, (ts[a[2]] + ts[b[2]]) / 2.0
+            fh.write(f"v {x:.17g} {y:.17g} {t:.17g}\n")
         fh.writelines(f"f {a} {b} {c}\n" for a, b, c in faces)
     return path
 
@@ -498,12 +512,26 @@ def _reference_levelset(K, tau, resolution, path):
 @pytest.mark.parametrize("name", ["koranyi_ball", "euclidean_ball", "cylinder", "cylinder_hat", "importante", "radial_custom"])
 def test_export_levelset_matches_cube_by_cube_march(tmp_path, name):
     K = gallery(name, json.loads(PLUS_PARAMS) if name == "radial_custom" else None)
-    for resolution in (8, 16, 33):
+    # 48, the README's resolution, numbers vertices past 9999
+    for resolution in (8, 16, 33) + ((48,) if name == "cylinder_hat" else ()):
         for tau in (0.7, 1.0, 2.5):
             got = export_levelset(K, tau, resolution, tmp_path / "array.obj").read_bytes()
             want = _reference_levelset(K, tau, resolution, tmp_path / "cubes.obj").read_bytes()
             assert got == want, (resolution, tau)
     assert b"\nf " in got
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_export_levelset_matches_reference_on_every_cube_code(tmp_path, seed):
+    # a random 20^3 field has 6859 cubes, enough for all 256 corner codes;
+    # the oracle ignores the grid and returns that field
+    field = np.random.default_rng([19, seed]).random((20, 20, 20)) < 0.5
+    codes = sum(field[dx : dx + 19, dy : dy + 19, dz : dz + 19].astype(int) << c for c, (dx, dy, dz) in enumerate(_REF_CORNERS))
+    assert len(np.unique(codes)) == 256
+    K = dataclasses.replace(gallery("koranyi_ball"), kernel=lambda x, y, t: field)
+    got = export_levelset(K, 1.0, 20, tmp_path / "array.obj").read_bytes()
+    assert got == _reference_levelset(K, 1.0, 20, tmp_path / "cubes.obj").read_bytes()
+    assert got.count(b"\nf ") > 6859
 
 
 def test_export_levelset_writes_in_blocks(tmp_path, monkeypatch):
