@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -492,33 +492,11 @@ def envelope_psi(r: float, r0: float, t0: float, k: Kit = FLOATS) -> float:
     return k.sqrt(k.max(k.pow(r0, 4) + t0 * t0 - k.pow(r, 4), 0.0))
 
 
-def envelope_check(
-    K: SetOracle,
-    xi0: Point3,
-    n: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> EnvelopeReport:
-    """Probe the two envelopes every interpolating family must contain.
-
-    The revolution solid stacks disks of radius r at height phi(r) for r
-    in [r0/sqrt(2), r0]; the cap is the gauge-ball sector beyond t0.  Both
-    are necessary once the set's dilation family interpolates convexly, so
-    a negative margin beyond slack is a genuine obstruction.  Grids are
-    deterministic; margins come from dilation-level bisection.
-
-    Raises:
-        ValueError: xi0 outside K, or t0 = 0, or r0 = 0.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
-    if not K.contains(xi0):
-        raise ValueError("anchor point must lie in the set")
+def _envelope_grids(xi0: Point3, n: int) -> tuple[tuple, tuple, float, float]:
+    """The n solid points and 2n cap points of the anchor xi0, as (x, y, t)
+    arrays, and the residuals of the phi endpoint and the cap identity."""
     r0 = math.hypot(xi0.x, xi0.y)
     t0 = xi0.t
-    if abs(t0) <= tol.eps_eq or r0 <= tol.eps_eq:
-        raise ValueError("anchor needs nonzero vertical part and nonzero radius")
-
-    fine = Tolerances(eps_geom=tol.eps_eq, eps_eq=tol.eps_eq, max_iter=tol.max_iter)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     k = np.arange(n)
     r = r0 / math.sqrt(2.0) + (r0 - r0 / math.sqrt(2.0)) * k / (n - 1)
@@ -534,9 +512,44 @@ def envelope_check(
     ang = k * golden + 1.0
     heights = np.stack([sgn * psi, 0.5 * (t0 + sgn * psi)], axis=1).ravel()
     cap = (np.repeat(r * np.cos(ang), 2), np.repeat(r * np.sin(ang), 2), heights)
+    return solid, cap, phi_res, cap_res
 
-    # every margin of the anchor in one batch: n solid points, then 2n cap points
-    margins = 1.0 - dilation_level_many(K, *map(np.concatenate, zip(solid, cap)), fine)
+
+def envelope_check(
+    K: SetOracle,
+    anchors: Sequence[Point3],
+    n: int,
+    tol: Tolerances = DEFAULT_TOL,
+) -> list[EnvelopeReport]:
+    """Probe the two envelopes every interpolating family must contain,
+    one report per anchor xi0 = (r0, t0).
+
+    The revolution solid stacks disks of radius r at height phi(r) for r
+    in [r0/sqrt(2), r0]; the cap is the gauge-ball sector beyond t0.  Both
+    are necessary once the set's dilation family interpolates convexly, so
+    a negative margin beyond slack is a genuine obstruction.  Grids are
+    deterministic; margins come from dilation-level bisection.  Every
+    anchor is validated before any level is bisected, and then the 3n
+    points of all anchors are bisected in one dilation_level_many call.
+
+    Raises:
+        ValueError: n < 2, or an anchor outside K, or with t0 = 0 or r0 = 0.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2 samples")
+    for xi0 in anchors:
+        if not K.contains(xi0):
+            raise ValueError("anchor point must lie in the set")
+        if abs(xi0.t) <= tol.eps_eq or math.hypot(xi0.x, xi0.y) <= tol.eps_eq:
+            raise ValueError("anchor needs nonzero vertical part and nonzero radius")
+    if not anchors:
+        return []
+
+    grids = [_envelope_grids(xi0, n) for xi0 in anchors]
+    # every margin in one batch: per anchor, n solid points, then 2n cap points
+    fine = Tolerances(eps_geom=tol.eps_eq, eps_eq=tol.eps_eq, max_iter=tol.max_iter)
+    coords = (np.concatenate([c for solid, cap, _, _ in grids for c in (solid[i], cap[i])]) for i in range(3))
+    margins = (1.0 - dilation_level_many(K, *coords, fine)).reshape(len(grids), 3 * n)
     floor = -max(1e-6, 10.0 * tol.eps_geom)
 
     def lowest(pts: tuple, mg: np.ndarray) -> tuple[float, Optional[Point3]]:
@@ -544,15 +557,8 @@ def envelope_check(
         i = int(np.argmin(mg))
         return float(mg[i]), Point3(*(float(c[i]) for c in pts)) if mg[i] < floor else None
 
-    solid_min, solid_failure = lowest(solid, margins[:n])
-    cap_min, cap_failure = lowest(cap, margins[n:])
-    return EnvelopeReport(
-        solid_min_margin=solid_min,
-        cap_min_margin=cap_min,
-        solid_checked=n,
-        cap_checked=2 * n,
-        solid_failure=solid_failure,
-        cap_failure=cap_failure,
-        phi_endpoint_residual=phi_res,
-        cap_identity_residual=cap_res,
-    )
+    reports = []
+    for (solid, cap, phi_res, cap_res), mg in zip(grids, margins):
+        (solid_min, solid_failure), (cap_min, cap_failure) = lowest(solid, mg[:n]), lowest(cap, mg[n:])
+        reports.append(EnvelopeReport(solid_min, cap_min, n, 2 * n, solid_failure, cap_failure, phi_res, cap_res))
+    return reports

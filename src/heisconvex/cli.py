@@ -386,9 +386,10 @@ def _cmd_radial(cfg: RunConfig) -> int:
         raise ValueError(f"{K.label} is not radial: the necessary conditions do not apply")
     rep = radial_necessary(K.profile, cfg.samples, cfg.seed, cfg.tolerances)
     n_env = max(64, cfg.samples // 8)
-    checks = [(anchor, envelope_check(K, anchor, n_env, cfg.tolerances)) for anchor in _anchor_points(K)]
-    envelope_ok = all(env.ok() for _, env in checks)
-    envelopes = [{"anchor": anchor, **_encode(env)} for anchor, env in checks]
+    anchors = _anchor_points(K)
+    checks = envelope_check(K, anchors, n_env, cfg.tolerances)
+    envelope_ok = all(env.ok() for env in checks)
+    envelopes = [{"anchor": anchor, **_encode(env)} for anchor, env in zip(anchors, checks)]
     out = _write_report(cfg, f"radial_{_slug(K.label)}", radial={**_encode(rep), "envelopes": envelopes})
     ok = rep.thm_i_ok and rep.thm_ii_ok and envelope_ok
     print(

@@ -309,7 +309,7 @@ def test_criterion_07_envelope_identities():
 
     K = gallery("koranyi_ball")
     t0 = math.sqrt(1.0 - 0.9 ** 4)
-    rep = envelope_check(K, Point3(0.9, 0.0, t0), 400)
+    rep = envelope_check(K, [Point3(0.9, 0.0, t0)], 400)[0]
     cap_ok = rep.cap_min_margin >= -1e-7
 
     ok = ident_ok and cap_ok

@@ -30,6 +30,7 @@ from heisconvex import (
     tau_residual,
 )
 from heisconvex import chcheck
+from heisconvex.cli import _anchor_points
 from heisconvex.chcheck import DEGENERATE_TAU_GRID, ChWitness, TauSolution, curve_point, solve_tau_many
 from heisconvex.core import DEFAULT_TOL
 from heisconvex.sets import IMPORTANTE_R_MAX, boundary_sample, polygon_profile, radial_to_oracle
@@ -526,7 +527,7 @@ def test_envelope_identities(r0, t0):
 def test_envelope_check_koranyi_anchor():
     K = gallery("koranyi_ball")
     t0 = math.sqrt(1.0 - 0.9 ** 4)
-    rep = envelope_check(K, Point3(0.9, 0.0, t0), 200)
+    rep = envelope_check(K, [Point3(0.9, 0.0, t0)], 200)[0]
     assert rep.ok()
     assert rep.cap_min_margin >= -1e-7
     assert rep.solid_min_margin >= -1e-7
@@ -536,7 +537,7 @@ def test_envelope_check_koranyi_anchor():
 
 def test_envelope_check_cylinder_fails_solid():
     K = gallery("cylinder")
-    rep = envelope_check(K, Point3(0.9, 0.0, 0.9), 200)
+    rep = envelope_check(K, [Point3(0.9, 0.0, 0.9)], 200)[0]
     assert not rep.ok()
     assert rep.solid_failure is not None
     # vertex of the parabolic arc envelope tops out just above the lid
@@ -587,16 +588,47 @@ def _reference_envelope(K, xi0, n, tol=DEFAULT_TOL):
 )
 def test_envelope_check_matches_point_by_point_loop(name, anchor):
     K = gallery(name)
-    assert envelope_check(K, anchor, 120) == _reference_envelope(K, anchor, 120)
+    assert envelope_check(K, [anchor], 120) == [_reference_envelope(K, anchor, 120)]
+
+
+@pytest.mark.parametrize(
+    "name, anchor",
+    [
+        ("koranyi_ball", Point3(0.9, 0.0, math.sqrt(1.0 - 0.9 ** 4))),
+        ("cylinder_hat", Point3(0.8, 0.0, 2.0)),
+        ("importante", Point3(0.8 * IMPORTANTE_R_MAX, 0.0, -3.0)),
+        ("cylinder", Point3(0.9, 0.0, 0.9)),
+    ],
+)
+def test_envelope_check_lists_of_anchors_match_point_by_point_loop(name, anchor):
+    # one anchor, then three bisected in one batch with two radial-command anchors
+    K = gallery(name)
+    anchors = [anchor] + _anchor_points(K)[:2]
+    want = [_reference_envelope(K, a, 80) for a in anchors]
+    assert envelope_check(K, anchors[:1], 80) == want[:1]
+    assert envelope_check(K, anchors, 80) == want
+    # the cylinder's solid envelope overshoots its lid
+    assert (want[0].solid_failure is not None) == (name == "cylinder")
+    assert envelope_check(K, [], 80) == []
+
+
+def test_envelope_check_validates_every_anchor_first(monkeypatch):
+    K = gallery("koranyi_ball")
+    good = _anchor_points(K)[:2]
+    monkeypatch.setattr(chcheck, "dilation_level_many", None)  # a call would raise TypeError
+    for bad, message in ((Point3(2.0, 0.0, 0.3), "must lie in the set"), (Point3(0.9, 0.0, 0.0), "nonzero vertical")):
+        for at in range(3):
+            with pytest.raises(ValueError, match=message):
+                envelope_check(K, good[:at] + [bad] + good[at:], 10)
 
 
 def test_envelope_check_validation():
     K = gallery("koranyi_ball")
     with pytest.raises(ValueError):
-        envelope_check(K, Point3(0.9, 0.0, 0.3), 1)
+        envelope_check(K, [Point3(0.9, 0.0, 0.3)], 1)
     with pytest.raises(ValueError):
-        envelope_check(K, Point3(2.0, 0.0, 0.3), 10)  # outside the set
+        envelope_check(K, [Point3(2.0, 0.0, 0.3)], 10)  # outside the set
     with pytest.raises(ValueError):
-        envelope_check(K, Point3(0.9, 0.0, 0.0), 10)  # planar anchor
+        envelope_check(K, [Point3(0.9, 0.0, 0.0)], 10)  # planar anchor
     with pytest.raises(ValueError):
-        envelope_check(K, Point3(0.0, 0.0, 0.9), 10)  # polar anchor
+        envelope_check(K, [Point3(0.0, 0.0, 0.9)], 10)  # polar anchor

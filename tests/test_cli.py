@@ -35,6 +35,7 @@ from heisconvex import (
 from heisconvex import cli
 from heisconvex.cli import (
     RunConfig,
+    _anchor_points,
     _write_report,
     export_curve,
     export_levelset,
@@ -215,6 +216,16 @@ def test_radial_command(tmp_path):
     assert rad["envelopes"]
 
     assert main(["radial", "--set", "koranyi_ball", "--out", str(tmp_path)]) == 0
+
+
+def test_radial_command_without_anchors(tmp_path):
+    # the plus shape has no inside radius at any anchor height, so there is
+    # no envelope to bisect; theorem i still fails
+    K = gallery("radial_custom", json.loads(PLUS_PARAMS))
+    assert _anchor_points(K) == []
+    assert main(["radial", "--set", "radial_custom", "--params", PLUS_PARAMS, "--out", str(tmp_path)]) == 2
+    rad = read_report(tmp_path / "radial_radial_custom.json")["radial"]
+    assert rad["envelopes"] == [] and not rad["thm_i_ok"]
 
 
 def test_gallery_matches_expectations(tmp_path):

@@ -301,6 +301,14 @@ def _gapped_set():
     return SetOracle(contains, ((-1.01, 1.01), (-1.01, 1.01), (-1.01, 1.01)), "gapped")
 
 
+def _half_ball():
+    # the Koranyi ball's upper half, in the whole ball's box: e sits on its
+    # boundary, so the bracket of a box point below t = 0 runs away (axiom
+    # I fails), while dilating down keeps the half inside itself (II holds)
+    ball = gallery("koranyi_ball")
+    return SetOracle(lambda p: ball.contains(p) and p.t >= 0.0, ball.bbox, "half ball")
+
+
 FAMILY_CASES = {
     "koranyi_ball": (lambda: gallery("koranyi_ball"), "heisenberg"),
     "koranyi_ball_euclidean": (lambda: gallery("koranyi_ball"), "euclidean"),
@@ -308,6 +316,7 @@ FAMILY_CASES = {
     "ring": (ring_set, "heisenberg"),
     "shelled": (_shelled_set, "heisenberg"),
     "gapped": (_gapped_set, "heisenberg"),
+    "half_ball": (_half_ball, "heisenberg"),
 }
 
 
@@ -319,6 +328,9 @@ def test_family_axioms_match_reference(case):
     assert reports == [_reference_family(C, 300, seed) for seed in (0, 1, 2)]
     if case == "ring":
         assert all(r.coverage_failure is not None and r.nesting_witness is not None for r in reports)
+    if case == "half_ball":
+        # I fails and II is drawn again from where its loop stops
+        assert all(not r.axiom_i_ok and r.axiom_ii_ok and r.closedness_failure is None for r in reports)
     if case == "shelled":
         assert any(r.closedness_failure is not None for r in reports)
     if case == "gapped":

@@ -30,6 +30,7 @@ from heisconvex import (
 )
 from heisconvex.chcheck import curve_point
 from heisconvex.core import ARRAYS, FLOATS
+from heisconvex.core import scale as core_scale
 from heisconvex import sets
 from heisconvex.sets import (
     GALLERY_NAMES,
@@ -864,8 +865,8 @@ def test_boundary_sample_matches_per_ray_loop(name):
 @pytest.mark.parametrize("relative", [False, True])
 def test_bisect_many_matches_scalar_loop(relative):
     # brackets of widths 1e-6 to 1e3 around random levels, and NaN brackets;
-    # under `capped` most rows stop on their own test, so the kernel compacts
-    # its rows, and the widest stop on the cap; FINE_TOL caps every row
+    # under `capped` most rows stop on their own test and the widest on the
+    # cap; FINE_TOL caps every row
     rng = np.random.default_rng(3)
     lo = rng.uniform(-10.0, 10.0, 2000)
     hi = lo + 10.0 ** rng.uniform(-6.0, 3.0, 2000)
@@ -878,19 +879,26 @@ def test_bisect_many_matches_scalar_loop(relative):
         return mid >= level
 
     capped = Tolerances(eps_geom=1e-2, eps_eq=1e-2, max_iter=8)
-    for tol, compacts in ((Tolerances(), True), (capped, True), (FINE_TOL, False)):
-        want = []
+    for tol in (Tolerances(), capped, FINE_TOL):
+        want, steps = [], []
         for a, b, c in zip(lo.tolist(), hi.tolist(), level.tolist()):
-            for _ in range(tol.max_iter):
-                if not b - a > tol.eps_geom * (max(1.0, a) if relative else 1.0):
-                    break
+            step = 0
+            while step < tol.max_iter and b - a > tol.eps_geom * (max(1.0, a) if relative else 1.0):
                 mid = 0.5 * (a + b)
                 a, b = (a, mid) if mid >= c else (mid, b)
+                step += 1
             want.append((a, b))
+            steps.append(step)
         sizes.clear()
         got = bisect_many(upper, (level,), lo.copy(), hi.copy(), tol, relative)
         np.testing.assert_array_equal(np.column_stack(got), np.array(want))
-        assert sizes[0] == len(lo) and (sizes[-1] < len(lo) // 2) == compacts
+        # step k sees exactly the rows whose own loop still bisects there
+        steps = np.array(steps)
+        assert sizes == [np.count_nonzero(steps > k) for k in range(steps.max())]
+    # a zero-row batch makes no call
+    sizes.clear()
+    got = bisect_many(upper, (np.empty(0),), np.empty(0), np.empty(0), Tolerances(), relative)
+    assert sizes == [] and [g.shape for g in got] == [(0,), (0,)]
 
 
 # "ulp" bisects down to adjacent floats, where the last bit of lam * x decides
@@ -980,11 +988,35 @@ def test_dilation_level_many_errors_match_scalar():
     assert lenient[0] == dilation_level(box, Point3(1.5, 1.5, 1.5)) and math.isnan(lenient[1])
 
 
+def _scalar_bisection_steps(K, q, tol, scaling):
+    """The bisection steps of dilation_level's scalar loop on q: the same
+    brackets and stop test, with the steps counted."""
+    def member(tau):
+        return K.contains(Point3(*core_scale(1.0 / tau, *q, scaling)))
+
+    if member(1.0):
+        lo, hi = 0.5, 1.0
+        while member(lo):
+            lo, hi = 0.5 * lo, lo
+            if lo < 0.25 * max(tol.eps_geom, 2.0 ** -500):
+                return 0
+    else:
+        lo, hi = 1.0, 2.0
+        while not member(hi):
+            lo, hi = hi, 2.0 * hi
+    steps = 0
+    while steps < tol.max_iter and hi - lo > tol.eps_geom * max(1.0, lo):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if member(mid) else (mid, hi)
+        steps += 1
+    return steps
+
+
 @pytest.mark.parametrize("scaling", ["heisenberg", "euclidean"])
 def test_dilation_level_many_masked_bisection_matches_scalar(scaling):
     # 5000 points at levels from about 1e-6 to 1e3.  Under `capped` the
-    # levels below about 0.4 stop within 12 steps, so the buffers are
-    # compacted, and the others stop at the cap; FINE_TOL caps every point
+    # levels below about 0.4 stop within 12 steps and the others stop at
+    # the cap; FINE_TOL caps every point
     base = gallery("koranyi_ball")
     sizes = []
 
@@ -999,14 +1031,18 @@ def test_dilation_level_many_masked_bisection_matches_scalar(scaling):
     capped = Tolerances(eps_geom=1e-4, eps_eq=1e-4, max_iter=12)
     for tol in (Tolerances(), capped, FINE_TOL):
         _assert_levels_match(K, pts, tol, scaling)
+        # the last calls are the bisection's: step k sees exactly the points
+        # whose scalar loop still bisects there
+        steps = np.array([_scalar_bisection_steps(base, p, tol, scaling) for p in pts.tolist()])
+        want = [np.count_nonzero(steps > k) for k in range(steps.max())]
+        sizes.clear()
+        dilation_level_many(K, *pts.T, tol, scaling)
+        assert want and sizes[-len(want):] == want
     sizes.clear()
     dilation_level_many(K, *pts.T, capped, scaling)
     calls = len(sizes)
     dilation_level_many(K, *pts.T, Tolerances(eps_geom=1e-4, eps_eq=1e-4, max_iter=13), scaling)
     # the cap binds: one more step allowed is one more call
     assert len(sizes) == 2 * calls + 1
-    # the 12 bisection calls start on every point and end on fewer than half
-    steps = sizes[calls - 12 : calls]
-    assert steps[0] == 5000 and steps[-1] < 2500 and steps == sorted(steps, reverse=True)
     # a kernel-less oracle evaluates the masked rows through its row loop
     _assert_levels_match(SetOracle(base.contains, base.bbox, "bare"), pts[:1000], Tolerances(), scaling)
