@@ -260,8 +260,10 @@ def falsify_ch(
     escapes at least as far), solves for every admissible tau, and tests
     the CURVE_SAMPLES-sample curve with the robust escape predicate.  With
     tau_one=True the search restricts to horizontally reachable pairs at
-    tau = 1, which is literally the horizontal-segment convexity check of
-    the set module (same probe stream, same verdicts and errors on equal seeds).
+    tau = 1, which is the horizontal-segment convexity check of the set
+    module on a finer theta grid: the same probe stream and errors on equal
+    seeds, and a witness no later than the check's, sometimes where the
+    check finds none.
 
     Pairs come in chunks of PAIR_CHUNK = 256; chunk c is drawn whole from
     default_rng([seed, 0xC4, c]), and each group of POOL_GROUP = 8 chunks

@@ -68,10 +68,11 @@ class RunConfig:
 
 
 def parse_descriptor(descriptor: str) -> tuple[str, dict]:
-    """Resolve a bare name, inline JSON, or JSON file path to (name, params)."""
+    """Resolve a bare name, inline JSON, or JSON file path to (name, params);
+    a gallery name wins over a file of the same name."""
     text = descriptor.strip()
-    # inline JSON first: is_file() on a name over 255 bytes raises OSError
-    if not text.startswith("{") and (text.endswith(".json") or Path(text).is_file()):
+    # gallery names and inline JSON first: is_file() on a name over 255 bytes raises OSError
+    if text not in GALLERY and not text.startswith("{") and (text.endswith(".json") or Path(text).is_file()):
         text = Path(text).read_text().strip()
     if text.startswith("{"):
         obj = json.loads(text)

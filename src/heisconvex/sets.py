@@ -16,7 +16,6 @@ horizontal-segment scan) shared by the falsifiers in the other modules.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -50,8 +49,9 @@ class RadialProfile:
     contains2d_many is contains2d on arrays of one shape, element for
     element: radial_to_oracle turns it into the oracle's array kernel, and
     chcheck.radial_necessary scans and bisects all its heights through it.
-    A polygon profile writes its edge formula once and runs it edge by
-    edge on floats and in one all-edge broadcast on small arrays.
+    A polygon profile's inside is one such function over its edge tables:
+    edge by edge on floats and large arrays, one all-edge broadcast on
+    small ones.
     """
 
     inside: Callable[[float, float, Kit], bool]
@@ -318,13 +318,13 @@ def _edge_near(edge, r, t, k: Kit, eps2: float):
     """Whether (r, t) is within eps of the edge (ax, ay, vx, vy, vv) from
     (ax, ay) along (vx, vy).
 
-    vv is vx^2 + vy^2, None for a zero-length edge.  The edge is floats and
-    (r, t) a point or arrays of points, or the edge values are (E, 1)
-    columns, one row per edge, and r and t are (m,) arrays.
+    vv is vx^2 + vy^2, inf for a zero-length edge (s = 0 at finite points).
+    The edge is floats and (r, t) a point or arrays of points, or the edge
+    values are (E, 1) columns, one row per edge, and r and t are (m,) arrays.
     """
     ax, ay, vx, vy, vv = edge
     wx, wy = r - ax, t - ay
-    s = 0.0 if vv is None else k.max(0.0, k.min(1.0, (wx * vx + wy * vy) / vv))
+    s = k.max(0.0, k.min(1.0, (wx * vx + wy * vy) / vv))
     dx, dy = wx - s * vx, wy - s * vy
     return dx * dx + dy * dy <= eps2
 
@@ -343,7 +343,8 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
     Points within eps_geom of an edge count as inside (closed set); the
     rest are inside when the rightward ray crosses an odd number of the
     non-horizontal edges.  The edge arithmetic is written once, in
-    _edge_near and _edge_crosses: floats run it one edge at a time, and
+    _edge_near and _edge_crosses, over one table of all edges and one of
+    the non-horizontal ones: floats run the tables one edge at a time, and
     arrays (contains2d_many) all edges against all points in one
     broadcast up to _POLYGON_PAIRS (edge, point) pairs after broadcasting
     r against t, edge by edge above that; each element gets the same
@@ -369,42 +370,29 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
     near_edges, cross_edges = [], []
     for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
         vx, vy = bx - ax, by - ay
-        vv = vx * vx + vy * vy
-        near_edges.append((ax, ay, vx, vy, None if vv == 0.0 else vv))
+        near_edges.append((ax, ay, vx, vy, vx * vx + vy * vy or math.inf))
         if ay != by:
             cross_edges.append((ax, ay, by, vx, vy))
+    # each table as a tuple of (E, 1) columns, one per edge value
+    near_columns = tuple(np.array(near_edges).T.copy()[:, :, None])
+    cross_columns = tuple(np.array(cross_edges).reshape(-1, 5).T.copy()[:, :, None])
 
-    def columns(edges):
-        # each edge value as an (E, 1) column; a zero-length edge's vv stays None
-        return tuple(None if c[0] is None else np.array(c)[:, None] for c in zip(*edges))
-
-    # the zero-length edges apart, since their vv is None
-    proper = [e for e in near_edges if e[4] is not None]
-    zero_length = [e for e in near_edges if e[4] is None]
-    near_columns = [columns(g) for g in (proper, zero_length) if g]
-    cross_columns = [columns(cross_edges)] if cross_edges else []
-
-    def edge_at_a_time(r, t, k: Kit):
+    def member(r, t, k: Kit):
+        if k is ARRAYS:
+            r, t = np.asarray(r), np.asarray(t)
+            if r.shape != t.shape:
+                r, t = np.broadcast_arrays(r, t)
+            if r.size * len(near_edges) <= _POLYGON_PAIRS:
+                rs, ts = r.reshape(-1), t.reshape(-1)
+                hit = np.logical_or.reduce(_edge_near(near_columns, rs, ts, k, eps2), axis=0)
+                hit |= np.logical_xor.reduce(_edge_crosses(cross_columns, rs, ts), axis=0)
+                return hit.reshape(r.shape)
         near = inside = False
         for e in near_edges:
             near = near | _edge_near(e, r, t, k, eps2)
         for e in cross_edges:
             inside = inside ^ _edge_crosses(e, r, t)
         return near | inside
-
-    def member(r, t, k: Kit):
-        return member_many(r, t) if k is ARRAYS else edge_at_a_time(r, t, k)
-
-    def member_many(r, t):
-        r, t = np.asarray(r), np.asarray(t)
-        if r.shape != t.shape:
-            r, t = np.broadcast_arrays(r, t)
-        if r.size * len(near_edges) > _POLYGON_PAIRS:
-            return edge_at_a_time(r, t, ARRAYS)
-        rs, ts = r.reshape(-1), t.reshape(-1)
-        hits = [np.logical_xor.reduce(_edge_crosses(g, rs, ts), axis=0) for g in cross_columns]
-        hits += [np.logical_or.reduce(_edge_near(g, rs, ts, ARRAYS, eps2), axis=0) for g in near_columns]
-        return functools.reduce(np.logical_or, hits).reshape(r.shape)
 
     return RadialProfile(member, r_max, (t_lo, t_hi))
 
@@ -648,8 +636,8 @@ def dilation_level_many(
     vertex = _vertex_level(tol)
     inside = upper(*cols, np.ones(x.size))
     # inside at tau = 1: halve lo = 0.5, 0.25, ... while still inside; a
-    # point that snaps to the vertex keeps a bracket [lo, 2 lo] that the
-    # bisection cannot leave, so its level, below 2 lo < vertex, reads as 0
+    # point whose lo falls below vertex / 4 is at the vertex, level 0, as in
+    # the scalar loop, so it gets the empty bracket [0, 0], never bisected
     lo = np.where(inside, 0.5, 1.0)
     hi = np.where(inside, 1.0, 2.0)
     down = np.flatnonzero(inside)
@@ -658,6 +646,8 @@ def dilation_level_many(
         hi[down] = lo[down]
         lo[down] *= 0.5
         down = down[lo[down] >= 0.25 * vertex]
+    at_vertex = lo < 0.25 * vertex
+    lo[at_vertex] = hi[at_vertex] = 0.0
     # outside at tau = 1: double hi = 2, 4, ... until inside
     limit = max(1.0, bbox_scale(K.bbox)) * 2.0 ** 32
     ran_away = _bracket_up(upper, cols, lo, hi, np.flatnonzero(~inside), limit)
@@ -866,9 +856,11 @@ def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int
     extends the stream and never reshuffles it.  The stream gives up after
     1000 + 400 n candidates and raises, so no scan passes probes it never
     tested.  Tag 0xC is the horizontal-segment axiom
-    check, which the tau = 1 restriction of the family falsifier shares,
-    so the two deliver identical verdicts on identical seeds; tag 0xF is
-    the function falsifiers of the convexity module.
+    check, which the tau = 1 restriction of the family falsifier shares:
+    the same probes and errors on equal seeds, but its 33 thetas include
+    the check's 9, so it escapes no later than the check, and sometimes
+    where the check does not; tag 0xF is the function falsifiers of the
+    convexity module.
 
     p, v and q are (k, 3), (k, 2) and (k, 3) arrays, and seg is a Point3
     of (k, len(thetas)) arrays: seg[r, j] = p o exp_h(theta_j v) of probe

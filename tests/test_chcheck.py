@@ -33,9 +33,9 @@ from heisconvex import chcheck
 from heisconvex.cli import _anchor_points
 from heisconvex.chcheck import DEGENERATE_TAU_GRID, ChWitness, TauSolution, curve_point, solve_tau_many
 from heisconvex.core import DEFAULT_TOL
-from heisconvex.sets import IMPORTANTE_R_MAX, boundary_sample, polygon_profile, radial_to_oracle
+from heisconvex.sets import IMPORTANTE_R_MAX, boundary_sample, check_axioms, polygon_profile, radial_to_oracle
 from ch_reference import ch_curve_cases, dilate_oracle, transport_witness
-from radial_reference import radial_sets, reference_outer_radius, reference_radial_necessary
+from radial_reference import PLUS_VERTICES, radial_sets, reference_outer_radius, reference_radial_necessary
 
 coord = st.floats(min_value=-3.0, max_value=3.0)
 heights = st.floats(min_value=-5.0, max_value=5.0)
@@ -376,6 +376,24 @@ def test_tau_one_mode_matches_set_checker():
     # the H-convex gallery members stay clean in the restricted mode too
     for name in ("koranyi_ball", "euclidean_ball", "cylinder"):
         assert falsify_ch(gallery(name), 800, seed=0, tau_one=True) is None
+
+
+def test_tau_one_finds_every_axiom_c_witness_no_later():
+    # both scans walk the same probes, and the 33 thetas of the tau = 1
+    # search include the axiom check's 9: a check that fails is met by a
+    # witness at its probe or earlier, but a clean check need not be
+    plus = gallery("radial_custom", {"vertices": PLUS_VERTICES})
+    tau_one_only = []
+    for seed in range(64):
+        rep = check_axioms(plus, 200, seed)
+        w = falsify_ch(plus, 200, seed, tau_one=True)
+        if not rep.c_holds:
+            assert w is not None and w.pair_index + 1 <= rep.samples_used, seed
+        elif w is not None:
+            tau_one_only.append((seed, w.pair_index + 1, w.theta_star))
+    # at seed 21 assumption c holds over 200 probes, and the tau = 1
+    # search escapes at probe 64, at a theta off the check's grid
+    assert (21, 64, 0.5625) in tau_one_only
 
 
 def test_transport_witness_replays():

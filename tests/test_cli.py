@@ -75,6 +75,18 @@ def test_parse_descriptor_forms(tmp_path):
         parse_descriptor('{"params": {}}')
 
 
+def test_gallery_name_beats_a_same_named_file(tmp_path, monkeypatch):
+    # a file named like a gallery set does not shadow the set; a file of
+    # any other name is still read as a descriptor
+    (tmp_path / "cylinder").write_text("notes\n")
+    (tmp_path / "myset").write_text('{"set": "koranyi_ball", "params": {"r": 2.0}}')
+    monkeypatch.chdir(tmp_path)
+    assert parse_descriptor("cylinder") == ("cylinder", {})
+    assert parse_descriptor("myset") == ("koranyi_ball", {"r": 2.0})
+    assert main(["axioms", "--set", "cylinder", "--samples", "200", "--out", "out"]) == 0
+    assert read_report(tmp_path / "out" / "axioms_cylinder.json")["axioms"]["c_holds"]
+
+
 def test_inline_descriptor_longer_than_a_file_name(tmp_path):
     # no file name is this long: the descriptor must be read as JSON
     # without asking the file system about it

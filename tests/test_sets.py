@@ -663,13 +663,15 @@ POLYGONS = {
 
 def _polygon_points(vertices, tol=Tolerances()):
     """(r, t) arrays: random points, points eps_geom (1 +- 1e-3) from each
-    slanted edge, the vertices with their 3-ulp neighbours, and non-finite
-    coordinates."""
+    slanted edge, points on each edge's line past its ends (near the edge
+    only within eps of an end), the vertices with their 3-ulp neighbours,
+    and non-finite coordinates."""
     rng = np.random.default_rng(14)
     r_hi = 1.2 * max(r for r, _ in vertices) + 0.1
     t_hi = 1.2 * max(abs(t) for _, t in vertices) + 0.1
     points = list(zip(rng.uniform(-0.1, r_hi, 2000).tolist(), rng.uniform(-t_hi, t_hi, 2000).tolist()))
     for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
+        points += [(ax + s * (bx - ax), ay + s * (by - ay)) for s in (-3.0, -0.5, 1.5, 4.0)]
         length = math.hypot(bx - ax, by - ay)
         if ax != bx and ay != by:
             nx, ny = (by - ay) / length, (ax - bx) / length
@@ -949,6 +951,28 @@ def test_vertex_level_zero_at_tiny_eps_geom():
         assert cone_eval(ConeFunction(K, tol=tol), ORIGIN) == 0.0
         # a point at gauge 1e-100 keeps its level
         assert dilation_level(K, Point3(0.0, 0.0, 1e-200), tol) == pytest.approx(1e-100)
+
+
+def test_dilation_level_many_stops_at_the_vertex():
+    # e halves its way down to the vertex, where the scalar loop returns 0
+    # without bisecting: the batch makes one kernel call for each of the
+    # scalar loop's contains calls, and none for a bisection after it
+    tol = Tolerances(eps_geom=1e-300, eps_eq=1e-300, max_iter=200)
+    base = gallery("koranyi_ball", None, tol)
+    calls = {"contains": 0, "kernel": 0}
+
+    def contains(p):
+        calls["contains"] += 1
+        return base.contains(p)
+
+    def kernel(x, y, t):
+        calls["kernel"] += 1
+        return base.contains_many(x, y, t)
+
+    K = SetOracle(contains, base.bbox, "recorded", kernel=kernel)
+    assert dilation_level(K, ORIGIN, tol) == 0.0
+    assert dilation_level_many(K, *np.zeros((3, 1)), tol).tolist() == [0.0]
+    assert calls == {"contains": 503, "kernel": 503}
 
 
 @given(

@@ -1,0 +1,179 @@
+"""Plant known faults in a copy of the package and check that tests catch each.
+
+Each row of FAULTS is (name, file, exact old text, new text, test ids that
+must fail).  The runner first runs every named test on an unchanged copy of
+src/ and tests/, where all must pass.  Then, one row at a time, it makes a
+fresh copy, replaces the old text (which must occur exactly once) by the new,
+and runs only that row's tests in one pytest subprocess.  A fault is killed
+when every one of its tests fails (a parametrized id counts when any of its
+cases fails).  The runner exits 1 when a fault survives, when its old text no
+longer matches, or when the unchanged copy fails; otherwise 0.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tools/plant_faults.py
+
+Copies go under the system temporary directory (TMPDIR) and are removed.
+Standard library only; faults run one after another, never in parallel.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Fault(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+FAULTS = (
+    Fault(
+        "parity_broadcast",
+        "src/heisconvex/sets.py",
+        "hit |= np.logical_xor.reduce(",
+        "hit |= np.logical_or.reduce(",
+        ("tests/test_sets.py::test_polygon_membership_is_the_edge_loop",),
+    ),
+    Fault(
+        "parity_edge_loop",
+        "src/heisconvex/sets.py",
+        "inside = inside ^ _edge_crosses(e, r, t)",
+        "inside = inside | _edge_crosses(e, r, t)",
+        ("tests/test_sets.py::test_polygon_membership_is_the_edge_loop",),
+    ),
+    Fault(
+        "edge_near_clamp",
+        "src/heisconvex/sets.py",
+        "s = k.max(0.0, k.min(1.0, (wx * vx + wy * vy) / vv))",
+        "s = (wx * vx + wy * vy) / vv",
+        (
+            "tests/test_sets.py::test_polygon_membership_is_the_edge_loop",
+            "tests/test_chcheck.py::test_radial_necessary_thm_ii_sees_a_1e4_bulge",
+        ),
+    ),
+    Fault(
+        "vertex_exit",
+        "src/heisconvex/sets.py",
+        "    lo[at_vertex] = hi[at_vertex] = 0.0\n",
+        "",
+        ("tests/test_sets.py::test_dilation_level_many_stops_at_the_vertex",),
+    ),
+    Fault(
+        "bisect_stop_test",
+        "src/heisconvex/sets.py",
+        "go = b - a > (tol.eps_geom * np.maximum(1.0, a) if relative else tol.eps_geom)",
+        "go = b - a > tol.eps_geom",
+        (
+            "tests/test_sets.py::test_dilation_level_many_matches_scalar",
+            "tests/test_sets.py::test_dilation_level_many_masked_bisection_matches_scalar",
+        ),
+    ),
+    Fault(
+        "scale_t",
+        "src/heisconvex/core.py",
+        "return lam * x, lam * y, lam * lam * t",
+        "return lam * x, lam * y, lam * t",
+        (
+            "tests/test_core.py::test_dilation_homomorphism",
+            "tests/test_core.py::test_scale_dilate_and_curve_point_are_exact_on_fractions",
+        ),
+    ),
+    Fault(
+        "group_law_sign",
+        "src/heisconvex/core.py",
+        "2 * (q.x * p.y - p.x * q.y)",
+        "2 * (p.x * q.y - q.x * p.y)",
+        ("tests/test_core.py::test_group_law", "tests/test_core.py::test_noncommutative"),
+    ),
+    Fault(
+        "escape_pullback",
+        "src/heisconvex/sets.py",
+        "return not K.contains(dilate(_pullback(tol), p))",
+        "return True",
+        ("tests/test_chcheck.py::test_replay_rejects_escape_within_pullback_slack",),
+    ),
+    Fault(
+        "too_thin_raise",
+        "src/heisconvex/sets.py",
+        "    if produced < n:\n",
+        "    if produced < 0:\n",
+        (
+            "tests/test_sets.py::test_scan_matches_reference_loop",
+            "tests/test_cli.py::test_thin_probe_stream_exits_1",
+        ),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tree: Path, tests) -> tuple[int, set[str], str]:
+    """Run the tests in tree; returns (exit code, failed node ids, output)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rf", *tests]
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    failed = {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}
+    return proc.returncode, failed, proc.stdout + proc.stderr
+
+
+def _killed_by(test: str, failed: set[str]) -> bool:
+    return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def run_fault(fault: Fault) -> str:
+    """Plant one fault in a fresh copy; '' when killed, else what went wrong."""
+    with tempfile.TemporaryDirectory(prefix="plant_faults_") as tmp:
+        tree = Path(tmp)
+        _copy(tree)
+        path = tree / fault.file
+        text = path.read_text()
+        found = text.count(fault.old)
+        if found != 1:
+            return f"old text found {found} times in {fault.file}"
+        path.write_text(text.replace(fault.old, fault.new))
+        code, failed, output = _pytest(tree, fault.tests)
+    alive = [t for t in fault.tests if not _killed_by(t, failed)]
+    if code == 1 and not alive:
+        return ""
+    tail = "\n".join(output.strip().splitlines()[-5:])
+    return f"pytest exit {code}; not failing: {', '.join(alive) or '-'}\n{tail}"
+
+
+def main() -> int:
+    tests = sorted({t for f in FAULTS for t in f.tests})
+    with tempfile.TemporaryDirectory(prefix="plant_faults_") as tmp:
+        _copy(Path(tmp))
+        code, _failed, output = _pytest(Path(tmp), tests)
+    if code != 0:
+        print(f"the unchanged copy fails its tests (pytest exit {code}):\n{output}", file=sys.stderr)
+        return 1
+    bad = 0
+    for fault in FAULTS:
+        problem = run_fault(fault)
+        print(f"{'killed  ' if not problem else 'SURVIVED'} {fault.name}")
+        if problem:
+            bad += 1
+            print("    " + problem.replace("\n", "\n    "))
+    print(f"{len(FAULTS) - bad}/{len(FAULTS)} faults killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
