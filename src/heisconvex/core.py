@@ -47,7 +47,9 @@ class Tolerances:
     """Numeric slack shared by every check.
 
     eps_eq is equality-of-reals slack, eps_geom is membership/boundary
-    slack, max_iter caps bisection loops.  Invariant: eps_geom >= eps_eq > 0.
+    slack, max_iter caps bisection loops.  Invariant: eps_geom >= eps_eq >
+    0, and eps_geom and its square are finite (membership tests compare
+    squared distances with eps_geom^2).
     Frozen: oracles capture eps_geom when they are built, so a shared
     instance such as DEFAULT_TOL must never change afterwards.
     """
@@ -57,9 +59,9 @@ class Tolerances:
     max_iter: int = 60
 
     def __post_init__(self):
-        if not (self.eps_geom >= self.eps_eq > 0.0):
+        if not (math.isfinite(self.eps_geom * self.eps_geom) and self.eps_geom >= self.eps_eq > 0.0):
             raise ValueError(
-                "tolerances must satisfy eps_geom >= eps_eq > 0, got "
+                "tolerances must be finite, with eps_geom^2 finite, and satisfy eps_geom >= eps_eq > 0, got "
                 f"eps_geom={self.eps_geom}, eps_eq={self.eps_eq}"
             )
         if self.max_iter < 1:

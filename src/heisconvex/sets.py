@@ -50,8 +50,10 @@ class RadialProfile:
     element: radial_to_oracle turns it into the oracle's array kernel, and
     chcheck.radial_necessary scans and bisects all its heights through it.
     A polygon profile's inside is one such function over its edge tables:
-    edge by edge on floats and large arrays, one all-edge broadcast on
-    small ones.
+    the crossing parity of every point, then the near test only on the
+    (edge, point) pairs beside an edge whose point the parity leaves
+    outside; edge by edge on floats and large arrays, one all-edge
+    broadcast on small ones.
     """
 
     inside: Callable[[float, float, Kit], bool]
@@ -308,10 +310,12 @@ def _finite_number(x) -> bool:
 
 
 # A polygon profile tests all edges against all points of an array in one
-# broadcast while that is at most _POLYGON_PAIRS (edge, point) pairs; above
-# that, one edge at a time over all points is faster, since numpy's per-call
-# cost is then small beside each call's work.
-_POLYGON_PAIRS = 16384
+# broadcast up to _POLYGON_POINTS points, and one edge at a time over all
+# points above that.  The edge loop pays a fixed cost of numpy calls per edge
+# and the broadcast about three times the edge loop's cost per (edge, point)
+# pair, so the two break even near 1000 points whatever the edge count (8 to
+# 1026 edges, measured); the broadcast's temporaries hold E * 1024 values.
+_POLYGON_POINTS = 1024
 
 
 def _edge_near(edge, r, t, k: Kit, eps2: float):
@@ -319,8 +323,8 @@ def _edge_near(edge, r, t, k: Kit, eps2: float):
     (ax, ay) along (vx, vy).
 
     vv is vx^2 + vy^2, inf for a zero-length edge (s = 0 at finite points).
-    The edge is floats and (r, t) a point or arrays of points, or the edge
-    values are (E, 1) columns, one row per edge, and r and t are (m,) arrays.
+    The edge is floats and (r, t) a point, or the edge values and r and t
+    are arrays of one shape, one (edge, point) pair per element.
     """
     ax, ay, vx, vy, vv = edge
     wx, wy = r - ax, t - ay
@@ -332,9 +336,28 @@ def _edge_near(edge, r, t, k: Kit, eps2: float):
 def _edge_crosses(edge, r, t):
     """Whether the rightward ray from (r, t) crosses the non-horizontal edge
     (ax, ay, by, vx, vy) from (ax, ay) along (vx, vy), which ends at height
-    by; shaped as _edge_near."""
+    by.  The edge is floats and (r, t) a point or arrays of points, or the
+    edge values are (E, 1) columns, one row per edge, and r and t are (m,)
+    arrays."""
     ax, ay, by, vx, vy = edge
     return ((ay > t) != (by > t)) & (ax + (t - ay) * vx / vy > r)
+
+
+def _gate_margin(eps2: float) -> float:
+    """The margin m that widens each side of an edge's gate (polygon_profile).
+
+    m bounds |wx - p| on every pair _edge_near holds on, where p = fl(s vx)
+    and dx = fl(wx - p); likewise |wy - fl(s vy)|.  There no value is NaN,
+    and fl(dx^2) <= eps2, since the sum adds fl(dy^2) >= 0 and rounding is
+    monotone.  So dx^2 <= eps2 (1 + 2u) + 2^-1074, with u = 2^-53 (the
+    relative error of a normal square, or half an ulp, 2^-1075, of a
+    subnormal one), and |dx| <= sqrt(eps2) (1 + u) + 2^-537.  A difference
+    is exact when subnormal, so |wx - p| <= |dx| (1 + 2u), which is below
+    1.5 sqrt(eps2) (1 - 4u) + 2^-500 (1 - u), and m, rounded, is at least
+    that.  The 2^-500 covers eps2 that underflow (eps_geom below about
+    1e-154); Tolerances keeps eps2 finite.
+    """
+    return 1.5 * math.sqrt(eps2) + 2.0 ** -500
 
 
 def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAULT_TOL) -> RadialProfile:
@@ -343,12 +366,34 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
     Points within eps_geom of an edge count as inside (closed set); the
     rest are inside when the rightward ray crosses an odd number of the
     non-horizontal edges.  The edge arithmetic is written once, in
-    _edge_near and _edge_crosses, over one table of all edges and one of
-    the non-horizontal ones: floats run the tables one edge at a time, and
-    arrays (contains2d_many) all edges against all points in one
-    broadcast up to _POLYGON_PAIRS (edge, point) pairs after broadcasting
-    r against t, edge by edge above that; each element gets the same
-    operations in the same order as on floats.
+    _edge_near and _edge_crosses, and each element gets the operations of
+    tests/radial_reference.py's edge loop, so every boolean is that loop's.
+
+    The crossing parity comes first, over every non-horizontal edge.  The
+    near test then runs only on the (edge, point) pairs whose point the
+    parity leaves outside and whose wx = r - ax, wy = t - ay the edge's
+    gate admits: wx in [fl(min(0, vx) - m), fl(max(0, vx) + m)] and wy in
+    [fl(min(0, vy) - m), fl(max(0, vy) + m)], with m from _gate_margin.
+    The gate loses no pair the near test holds on.  In _edge_near, s is
+    NaN or in [0, 1]: the clamp puts every number there (FLOATS' min also
+    turns a NaN quotient into 1.0; ARRAYS' keeps it NaN).  For s in [0, 1],
+    |s vx| <= |vx|, so p = fl(s vx), rounded monotonely, is NaN (0 * inf)
+    or lies in [min(0, vx), max(0, vx)]; and a NaN s or p makes dx NaN and
+    the test false.  This holds for every edge, also where vv = inf (a
+    zero-length edge, or one whose squared length underflows or
+    overflows).  A near pair has |wx - p| < m (_gate_margin), so wx lies
+    in that interval widened by m, and, being a float, between the bounds
+    rounded; the same goes for wy.  Infinite and NaN points: eps2 is
+    finite, so a near pair has a finite dx, and then wx and p are finite
+    (inf - p is infinite, inf - inf NaN) and the bound above applies.
+
+    Floats run the parity edge by edge and then the near test on the gated
+    edges until one holds.  Arrays of at most _POLYGON_POINTS points (after
+    broadcasting r against t) take the parity and the gate as broadcasts of
+    (E, 1) edge columns against the points the parity leaves outside;
+    larger arrays run both one edge at a time.  Either way the near test
+    runs once, on the gathered (edge, point) pairs, and its hits are
+    scattered into the parity.
 
     Raises:
         ValueError: vertices not a list of [r, t] pairs of finite numbers,
@@ -367,32 +412,61 @@ def polygon_profile(vertices: Sequence[Sequence[float]], tol: Tolerances = DEFAU
     t_lo = min(t for _, t in verts)
     t_hi = max(t for _, t in verts)
     eps2 = tol.eps_geom * tol.eps_geom
-    near_edges, cross_edges = [], []
+    m = _gate_margin(eps2)
+    near_edges, gates, cross_edges = [], [], []
     for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
         vx, vy = bx - ax, by - ay
         near_edges.append((ax, ay, vx, vy, vx * vx + vy * vy or math.inf))
+        gates.append((ax, ay, min(0.0, vx) - m, max(0.0, vx) + m, min(0.0, vy) - m, max(0.0, vy) + m))
         if ay != by:
             cross_edges.append((ax, ay, by, vx, vy))
-    # each table as a tuple of (E, 1) columns, one per edge value
-    near_columns = tuple(np.array(near_edges).T.copy()[:, :, None])
+    # the near table as one flat array per edge value, gathered per pair; the
+    # gate and crossing tables as (E, 1) columns, one per value
+    near_values = tuple(np.array(near_edges).T.copy())
+    gate_columns = tuple(np.array(gates).T.copy()[:, :, None])
     cross_columns = tuple(np.array(cross_edges).reshape(-1, 5).T.copy()[:, :, None])
 
     def member(r, t, k: Kit):
-        if k is ARRAYS:
-            r, t = np.asarray(r), np.asarray(t)
-            if r.shape != t.shape:
-                r, t = np.broadcast_arrays(r, t)
-            if r.size * len(near_edges) <= _POLYGON_PAIRS:
-                rs, ts = r.reshape(-1), t.reshape(-1)
-                hit = np.logical_or.reduce(_edge_near(near_columns, rs, ts, k, eps2), axis=0)
-                hit |= np.logical_xor.reduce(_edge_crosses(cross_columns, rs, ts), axis=0)
-                return hit.reshape(r.shape)
-        near = inside = False
-        for e in near_edges:
-            near = near | _edge_near(e, r, t, k, eps2)
-        for e in cross_edges:
-            inside = inside ^ _edge_crosses(e, r, t)
-        return near | inside
+        if k is not ARRAYS:
+            inside = False
+            for e in cross_edges:
+                inside = inside ^ _edge_crosses(e, r, t)
+            return inside or any(
+                _edge_near(e, r, t, k, eps2)
+                for e, (ax, ay, x0, x1, y0, y1) in zip(near_edges, gates)
+                if x0 <= r - ax <= x1 and y0 <= t - ay <= y1
+            )
+        r, t = np.asarray(r), np.asarray(t)
+        if r.shape != t.shape:
+            r, t = np.broadcast_arrays(r, t)
+        shape = r.shape
+        r, t = r.reshape(-1), t.reshape(-1)
+        if r.size <= _POLYGON_POINTS:
+            inside = np.logical_xor.reduce(_edge_crosses(cross_columns, r, t), axis=0)
+            out = (~inside).nonzero()[0]
+            ax, ay, x0, x1, y0, y1 = gate_columns
+            wx, wy = r[out] - ax, t[out] - ay
+            edge, point = ((wx >= x0) & (wx <= x1) & (wy >= y0) & (wy <= y1)).nonzero()
+        else:
+            inside = np.zeros(r.size, bool)
+            for e in cross_edges:
+                inside ^= _edge_crosses(e, r, t)
+            out = (~inside).nonzero()[0]
+            ro, to = r[out], t[out]
+            gated = [np.empty((2, 0), np.intp)]
+            for i, (ax, ay, x0, x1, y0, y1) in enumerate(gates):
+                wx = ro - ax
+                j = ((wx >= x0) & (wx <= x1)).nonzero()[0]
+                if j.size:
+                    wy = to[j] - ay
+                    j = j[(wy >= y0) & (wy <= y1)]
+                    gated.append((np.full(j.size, i), j))
+            edge, point = np.concatenate(gated, axis=1)
+        if point.size:
+            at = out[point]
+            near = _edge_near(tuple(v[edge] for v in near_values), r[at], t[at], k, eps2)
+            inside[at[near]] = True
+        return inside.reshape(shape)
 
     return RadialProfile(member, r_max, (t_lo, t_hi))
 

@@ -119,6 +119,9 @@ SOLVE_TAU_CASES = [
     (Point3(0.0, 0.0, 1.0), Point3(0.0, 0.0, 1.0)),
     (Point3(0.3, 0.0, 0.0), Point3(0.0, 0.2, 0.0)),
     (Point3(float("nan"), 0.0, 1.0), Point3(0.0, 1.0, 1.0)),
+    # t1 all but 0: the Vieta complement of the root 0.5 is about 1.4e33,
+    # positive and finite, but does not replay the quadratic
+    (Point3(0.0, 1.0, 1.0), Point3(-1.0, 0.0, -1.4693795734434819e-33)),
 ]
 
 
@@ -143,6 +146,8 @@ def test_solve_tau_many_branches_match_reference():
     assert len(solve_tau(*SOLVE_TAU_CASES[5])) == 1
     assert solve_tau(*SOLVE_TAU_CASES[5])[0].discriminant == 0.0
     assert solve_tau(*SOLVE_TAU_CASES[6]) == []
+    # only the root that replays is returned
+    assert [s.tau for s in solve_tau(*SOLVE_TAU_CASES[12])] == [0.5]
 
 
 special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
@@ -394,6 +399,37 @@ def test_tau_one_finds_every_axiom_c_witness_no_later():
     # at seed 21 assumption c holds over 200 probes, and the tau = 1
     # search escapes at probe 64, at a theta off the check's grid
     assert (21, 64, 0.5625) in tau_one_only
+
+
+# the plus shape's tau = 1 witnesses at seeds 0-15: seed -> (pair_index,
+# theta_star, escape_point), as `ch --tau-one --budget 100000` reports them
+PLUS_TAU_ONE_WITNESSES = {
+    0: (673, 0.34375, (-0.036691920178671546, 0.19807470069973562, -0.2092220468868922)),
+    1: (777, 0.1875, (0.17910517501234124, 0.08995929990885662, -0.3092412617580949)),
+    2: (7, 0.71875, (0.0696318033835377, 0.18802150938880005, -0.20320708336273574)),
+    3: (76, 0.3125, (0.3775307531055963, -0.4004485445860047, -0.20363179046106883)),
+    4: (950, 0.1875, (0.19750377070795824, 0.05328271217892244, -0.43721017213061875)),
+    5: (362, 0.40625, (0.09674405080760545, -0.17607639775855383, 0.21361332732039637)),
+    6: (114, 0.0625, (-0.12544269434722644, -0.16254957577218954, -0.4212901843818875)),
+    7: (1245, 0.0625, (-0.15078473577332108, 0.13614004723007284, 0.4692928189957324)),
+    8: (290, 0.125, (-0.2207687175979456, -0.08890365325762994, 0.47333307604821473)),
+    9: (167, 0.125, (-0.17447448026937004, 0.12886273737929899, -0.27051288657439576)),
+    10: (847, 0.03125, (-0.1470950013164797, -0.17618816627878894, 0.24753084119032087)),
+    11: (429, 0.0625, (-0.036403653479647885, 0.21402918451965136, -0.43559870576174636)),
+    12: (526, 0.125, (0.00062877982892162, -0.20184608164428794, -0.2175887432558366)),
+    13: (620, 0.0625, (0.5393478566545438, 0.5755139577469246, -0.20263229457571397)),
+    14: (500, 0.21875, (-0.22014625985221853, -0.16338635077111804, -0.20223853646120085)),
+    15: (156, 0.1875, (0.20797880747982395, -0.022599319636125006, -0.23846663407605379)),
+}
+
+
+def test_plus_tau_one_witnesses_are_pinned():
+    # the stream of probes and the polygon membership it escapes from both
+    # decide these, so a change to either that moves a witness shows here
+    plus = gallery("radial_custom", {"vertices": PLUS_VERTICES})
+    for seed, (pair_index, theta_star, escape_point) in PLUS_TAU_ONE_WITNESSES.items():
+        w = falsify_ch(plus, 100000, seed, tau_one=True)
+        assert (w.pair_index, w.theta_star, tuple(w.escape_point)) == (pair_index, theta_star, escape_point), seed
 
 
 def test_transport_witness_replays():

@@ -122,6 +122,18 @@ def test_thin_probe_stream_exits_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_infinite_tolerance_exits_1(tmp_path, capsys):
+    # eps_geom = inf made every point near K: ch found no witness, axioms
+    # passed a, b and c, cone read candidate, and the reports held Infinity
+    out = ["--set", "koranyi_ball", "--out", str(tmp_path)]
+    for argv in (["ch"], ["axioms"], ["cone"], ["export"], ["radial"]):
+        for tols in (["--eps-geom", "inf"], ["--eps-geom", "inf", "--eps-eq", "inf"]):
+            assert main(argv + tols + out) == 1, (argv, tols)
+            err = capsys.readouterr().err
+            assert err.startswith("heisconvex: error: tolerances must be finite"), err
+    assert not list(tmp_path.iterdir())
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig("axioms", budget=0)

@@ -175,6 +175,12 @@ def test_tolerances_invariant():
         Tolerances(eps_geom=1e-7, eps_eq=0.0)
     with pytest.raises(ValueError):
         Tolerances(max_iter=0)
+    assert Tolerances(eps_geom=1e154, eps_eq=1e-9).eps_geom == 1e154
+    # non-finite slack is no tolerance: inf alone, or with eps_eq = inf, NaN,
+    # and a slack whose square, the bound of every squared distance, is inf
+    for eps_geom, eps_eq in ((math.inf, 1e-9), (math.inf, math.inf), (math.nan, 1e-9), (1e-7, math.nan), (1e155, 1e-9)):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(eps_geom=eps_geom, eps_eq=eps_eq)
     # oracles capture eps_geom when built, so the shared default must not change
     with pytest.raises(dataclasses.FrozenInstanceError):
         DEFAULT_TOL.eps_geom = 1e-3

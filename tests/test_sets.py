@@ -663,9 +663,10 @@ POLYGONS = {
 
 def _polygon_points(vertices, tol=Tolerances()):
     """(r, t) arrays: random points, points eps_geom (1 +- 1e-3) from each
-    slanted edge, points on each edge's line past its ends (near the edge
-    only within eps of an end), the vertices with their 3-ulp neighbours,
-    and non-finite coordinates."""
+    edge of nonzero length on both sides (slanted, horizontal and
+    vertical) and from each vertex in 8 directions, points on each edge's
+    line past its ends (near the edge only within eps of an end), the
+    vertices with their 3-ulp neighbours, and non-finite coordinates."""
     rng = np.random.default_rng(14)
     r_hi = 1.2 * max(r for r, _ in vertices) + 0.1
     t_hi = 1.2 * max(abs(t) for _, t in vertices) + 0.1
@@ -673,7 +674,7 @@ def _polygon_points(vertices, tol=Tolerances()):
     for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
         points += [(ax + s * (bx - ax), ay + s * (by - ay)) for s in (-3.0, -0.5, 1.5, 4.0)]
         length = math.hypot(bx - ax, by - ay)
-        if ax != bx and ay != by:
+        if length > 0.0:
             nx, ny = (by - ay) / length, (ax - bx) / length
             for s in (0.1, 0.5, 0.9):
                 for d in (1.0 - 1e-3, 1.0 + 1e-3):
@@ -682,6 +683,10 @@ def _polygon_points(vertices, tol=Tolerances()):
                         points.append((ax + s * (bx - ax) + off * nx, ay + s * (by - ay) + off * ny))
     for r, t in vertices:
         points += [(x, y) for x in _ulps(float(r)) for y in _ulps(float(t))]
+        for a in range(8):
+            for d in (1.0 - 1e-3, 1.0 + 1e-3):
+                off = d * tol.eps_geom
+                points.append((r + off * math.cos(a * math.pi / 4.0), t + off * math.sin(a * math.pi / 4.0)))
     for bad in (math.nan, math.inf, -math.inf):
         points += [(bad, 0.0), (0.5, bad), (bad, bad)]
     return (np.array(c) for c in zip(*points))
@@ -691,7 +696,8 @@ def _polygon_points(vertices, tol=Tolerances()):
 def test_polygon_membership_is_the_edge_loop(name):
     # contains2d_many is the one-edge-at-a-time loop on arrays, and
     # contains2d is it on floats, bit for bit, at every batch size the
-    # switch between one broadcast and the edge-at-a-time loop can meet
+    # switch between one broadcast and the edge-at-a-time loop can meet;
+    # every point goes through both array paths
     vertices = POLYGONS[name]
     P = polygon_profile(vertices)
     member = reference_polygon_member(vertices)
@@ -703,7 +709,10 @@ def test_polygon_membership_is_the_edge_loop(name):
         for x, y, w in zip(r.tolist(), t.tolist(), want.tolist()):
             got = P.contains2d(x, y)
             assert type(got) is bool and got == member(x, y, FLOATS) == w, (x, y)
-        switch = sets._POLYGON_PAIRS // len(vertices)
+        switch = sets._POLYGON_POINTS
+        assert len(r) > switch
+        for i in range(0, len(r), switch):
+            assert P.contains2d_many(r[i : i + switch], t[i : i + switch]).tolist() == want[i : i + switch].tolist()
         rng = np.random.default_rng(15)
         for n in (0, 1, switch - 1, switch, switch + 1, 10**4):
             idx = rng.integers(0, len(r), n)
@@ -713,6 +722,25 @@ def test_polygon_membership_is_the_edge_loop(name):
         grid = rng.integers(0, len(r), (7, 45))
         got = P.contains2d_many(r[grid], t[grid])
         assert got.shape == (7, 45) and got.tolist() == want[grid].tolist()
+
+
+@pytest.mark.parametrize("eps_geom", [1e-300, 1e-160, 1e-3, 1e150])
+def test_polygon_membership_is_the_edge_loop_at_extreme_tolerances(eps_geom):
+    # the gate's margin holds where eps_geom^2 underflows to 0 (1e-300) or
+    # to a subnormal (1e-160), at a coarse slack, and at the largest slacks
+    # Tolerances accepts, where every finite point is near an edge (1e150)
+    tol = Tolerances(eps_geom=eps_geom, eps_eq=min(eps_geom, 1e-9))
+    for name, vertices in sorted(POLYGONS.items()):
+        P = polygon_profile(vertices, tol)
+        member = reference_polygon_member(vertices, tol)
+        r, t = _polygon_points(vertices, tol)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = member(r, t, ARRAYS)
+            assert P.contains2d_many(r, t).tolist() == want.tolist(), name
+            for i in range(0, len(r), sets._POLYGON_POINTS):
+                chunk = slice(i, i + sets._POLYGON_POINTS)
+                assert P.contains2d_many(r[chunk], t[chunk]).tolist() == want[chunk].tolist(), name
+            assert [P.contains2d(x, y) for x, y in zip(r.tolist(), t.tolist())] == want.tolist(), name
 
 
 def test_cylinder_hat_closed_form_matches_oracle():

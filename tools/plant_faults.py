@@ -42,12 +42,19 @@ FAULTS = (
     Fault(
         "parity_broadcast",
         "src/heisconvex/sets.py",
-        "hit |= np.logical_xor.reduce(",
-        "hit |= np.logical_or.reduce(",
+        "inside = np.logical_xor.reduce(",
+        "inside = np.logical_or.reduce(",
         ("tests/test_sets.py::test_polygon_membership_is_the_edge_loop",),
     ),
     Fault(
         "parity_edge_loop",
+        "src/heisconvex/sets.py",
+        "inside ^= _edge_crosses(e, r, t)",
+        "inside |= _edge_crosses(e, r, t)",
+        ("tests/test_sets.py::test_polygon_membership_is_the_edge_loop",),
+    ),
+    Fault(
+        "parity_floats",
         "src/heisconvex/sets.py",
         "inside = inside ^ _edge_crosses(e, r, t)",
         "inside = inside | _edge_crosses(e, r, t)",
@@ -58,10 +65,14 @@ FAULTS = (
         "src/heisconvex/sets.py",
         "s = k.max(0.0, k.min(1.0, (wx * vx + wy * vy) / vv))",
         "s = (wx * vx + wy * vy) / vv",
-        (
-            "tests/test_sets.py::test_polygon_membership_is_the_edge_loop",
-            "tests/test_chcheck.py::test_radial_necessary_thm_ii_sees_a_1e4_bulge",
-        ),
+        ("tests/test_sets.py::test_polygon_membership_is_the_edge_loop",),
+    ),
+    Fault(
+        "gate_margin_halved",
+        "src/heisconvex/sets.py",
+        "return 1.5 * math.sqrt(eps2) + 2.0 ** -500",
+        "return 0.5 * (1.5 * math.sqrt(eps2) + 2.0 ** -500)",
+        ("tests/test_sets.py::test_polygon_membership_is_the_edge_loop",),
     ),
     Fault(
         "vertex_exit",
@@ -103,6 +114,20 @@ FAULTS = (
         "return not K.contains(dilate(_pullback(tol), p))",
         "return True",
         ("tests/test_chcheck.py::test_replay_rejects_escape_within_pullback_slack",),
+    ),
+    Fault(
+        "solve_tau_root_check",
+        "src/heisconvex/chcheck.py",
+        "return ok & (abs(tau_residual(Point3(x0, y0, t0), Point3(x1, y1, t1), tau)) <= res_bound)",
+        "return ok",
+        ("tests/test_chcheck.py::test_solve_tau_many_branches_match_reference",),
+    ),
+    Fault(
+        "interior_thetas_half",
+        "src/heisconvex/sets.py",
+        "    if 0.5 not in grid:\n",
+        "    if False:\n",
+        ("tests/test_sets.py::test_interior_thetas_contains_half",),
     ),
     Fault(
         "too_thin_raise",
