@@ -145,8 +145,8 @@ _WRITE_BLOCK = 4096
 
 def _tet_cases() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Marching-tetrahedra table, indexed [tet, code] where bit s of code is
-    whether the tet's s-th corner is inside (built per export, by
-    _cube_cases, so importing the package builds nothing).
+    whether the tet's s-th corner is inside (read once per process, by
+    _cube_table).
 
     Returns (ends, n_mid, faces, n_faces): the cube corners of up to 4
     crossing edges, whose midpoints become vertices in that order; how many
@@ -177,42 +177,51 @@ def _tet_cases() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return ends, n_mid, faces, n_faces
 
 
-def _cube_cases(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The _tet_cases of a whole cube, indexed [code] where bit c of code is
-    whether cube corner c is inside, for an n^3 grid (built per export with
-    numpy, in about a millisecond).
-
-    Returns (key, valid, tris, tri_valid): the crossing edges of the six
-    tets in _TETS order, 4 slots a tet, each as 7 * (flat grid offset of its
-    lower end from corner 0) + direction - 1, where direction = 4 dx + 2 dy +
-    dz is the step to its upper end (a Kuhn edge joins two corners ordered
-    coordinate by coordinate); which slots are used; 2 triangles a tet, as
-    positions among the used slots; which are used.
-    """
+@functools.cache
+def _cube_table() -> tuple[np.ndarray, ...]:
+    """The _tet_cases of a whole cube, for the 256 codes whose bit c says
+    whether cube corner c is inside, as (key, edge_ptr, tris, tri_ptr): a
+    code's crossing edges, once per tet in _TETS order, are its run
+    key[edge_ptr[code]:edge_ptr[code + 1]], each 7 * (corner code 4 dx + 2 dy
+    + dz of its lower end) + direction - 1, with direction coded the same way
+    (a Kuhn edge joins corners ordered coordinate by coordinate); its
+    triangles, as positions among those edges, are its run of tris.  Built on
+    first use, once per process, and read-only: it does not depend on the grid."""
     ends, n_mid, faces, n_faces = _tet_cases()
     tet = np.arange(len(_TETS))
     codes = np.arange(256)[:, None]
     tcode = sum((codes >> np.array(_TETS)[:, s] & 1) << s for s in range(4))
     a, b = np.moveaxis(np.array(_CUBE_CORNERS)[ends[tet, tcode]], -2, 0)
-    key = 7 * (np.minimum(a, b) @ [n * n, n, 1]) + np.abs(a - b) @ [4, 2, 1] - 1
-    mids = n_mid[tet, tcode]
+    key = 7 * (np.minimum(a, b) @ [4, 2, 1]) + np.abs(a - b) @ [4, 2, 1] - 1
+    mids, n_tris = n_mid[tet, tcode], n_faces[tet, tcode]
     tris = (np.cumsum(mids, axis=1) - mids)[..., None, None] + faces[tet, tcode]
-    valid = np.arange(4) < mids[..., None]
-    tri_valid = np.arange(2) < n_faces[tet, tcode][..., None]
-    return key.reshape(256, -1), valid.reshape(256, -1), tris.reshape(256, -1, 3), tri_valid.reshape(256, -1)
+    edge_ptr, tri_ptr = (np.concatenate([[0], np.cumsum(n.sum(axis=1))]) for n in (mids, n_tris))
+    table = (key[np.arange(4) < mids[..., None]], edge_ptr, tris[np.arange(2) < n_tris[..., None]], tri_ptr)
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
-def _strings(fmt: bytes, values) -> np.ndarray:
-    # a table of formatted values, indexed by rows in _write_rows
-    return np.array(list(map(fmt.__mod__, values)), dtype=object)
+def _runs(ptr: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the runs ptr[c]:ptr[c + 1] of the codes laid end to end: (table indices, run lengths)
+    count = ptr[code + 1] - ptr[code]
+    return np.arange(count.sum()) + np.repeat(ptr[code] - (np.cumsum(count) - count), count), count
 
 
-def _write_rows(fh, template: bytes, table: np.ndarray, rows: np.ndarray) -> None:
-    # rows index the table of values the template formats; one %-format per
-    # block of rows, so no whole-file bytes are held
-    for s in range(0, len(rows), _WRITE_BLOCK):
-        block = rows[s : s + _WRITE_BLOCK]
-        fh.write((template * len(block)) % tuple(table[block].ravel().tolist()))
+def _face_tokens(count: int) -> np.ndarray:
+    """Row c * count + i is b"f %d", b" %d" or b" %d\\n" (c = 0, 1, 2) % i as a
+    uint8 record, NUL-padded to one width, for i < count."""
+    width = len(b"%d" % (count - 1))
+    table = np.zeros((3, count, width + 3), dtype=np.uint8)
+    for d in range(width):
+        # the digit of i at this place, (i // place) % 10, has period 10 place
+        place = 10 ** (width - 1 - d)
+        digit = np.tile(np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), place), count // (10 * place) + 1)
+        # a number is written from its leading digit on, and 0 as "0"
+        table[:, :, 2 + d] = digit[:count] * (np.maximum(np.arange(count), 1) >= place)
+    # columns 0, 1 and 2 start "f ", " " and " ", and column 2 ends "\n"
+    table[:, :, [0, 1, -1]] = np.frombuffer(b"f \0\0 \0\0 \n", dtype=np.uint8).reshape(3, 1, 3)
+    return table.reshape(3 * count, -1)
 
 
 def _march(field_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +229,7 @@ def _march(field_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (verts, faces): the crossing edges, one per vertex in the order
     a cube-by-cube march first meets them, as 7 * (flat grid index of the
-    lower end) + direction - 1 (see _cube_cases); and the triangles as
+    lower end) + direction - 1 (see _cube_table); and the triangles as
     triples of vertex numbers, counted from 1.
     """
     n = field_.shape[0]
@@ -231,12 +240,15 @@ def _march(field_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         code |= np.left_shift(field_[dx : dx + m, dy : dy + m, dz : dz + m], c, dtype=np.uint8)
     # mixed cubes in (i, j, k) order, by their corner 0 grid point
     i, j, k = np.nonzero((code != 0) & (code != 255))
-    code = code[i, j, k]
-    key, valid, tris, tri_valid = _cube_cases(n)
+    code = code[i, j, k].astype(np.intp)
+    key, edge_ptr, tris, tri_ptr = _cube_table()
+    # the grid enters only here: the flat offset of each corner code's corner
+    corner = np.array([((c >> 2) * n + (c >> 1 & 1)) * n + (c & 1) for c in range(8)])
+    run, count = _runs(edge_ptr, code)
     # each crossing edge once per tetrahedron that meets it, in march order
-    edge = (7 * ((i * n + j) * n + k)[:, None] + key[code])[valid[code]]
-    count = valid.sum(axis=1)[code]
-    tri = ((np.cumsum(count) - count)[:, None, None] + tris[code])[tri_valid[code]]
+    edge = np.repeat(7 * ((i * n + j) * n + k), count) + (7 * corner[key // 7] + key % 7)[run]
+    run, tri_count = _runs(tri_ptr, code)
+    tri = np.repeat(np.cumsum(count) - count, tri_count)[:, None] + tris[run]
     # an edge's vertex is new where the edge first comes up: numbered 1, 2, ...
     pos = np.arange(len(edge), dtype=np.int32)
     first = np.empty(7 * n**3, dtype=np.int32)
@@ -258,8 +270,10 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
     file is byte for byte what a cube-by-cube march writes: cubes in (i, j,
     k) order, the six tetrahedra in _TETS order, each vertex numbered when
     its edge first comes up (found without a sort, by the least march
-    position of each edge).  Lines are written as bytes in blocks, from
-    tables: every coordinate and vertex number is formatted once.
+    position of each edge).  The cube table is built once per process.
+    Lines are written as bytes in blocks: a vertex line joins three tokens
+    of a table of formatted coordinates, and a face line is three records
+    of a digit table of the vertex numbers, less their NUL padding.
 
     Raises:
         ValueError: non-compact set, resolution < 8, tau not positive and
@@ -271,19 +285,17 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
         raise ValueError(f"{K.label} is not compact: level-set mesh is unbounded")
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    (xlo, xhi), (ylo, yhi), (tlo, thi) = K.bbox
-    pad = 1.05
     n = resolution
-    xs = np.array([tau * pad * (xlo + (xhi - xlo) * i / (n - 1)) for i in range(n)])
-    ys = np.array([tau * pad * (ylo + (yhi - ylo) * i / (n - 1)) for i in range(n)])
-    ts = np.array([tau * tau * pad * (tlo + (thi - tlo) * i / (n - 1)) for i in range(n)])
+    # the padded bounding box, dilated: x and y by tau, t by tau * tau
+    xs, ys, ts = (
+        np.array([s * 1.05 * (lo + (hi - lo) * i / (n - 1)) for i in range(n)])
+        for s, (lo, hi) in zip((tau, tau, tau * tau), K.bbox)
+    )
 
     inv = 1.0 / tau
     if not (math.isfinite(inv * inv) and np.isfinite(np.concatenate([xs, ys, ts])).all()):
         raise ValueError(f"tau={tau!r} overflows the dilated grid or 1/tau**2")
-    X, Y, T = np.meshgrid(xs, ys, ts, indexing="ij")
-    field_ = K.contains_many(*scale(inv, X, Y, T))
-    del X, Y, T
+    field_ = K.contains_many(*scale(inv, *np.meshgrid(xs, ys, ts, indexing="ij")))
 
     verts, faces = _march(field_)
     # a vertex joins its edge's lower end to lower end + step, so on each
@@ -294,14 +306,20 @@ def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Pa
     m = 2 * n - 1
     slots = np.stack([2 * lo[d] + (step >> (2 - d) & 1) + d * m for d in range(3)], axis=1)
     below, above = np.arange(m) // 2, np.arange(1, m + 1) // 2
-    coords = _strings(b"%.17g", np.concatenate([(axis[below] + axis[above]) / 2.0 for axis in (xs, ys, ts)]).tolist())
+    coords = [((axis[below] + axis[above]) / 2.0).tolist() for axis in (xs, ys, ts)]
+    # a vertex line is the tokens of its three slots, joined
+    tokens = np.array([fmt % v for fmt, col in zip((b"v %.17g ", b"%.17g ", b"%.17g\n"), coords) for v in col], dtype=object)
+    # a face line is the records of its three vertex numbers, less their NULs
+    records, column = _face_tokens(len(verts) + 1), np.arange(3) * (len(verts) + 1)
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write(f"# level-set mesh: {K.label}, tau={tau:g}, resolution={resolution}\n".encode())
-        _write_rows(fh, b"v %s %s %s\n", coords, slots)
-        _write_rows(fh, b"f %s %s %s\n", _strings(b"%d", range(len(verts) + 1)), faces)
+        for s in range(0, len(slots), _WRITE_BLOCK):
+            fh.write(b"".join(tokens[slots[s : s + _WRITE_BLOCK]].ravel().tolist()))
+        for s in range(0, len(faces), _WRITE_BLOCK):
+            fh.write(np.take(records, faces[s : s + _WRITE_BLOCK] + column, axis=0).tobytes().translate(None, b"\0"))
     return path
 
 
@@ -315,7 +333,8 @@ def export_curve(curve: list[Point3], path: Path) -> Path:
     rows = np.column_stack([np.arange(m) / max(m - 1, 1), np.array(curve, dtype=float)])
     with path.open("wb") as fh:
         fh.write(b"theta,x,y,t\n")
-        _write_rows(fh, b"%.17g,%.17g,%.17g,%.17g\n", rows, np.arange(m))
+        for block in np.array_split(rows, range(_WRITE_BLOCK, m, _WRITE_BLOCK)):
+            fh.write((b"%.17g,%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
     return path
 
 

@@ -535,7 +535,7 @@ def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_
 
     Raises:
         ValueError: unknown name, unknown param keys, missing/invalid params,
-            or params too large for the set's floating-point bounds.
+            or params that, with tol.eps_geom, overflow its floating-point bounds.
     """
     entry = GALLERY.get(name)
     if entry is None:
@@ -558,7 +558,8 @@ def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_
         if not math.isfinite(bbox_diameter(K.bbox)):
             raise OverflowError("bounding box diameter is not finite")
     except OverflowError as exc:
-        raise ValueError(f"{name} params overflow its floating-point bounds ({exc})") from None
+        bounds = f"params {params}, eps_geom={tol.eps_geom!r}: {exc}"
+        raise ValueError(f"{name} params overflow its floating-point bounds ({bounds})") from None
     return K
 
 

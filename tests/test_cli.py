@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import json
 import math
+import subprocess
+import sys
 import typing
 from collections import Counter
 
@@ -569,6 +571,30 @@ def test_export_levelset_matches_reference_on_every_cube_code(tmp_path, seed):
     assert got.count(b"\nf ") > 6859
 
 
+def test_cube_table_is_built_on_first_export_once():
+    # importing builds nothing; the first export builds the table, later ones reuse it
+    code = (
+        "import heisconvex.cli as c; assert c._cube_table.cache_info().currsize == 0; "
+        "c._march(__import__('numpy').ones((8, 8, 8), bool)); assert c._cube_table.cache_info().currsize == 1"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+    assert cli._cube_table() is cli._cube_table()
+    assert not cli._cube_table()[0].flags.writeable
+
+
+def test_face_tokens_are_the_printf_digits():
+    # every digit count from 1 to 7, so each boundary 10**k - 1, 10**k
+    count = 10**6 + 11
+    records = cli._face_tokens(count).reshape(3, count, -1)
+    digits = np.array([len(b"%d" % i) for i in range(count)])
+    for column, (head, tail) in enumerate(((b"f ", b""), (b" ", b""), (b" ", b"\n"))):
+        rows = records[column]
+        # each row holds as many bytes as its token, and the rows laid end
+        # to end are the tokens laid end to end, so each row is its token
+        assert (np.count_nonzero(rows, axis=1) == len(head) + digits + len(tail)).all()
+        assert rows.tobytes().translate(None, b"\0") == b"".join(head + b"%d" % i + tail for i in range(count))
+
+
 def test_export_levelset_writes_in_blocks(tmp_path, monkeypatch):
     # block boundaries leave no mark: 7-line blocks write what one block writes
     K = gallery("koranyi_ball")
@@ -614,6 +640,15 @@ def test_bad_params_exit_1(tmp_path, tmp_path_factory, capsys):
         (specs / f"nonfinite{i}.json").write_text(json.dumps({**good, **change}))
         assert main(["export", "--kind", "curve", "--curve-json", str(specs / f"nonfinite{i}.json")] + out) == 1
         assert "heisconvex: error: curve needs finite xi0, v and tau" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_eps_geom_overflow_names_eps_geom(tmp_path, capsys):
+    # no params passed: the overflow comes from (r + eps_geom) ** 4 alone
+    assert main(["axioms", "--set", "koranyi_ball", "--eps-geom", "1e78", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "heisconvex: error: koranyi_ball params overflow" in err
+    assert "params {}, eps_geom=1e+78" in err
     assert not list(tmp_path.iterdir())
 
 

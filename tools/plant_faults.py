@@ -139,6 +139,50 @@ FAULTS = (
             "tests/test_cli.py::test_thin_probe_stream_exits_1",
         ),
     ),
+    Fault(
+        "face_digit_leading_zero",
+        "src/heisconvex/cli.py",
+        "(np.maximum(np.arange(count), 1) >= place)",
+        "(np.maximum(np.arange(count), 1) > place)",
+        (
+            "tests/test_cli.py::test_face_tokens_are_the_printf_digits",
+            "tests/test_cli.py::test_export_levelset_matches_reference_on_every_cube_code",
+        ),
+    ),
+    Fault(
+        "vertex_first_occurrence",
+        "src/heisconvex/cli.py",
+        "np.minimum.at(first, edge, pos)",
+        "np.maximum.at(first, edge, pos)",
+        (
+            "tests/test_cli.py::test_export_levelset_matches_cube_by_cube_march",
+            "tests/test_cli.py::test_export_levelset_matches_reference_on_every_cube_code",
+        ),
+    ),
+    Fault(
+        "cube_corner_weight",
+        "src/heisconvex/cli.py",
+        "np.minimum(a, b) @ [4, 2, 1]",
+        "np.minimum(a, b) @ [4, 1, 1]",
+        ("tests/test_cli.py::test_export_levelset_matches_reference_on_every_cube_code",),
+    ),
+    Fault(
+        "cone_transport_dilation",
+        "src/heisconvex/cones.py",
+        "lam = 1.0 / max(1.0, w.tau)",
+        "lam = 1.0",
+        ("tests/test_cones.py::test_cone_witness_passes_the_benchmark_gate",),
+    ),
+    Fault(
+        "ch_escapes_order",
+        "src/heisconvex/chcheck.py",
+        "for hit in np.flatnonzero(escapes_many(K, px, py, pt, tol)).tolist():",
+        "for hit in np.flatnonzero(escapes_many(K, px, py, pt, tol)).tolist()[::-1]:",
+        (
+            "tests/test_chcheck.py::test_falsify_cylinder_frozen",
+            "tests/test_chcheck.py::test_falsify_euclidean_ball_frozen",
+        ),
+    ),
 )
 
 
