@@ -210,9 +210,7 @@ def curve_point(x0, y0, t0, a, b, tau, theta):
     arrays that broadcast, with the same rounding either way, or
     Fractions, which stay exact.
     """
-    a = theta * a
-    b = theta * b
-    return scale(1 / ((1 - theta) + theta * tau), x0 + a, y0 + b, t0 + 2 * (a * y0 - x0 * b))
+    return scale(1 / ((1 - theta) + theta * tau), *group_mul(Point3(x0, y0, t0), exp_h(HVec(theta * a, theta * b))))
 
 
 def _check_curve_inputs(xi0: Point3, v, tau: float, m: int) -> None:

@@ -133,70 +133,41 @@ def _slug(label: str) -> str:
 # exports
 
 
-_CUBE_CORNERS = (
-    (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
-    (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
-)
-# six tetrahedra around the 0-6 cube diagonal
-_TETS = ((0, 5, 1, 6), (0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6), (0, 7, 4, 6), (0, 4, 5, 6))
+# six tetrahedra around the 0-7 cube diagonal, each corner numbered by its code 4 dx + 2 dy + dz
+_TETS = ((0, 5, 4, 7), (0, 4, 6, 7), (0, 6, 2, 7), (0, 2, 3, 7), (0, 3, 1, 7), (0, 1, 5, 7))
 # OBJ lines formatted and written at a time
 _WRITE_BLOCK = 4096
 
 
-def _tet_cases() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Marching-tetrahedra table, indexed [tet, code] where bit s of code is
-    whether the tet's s-th corner is inside (read once per process, by
-    _cube_table).
-
-    Returns (ends, n_mid, faces, n_faces): the cube corners of up to 4
-    crossing edges, whose midpoints become vertices in that order; how many
-    there are; up to 2 triangles as indices into those midpoints; how many.
-    A lone corner (inside or outside) gives one triangle on its three edges;
-    a 2-2 split gives two triangles on the four crossing edges.
-    """
-    ends = np.zeros((len(_TETS), 16, 4, 2), dtype=np.int64)
-    n_mid = np.zeros((len(_TETS), 16), dtype=np.int64)
-    faces = np.zeros((len(_TETS), 16, 2, 3), dtype=np.int64)
-    n_faces = np.zeros((len(_TETS), 16), dtype=np.int64)
-    for ti, tet in enumerate(_TETS):
-        for code in range(16):
-            ins = [c for s, c in enumerate(tet) if code >> s & 1]
-            outs = [c for s, c in enumerate(tet) if not code >> s & 1]
-            if not ins or not outs:
-                continue
-            if len(ins) == 1 or len(outs) == 1:
-                lone, others = (ins[0], outs) if len(ins) == 1 else (outs[0], ins)
-                edges, tris = [(lone, o) for o in others], [(0, 1, 2)]
-            else:
-                (p, q), (r, s) = ins, outs
-                edges, tris = [(p, r), (p, s), (q, r), (q, s)], [(0, 1, 2), (1, 3, 2)]
-            ends[ti, code, : len(edges)] = edges
-            n_mid[ti, code] = len(edges)
-            faces[ti, code, : len(tris)] = tris
-            n_faces[ti, code] = len(tris)
-    return ends, n_mid, faces, n_faces
-
-
 @functools.cache
 def _cube_table() -> tuple[np.ndarray, ...]:
-    """The _tet_cases of a whole cube, for the 256 codes whose bit c says
-    whether cube corner c is inside, as (key, edge_ptr, tris, tri_ptr): a
-    code's crossing edges, once per tet in _TETS order, are its run
-    key[edge_ptr[code]:edge_ptr[code + 1]], each 7 * (corner code 4 dx + 2 dy
-    + dz of its lower end) + direction - 1, with direction coded the same way
-    (a Kuhn edge joins corners ordered coordinate by coordinate); its
-    triangles, as positions among those edges, are its run of tris.  Built on
-    first use, once per process, and read-only: it does not depend on the grid."""
-    ends, n_mid, faces, n_faces = _tet_cases()
-    tet = np.arange(len(_TETS))
-    codes = np.arange(256)[:, None]
-    tcode = sum((codes >> np.array(_TETS)[:, s] & 1) << s for s in range(4))
-    a, b = np.moveaxis(np.array(_CUBE_CORNERS)[ends[tet, tcode]], -2, 0)
-    key = 7 * (np.minimum(a, b) @ [4, 2, 1]) + np.abs(a - b) @ [4, 2, 1] - 1
-    mids, n_tris = n_mid[tet, tcode], n_faces[tet, tcode]
-    tris = (np.cumsum(mids, axis=1) - mids)[..., None, None] + faces[tet, tcode]
-    edge_ptr, tri_ptr = (np.concatenate([[0], np.cumsum(n.sum(axis=1))]) for n in (mids, n_tris))
-    table = (key[np.arange(4) < mids[..., None]], edge_ptr, tris[np.arange(2) < n_tris[..., None]], tri_ptr)
+    """Marching-tetrahedra table of a cube, for the 256 codes whose bit c
+    says whether the corner of code c is inside, as (key, edge_ptr, tris,
+    tri_ptr): a code's crossing edges, once per tet in _TETS order, are its
+    run key[edge_ptr[code]:edge_ptr[code + 1]], each 7 * (lower end a & b) +
+    (direction a ^ b) - 1 for its corners a and b (a Kuhn edge joins corners
+    ordered coordinate by coordinate); its triangles, as positions among
+    those edges, are its run of tris.  Built on first use, once per process,
+    and read-only: it does not depend on the grid."""
+    key, tris, edge_ptr, tri_ptr = [], [], [0], [0]
+    for code in range(256):
+        for tet in _TETS:
+            ins = [c for c in tet if code >> c & 1]
+            outs = [c for c in tet if not code >> c & 1]
+            if not ins or not outs:
+                continue
+            # a lone corner (in or out) gives one triangle, a 2-2 split two on the four crossing edges
+            if len(ins) == 1 or len(outs) == 1:
+                lone, others = (ins[0], outs) if len(ins) == 1 else (outs[0], ins)
+                edges, faces = [(lone, o) for o in others], [(0, 1, 2)]
+            else:
+                (p, q), (r, s) = ins, outs
+                edges, faces = [(p, r), (p, s), (q, r), (q, s)], [(0, 1, 2), (1, 3, 2)]
+            tris += [[len(key) - edge_ptr[-1] + e for e in face] for face in faces]
+            key += [7 * (a & b) + (a ^ b) - 1 for a, b in edges]
+        edge_ptr.append(len(key))
+        tri_ptr.append(len(tris))
+    table = tuple(map(np.array, (key, edge_ptr, tris, tri_ptr)))
     for array in table:
         array.setflags(write=False)
     return table
@@ -234,16 +205,17 @@ def _march(field_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = field_.shape[0]
     m = n - 1
-    # bit c of a cube's code says whether its corner c is inside
+    # bit c of a cube's code says whether its corner c, at (dx, dy, dz), is inside
+    offset = [(c >> 2, c >> 1 & 1, c & 1) for c in range(8)]
     code = np.zeros((m, m, m), dtype=np.uint8)
-    for c, (dx, dy, dz) in enumerate(_CUBE_CORNERS):
+    for c, (dx, dy, dz) in enumerate(offset):
         code |= np.left_shift(field_[dx : dx + m, dy : dy + m, dz : dz + m], c, dtype=np.uint8)
     # mixed cubes in (i, j, k) order, by their corner 0 grid point
     i, j, k = np.nonzero((code != 0) & (code != 255))
     code = code[i, j, k].astype(np.intp)
     key, edge_ptr, tris, tri_ptr = _cube_table()
     # the grid enters only here: the flat offset of each corner code's corner
-    corner = np.array([((c >> 2) * n + (c >> 1 & 1)) * n + (c & 1) for c in range(8)])
+    corner = np.array([(dx * n + dy) * n + dz for dx, dy, dz in offset])
     run, count = _runs(edge_ptr, code)
     # each crossing edge once per tetrahedron that meets it, in march order
     edge = np.repeat(7 * ((i * n + j) * n + k), count) + (7 * corner[key // 7] + key % 7)[run]

@@ -95,7 +95,7 @@ ARRAYS = Kit(np.sqrt, np.sin, np.copysign, _per_element(math.hypot), _per_elemen
 
 
 def group_mul(p: Point3, q: Point3) -> Point3:
-    """Group product p o q."""
+    """Group product p o q, on floats, arrays that broadcast, or Fractions."""
     return Point3(p.x + q.x, p.y + q.y, p.t + q.t + 2 * (q.x * p.y - p.x * q.y))
 
 
@@ -126,7 +126,7 @@ def dilate(lam: float, p: Point3) -> Point3:
 
 
 def exp_h(v: HVec) -> Point3:
-    """Exponential of a horizontal vector: (a, b) -> (a, b, 0)."""
+    """Exponential of a horizontal vector, (a, b) -> (a, b, 0), on floats, arrays that broadcast, or Fractions."""
     return Point3(v.a, v.b, 0)
 
 

@@ -32,6 +32,8 @@ from .core import (
     Point3,
     Tolerances,
     dilate,
+    exp_h,
+    group_mul,
     norm,
     scale,
 )
@@ -144,7 +146,7 @@ def bbox_diameter(bbox: Bbox) -> float:
     dx = bbox[0][1] - bbox[0][0]
     dy = bbox[1][1] - bbox[1][0]
     dt = bbox[2][1] - bbox[2][0]
-    return math.sqrt(dx * dx + dy * dy + dt * dt)
+    return norm(Point3(dx, dy, dt), "euclidean")
 
 
 def bbox_scale(bbox: Bbox) -> float:
@@ -535,7 +537,7 @@ def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_
 
     Raises:
         ValueError: unknown name, unknown param keys, missing/invalid params,
-            or params that, with tol.eps_geom, overflow its floating-point bounds.
+            params that, with tol.eps_geom, overflow its bounds, or eps_geom >= its bbox_scale.
     """
     entry = GALLERY.get(name)
     if entry is None:
@@ -560,6 +562,9 @@ def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_
     except OverflowError as exc:
         bounds = f"params {params}, eps_geom={tol.eps_geom!r}: {exc}"
         raise ValueError(f"{name} params overflow its floating-point bounds ({bounds})") from None
+    # a slack as large as the set puts every probe near it, so no check could fail
+    if tol.eps_geom >= bbox_scale(K.bbox):
+        raise ValueError(f"eps_geom={tol.eps_geom!r} is not below the bounding-box scale {bbox_scale(K.bbox)!r} of {name}")
     return K
 
 
@@ -874,7 +879,7 @@ def boundary_sample(
     while len(dirs) < n:
         # normal(size=(k, 3)) draws the same values as k draws of size 3
         d = rng.normal(size=(n - len(dirs), 3))
-        length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+        length = norm(Point3(*d.T), "euclidean", ARRAYS)
         keep = length >= 1e-12
         dirs = np.concatenate([dirs, d[keep] / length[keep, None]])
     ux, uy, ut = dirs.T
@@ -901,15 +906,6 @@ def interior_thetas(m: int) -> np.ndarray:
         grid.append(0.5)
         grid.sort()
     return np.array(grid)
-
-
-def _horizontal_step(x0, y0, t0, a, b) -> Point3:
-    """(x0, y0, t0) o exp_h((a, b)) in group_mul's operation order.
-
-    The arguments may be floats or arrays that broadcast, with the same
-    rounding either way.
-    """
-    return Point3(x0 + a, y0 + b, (t0 + 0) + 2 * (a * y0 - x0 * b))
 
 
 # candidate probes drawn per chunk of the horizontal probe stream
@@ -939,7 +935,7 @@ def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int
 
     p, v and q are (k, 3), (k, 2) and (k, 3) arrays, and seg is a Point3
     of (k, len(thetas)) arrays: seg[r, j] = p o exp_h(theta_j v) of probe
-    r.  q and seg are bit for bit what group_mul computes.
+    r.  q and seg are group_mul's, computed on the arrays.
 
     Raises:
         RuntimeError: a chunk's rejection sampling stalls, or the stream
@@ -957,12 +953,12 @@ def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int
         phi = rng.uniform(0.0, 2.0 * math.pi, PROBE_CHUNK)
         mag = np.exp(rng.uniform(log_lo, log_hi, PROBE_CHUNK))
         v = np.stack([mag * np.cos(phi), mag * np.sin(phi)], axis=1)
-        q = np.stack(_horizontal_step(*p.T, *v.T), axis=1)
+        q = np.stack(group_mul(Point3(*p.T), exp_h(HVec(*v.T))), axis=1)
         keep = np.flatnonzero(K.contains_many(*q[: max_tries - start].T))[: n - produced]
         if keep.size:
             p, v, q = p[keep], v[keep], q[keep]
             produced += len(keep)
-            yield p, v, q, _horizontal_step(*p.T[:, :, None], thetas * v[:, :1], thetas * v[:, 1:])
+            yield p, v, q, group_mul(Point3(*p.T[:, :, None]), exp_h(HVec(thetas * v[:, :1], thetas * v[:, 1:])))
     if produced < n:
         raise RuntimeError(f"domain {K.label} too thin: {produced}/{n} probes found")
 

@@ -44,6 +44,7 @@ from heisconvex.cli import (
     main,
     parse_descriptor,
 )
+from heisconvex.sets import bbox_scale
 
 PLUS_PARAMS = json.dumps(
     {"vertices": [[0, 2], [0.2, 2], [0.2, 0.2], [2, 0.2], [2, -0.2], [0.2, -0.2], [0.2, -2], [0, -2]]}
@@ -650,6 +651,22 @@ def test_eps_geom_overflow_names_eps_geom(tmp_path, capsys):
     assert "heisconvex: error: koranyi_ball params overflow" in err
     assert "params {}, eps_geom=1e+78" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_eps_geom_as_large_as_the_set_exits_1(tmp_path, capsys):
+    # a slack of 1e76 put every probe near koranyi_ball: axioms read a=b=c=True
+    out = ["--set", "koranyi_ball", "--eps-geom", "1e76", "--out", str(tmp_path)]
+    for argv in (["ch"], ["axioms", "--samples", "50"], ["cone"], ["export"], ["radial"]):
+        assert main(argv + out) == 1, argv
+        err = capsys.readouterr().err
+        assert "heisconvex: error: eps_geom=1e+76 is not below" in err and "1.00002" in err, err
+    assert not list(tmp_path.iterdir())
+    # the bound is the set's bbox_scale: just below it builds, at it raises
+    for name in ("koranyi_ball", "importante"):
+        size = bbox_scale(gallery(name).bbox)
+        gallery(name, tol=Tolerances(eps_geom=math.nextafter(size, 0.0)))
+        with pytest.raises(ValueError, match=f"eps_geom={size!r} is not below"):
+            gallery(name, tol=Tolerances(eps_geom=size))
 
 
 def test_export_curve_requires_rows(tmp_path):

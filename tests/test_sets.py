@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -43,7 +44,6 @@ from heisconvex.sets import (
     dilation_level_many,
     check_axioms_ab,
     escapes_many,
-    _horizontal_step,
     interior_thetas,
     polygon_profile,
     radial_to_oracle,
@@ -480,8 +480,12 @@ def test_check_axioms_ab_matches_reference():
         polygon_profile([(0, -2), (1, -2), (1, -1), (0.1, -1), (0.1, 1), (1, 1), (1, 2), (0, 2)]), "dumbbell"
     )
     ring = radial_to_oracle(polygon_profile([(1.0, 1.0), (2.0, 1.0), (2.0, -1.0), (1.0, -1.0)]), "ring")
+    # the identity sits on the floor t = 0 of this compact cylinder: it and
+    # the probes beside and above it are in K, the probe at t = -rho^2 is not
+    floor = radial_to_oracle(polygon_profile([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]), "floor")
+    assert check_axioms_ab(floor, 200, 0) == (False, True, None)
     outcomes = []
-    for K in (*(gallery(name) for name in AXIOM_TABLE), plus_set(), dumbbell, ring):
+    for K in (*(gallery(name) for name in AXIOM_TABLE), plus_set(), dumbbell, ring, floor):
         for seed in (0, 1):
             want = _reference_axioms_ab(K, 500, seed)
             assert check_axioms_ab(K, 500, seed) == want, (K.label, seed)
@@ -562,11 +566,44 @@ def test_formulas_are_exact_on_fractions():
     assert group_mul(pq, r) == group_mul(p, group_mul(q, r))
     assert group_mul(p, Point3(-p.x, -p.y, -p.t)) == ORIGIN
     a, b, tau, theta = Fraction(0.7), Fraction(-1.3), Fraction(2.5), Fraction(1, 3)
-    assert _horizontal_step(*p, a, b) == group_mul(p, exp_h(HVec(a, b)))
     lam = 1 / ((1 - theta) + theta * tau)
     curve = curve_point(*p, a, b, tau, theta)
     assert all(isinstance(c, Fraction) for c in curve)
     assert curve == dilate(lam, group_mul(p, exp_h(HVec(theta * a, theta * b))))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _group_law_columns(rng, count: int) -> np.ndarray:
+    # every combination of signed zeros, a subnormal and -1e150, then random
+    # floats, near 1e150 too, and subnormals; no product or sum of these
+    # overflows, so no NaN bits compare
+    grid = np.array(list(itertools.product([0.0, -0.0, 5e-324, -1e150], repeat=count))).T
+    pool = np.concatenate([rng.normal(size=64), 1e150 * rng.uniform(-1.0, 1.0, 32), [-5e-324, 2.2e-308, -1e-310, 1e150]])
+    return np.concatenate([grid, rng.choice(pool, size=(count, 4096))], axis=1)
+
+
+def test_group_law_on_arrays_is_the_scalar_law_bit_for_bit():
+    x, y, t, a, b, s = _group_law_columns(np.random.default_rng([24, 1]), 6)
+    rows = list(zip(*(c.tolist() for c in (x, y, t, a, b, s))))
+    got = np.stack(group_mul(Point3(x, y, t), Point3(a, b, s)), axis=1)
+    assert np.array_equal(_bits(got), _bits([group_mul(Point3(*r[:3]), Point3(*r[3:])) for r in rows]))
+    # p o exp_h(v), whose t is the integer 0, as segment_chunks and curve_point take it
+    got = np.stack(group_mul(Point3(x, y, t), exp_h(HVec(a, b))), axis=1)
+    assert np.array_equal(_bits(got), _bits([group_mul(Point3(*r[:3]), exp_h(HVec(*r[3:5]))) for r in rows]))
+
+
+def test_curve_point_on_arrays_is_the_scalar_formula_row_by_row():
+    rng = np.random.default_rng([24, 2])
+    x, y, t, a, b = _group_law_columns(rng, 5)
+    tau = rng.uniform(0.5, 2.0, x.size)
+    theta = rng.choice([0.0, 1.0, 0.5, 1 / 3, *rng.uniform(0.0, 1.0, 28)], x.size)
+    got = np.stack(curve_point(x, y, t, a, b, tau, theta), axis=1)
+    cols = (x, y, t, a, b, tau, theta)
+    want = [curve_point(*r) for r in zip(*(c.tolist() for c in cols))]
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @given(st.floats(min_value=0.25, max_value=4.0))

@@ -160,10 +160,10 @@ FAULTS = (
         ),
     ),
     Fault(
-        "cube_corner_weight",
+        "cube_edge_key",
         "src/heisconvex/cli.py",
-        "np.minimum(a, b) @ [4, 2, 1]",
-        "np.minimum(a, b) @ [4, 1, 1]",
+        "7 * (a & b)",
+        "7 * (a | b)",
         ("tests/test_cli.py::test_export_levelset_matches_reference_on_every_cube_code",),
     ),
     Fault(
@@ -182,6 +182,41 @@ FAULTS = (
             "tests/test_chcheck.py::test_falsify_cylinder_frozen",
             "tests/test_chcheck.py::test_falsify_euclidean_ball_frozen",
         ),
+    ),
+    Fault(
+        "replay_ch_escape",
+        "src/heisconvex/chcheck.py",
+        "    return escapes(K, w.escape_point, tol)\n",
+        "    return True\n",
+        ("tests/test_chcheck.py::test_replay_rejects_escape_within_pullback_slack",),
+    ),
+    Fault(
+        "replay_fn_slack_sign",
+        "src/heisconvex/convexity.py",
+        "return lhs > rhs + tol.eps_eq",
+        "return lhs > rhs - tol.eps_eq",
+        ("tests/test_convexity.py::test_replay_recomputes_from_fields",),
+    ),
+    Fault(
+        "axiom_a_any_probe",
+        "src/heisconvex/sets.py",
+        "bool(K.contains_many(x, y, t).all())",
+        "bool(K.contains_many(x, y, t).any())",
+        ("tests/test_sets.py::test_check_axioms_ab_matches_reference",),
+    ),
+    Fault(
+        "axiom_b_first_failure",
+        "src/heisconvex/sets.py",
+        "        k = int(bad[0])\n",
+        "        k = int(bad[-1])\n",
+        ("tests/test_sets.py::test_check_axioms_ab_matches_reference",),
+    ),
+    Fault(
+        "boundary_pool_group",
+        "src/heisconvex/chcheck.py",
+        "boundary_sample(K, PAIR_CHUNK, seed, tol, chunk // POOL_GROUP)",
+        "boundary_sample(K, PAIR_CHUNK, seed, tol, 0)",
+        ("tests/test_chcheck.py::test_falsify_pairs_shared_across_chunk_boundary",),
     ),
 )
 
