@@ -147,29 +147,6 @@ def _scaled_box(C: ConeFunction, factor: float) -> SetOracle:
     return box_oracle(tuple(zip(lo, hi)), label=f"box({factor:g} x {C.source.label})")
 
 
-def _nesting_check(C: ConeFunction, m: int, rng: np.random.Generator) -> tuple[bool, Optional[NestingWitness]]:
-    """Axiom II on m points of C's source drawn from rng: the first point,
-    in sample order, whose (tau1 / tau2)-copy leaves the set.  The stream
-    is then rewound to where a one-point-at-a-time loop would leave it."""
-    K = C.source
-    try:
-        pts, ok = uniform_points(K, m, rng), True
-    except RuntimeError:
-        pts, ok = np.empty((0, 3)), False
-    state = rng.bit_generator.state
-    taus = np.exp(rng.uniform(np.log(0.125), np.log(8.0), (len(pts), 2)))
-    tau1, tau2 = taus.min(axis=1), taus.max(axis=1)
-    tau2 = np.where(tau2 - tau1 < 1e-3, tau1 * 1.5, tau2)
-    escaped = np.flatnonzero(~K.contains_many(*scale(tau1 / tau2, *pts.T, C.kind)))
-    if not escaped.size:
-        return ok, None
-    k = int(escaped[0])
-    rng.bit_generator.state = state
-    rng.uniform(size=2 * (k + 1))
-    tau1, tau2 = float(tau1[k]), float(tau2[k])
-    return False, NestingWitness(tau1, tau2, Point3(*scale(tau1, *pts[k].tolist(), C.kind)))
-
-
 def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
     """Sample the three level-family axioms for the dilation family of C.
 
@@ -178,55 +155,54 @@ def family_axioms_check(C: ConeFunction, n: int, seed: int = 0) -> FamilyReport:
     III (closedness from above): membership holds at the computed level
     plus shrinking upward probes.
 
-    One stream gives, in order, I's box points, II's set points and
-    scales, and III's box points, as a one-point-at-a-time loop draws
-    them; the levels of I and III are bisected in one batch.  When the
-    bracket of one of I's points runs away, that loop stops I there, so
-    the stream is rewound to just after that point, II is drawn again
-    from there, and III is skipped.
+    One stream gives, in order, m = max(1, n // 3) box points, II's m set
+    points and their m scale pairs.  I and III share the box points, bisected
+    in one batch; II tests its set points in one contains_many call.  Each
+    axiom reports its first failure in sample order.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng([seed, 0xFA])
     K, tol = C.source, C.tol
-    box = tuple(zip(*_scaled_box(C, 2.0).bbox))
     m = max(1, n // 3)
-    state = rng.bit_generator.state
-    draws_i = rng.uniform(*box, size=(m, 3))
-    axiom_ii_ok, nesting_witness = _nesting_check(C, m, rng)
-    # rows :m are I's points, rows m: III's
-    draws = np.concatenate([draws_i, rng.uniform(*box, size=(m, 3))])
+    draws = rng.uniform(*zip(*_scaled_box(C, 2.0).bbox), size=(m, 3))
+    try:
+        pts, axiom_ii_ok = uniform_points(K, m, rng), True
+    except RuntimeError:
+        pts, axiom_ii_ok = np.empty((0, 3)), False
+    taus = np.exp(rng.uniform(np.log(0.125), np.log(8.0), (len(pts), 2)))
     levels = dilation_level_many(K, *draws.T, tol, C.kind, strict=False)
 
-    # I: the first point, in sample order, whose bracket runs away
-    ran_away = np.flatnonzero(np.isnan(levels[:m]))
-    axiom_i_ok = not ran_away.size
-    coverage_failure = None
-    axiom_iii_ok = True
+    # I: the first point whose bracket runs away
+    ran_away = np.flatnonzero(np.isnan(levels))
+    coverage_failure = Point3(*draws[ran_away[0]].tolist()) if ran_away.size else None
+
+    # II: the first set point whose (tau1 / tau2)-copy leaves K
+    tau1, tau2 = taus.min(axis=1), taus.max(axis=1)
+    tau2 = np.where(tau2 - tau1 < 1e-3, tau1 * 1.5, tau2)
+    escaped = np.flatnonzero(~K.contains_many(*scale(tau1 / tau2, *pts.T, C.kind)))
+    nesting_witness = None
+    if escaped.size:
+        k = int(escaped[0])
+        tau1, tau2 = float(tau1[k]), float(tau2[k])
+        nesting_witness = NestingWitness(tau1, tau2, Point3(*scale(tau1, *pts[k].tolist(), C.kind)))
+
+    # III: points whose bracket runs away (NaN) or that sit at the vertex are skipped
+    keep = np.flatnonzero(levels > 0.0)
+    steps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+    tau = levels[keep, None] * (1.0 + steps) + tol.eps_geom
+    inside = K.contains_many(*scale(1.0 / tau, *(draws[keep, i, None] for i in range(3)), C.kind))
+    # the first failure in (point, step) order
+    failed = np.flatnonzero(~inside)
     closedness_failure = None
-    if not axiom_i_ok:
-        k = int(ran_away[0])
-        coverage_failure = Point3(*draws[k].tolist())
-        rng.bit_generator.state = state
-        rng.uniform(size=3 * (k + 1))
-        axiom_ii_ok, nesting_witness = _nesting_check(C, m, rng)
-    else:
-        # III: points whose bracket runs away (NaN) or that sit at the vertex are skipped
-        keep = m + np.flatnonzero(levels[m:] > 0.0)
-        steps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-        tau = levels[keep, None] * (1.0 + steps) + tol.eps_geom
-        inside = K.contains_many(*scale(1.0 / tau, *(draws[keep, i, None] for i in range(3)), C.kind))
-        # the first failure in (point, step) order
-        failed = np.flatnonzero(~inside)
-        if failed.size:
-            r, j = divmod(int(failed[0]), len(steps))
-            axiom_iii_ok = False
-            closedness_failure = (Point3(*draws[keep[r]].tolist()), float(tau[r, j]))
+    if failed.size:
+        r, j = divmod(int(failed[0]), len(steps))
+        closedness_failure = (Point3(*draws[keep[r]].tolist()), float(tau[r, j]))
 
     return FamilyReport(
-        axiom_i_ok,
-        axiom_ii_ok,
-        axiom_iii_ok,
+        coverage_failure is None,
+        axiom_ii_ok and nesting_witness is None,
+        closedness_failure is None,
         nesting_witness,
         samples=n,
         seed=seed,

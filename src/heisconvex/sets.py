@@ -553,12 +553,12 @@ def gallery(name: str, params: Optional[dict] = None, tol: Tolerances = DEFAULT_
             if not (_finite_number(r) and r > 0.0):
                 raise ValueError(f"{name} needs a finite r > 0, got {r!r}")
             params["r"] = float(r)
-            # radial_necessary raises the outer radius to the fourth power;
-            # this raises the OverflowError here instead, from about r = 1.3e77
-            params["r"] ** 4
         K = entry.build(tol, **params)
         if not math.isfinite(bbox_diameter(K.bbox)):
             raise OverflowError("bounding box diameter is not finite")
+        # radial_necessary raises the outer radius to the fourth power;
+        # this raises the OverflowError here instead, from about r_max = 1.3e77
+        K.profile is None or K.profile.r_max ** 4
     except OverflowError as exc:
         bounds = f"params {params}, eps_geom={tol.eps_geom!r}: {exc}"
         raise ValueError(f"{name} params overflow its floating-point bounds ({bounds})") from None

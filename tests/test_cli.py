@@ -618,6 +618,13 @@ def test_bad_params_exit_1(tmp_path, tmp_path_factory, capsys):
     # a finite bounding box, but the fourth power of r overflows in radial_necessary
     assert main(["radial", "--set", "euclidean_ball", "--params", '{"r": 1e100}'] + out) == 1
     assert "heisconvex: error: euclidean_ball params overflow" in capsys.readouterr().err
+    # so does a polygon's outer radius: at 1.2e77 its fourth power overflows, at 1e77 it does not
+    wide = '{"vertices": [[0, -1], [%s, -1], [%s, 1], [0, 1]]}'
+    assert main(["radial", "--set", "radial_custom", "--params", wide % ("1.2e77", "1.2e77")] + out) == 1
+    assert "heisconvex: error: radial_custom params overflow" in capsys.readouterr().err
+    wide_out = ["--out", str(tmp_path_factory.mktemp("wide"))]
+    assert main(["radial", "--set", "radial_custom", "--params", wide % ("1e77", "1e77")] + wide_out) == 2
+    capsys.readouterr()
     for vertices in ("5", '[[0, 0], [1, 0], [1, "a"]]'):
         assert main(["axioms", "--set", "radial_custom", "--params", f'{{"vertices": {vertices}}}'] + out) == 1
         assert "heisconvex: error: polygon profile vertices must be [r, t] pairs" in capsys.readouterr().err

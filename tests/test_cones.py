@@ -24,7 +24,7 @@ from heisconvex import (
     replay_witness,
     sample_in_set,
 )
-from heisconvex import sets
+from heisconvex import cones, sets
 from heisconvex.cones import _scaled_box
 from heisconvex.sets import SetOracle, polygon_profile, radial_to_oracle
 
@@ -222,19 +222,20 @@ def test_cone_fn_oracle_labels(koranyi_cone):
 
 
 def _reference_family(C, n, seed):
-    """The one-point-at-a-time family_axioms_check the batch must reproduce."""
+    """The one-point-at-a-time family_axioms_check the batch must reproduce:
+    all of I's box points, then II's set points and scale pairs, then III
+    on I's points."""
     rng = np.random.default_rng([seed, 0xFA])
     (xlo, xhi), (ylo, yhi), (tlo, thi) = _scaled_box(C, 2.0).bbox
 
     def scale(lam, p):
         return Point3(lam * p.x, lam * p.y, (lam if C.kind == "euclidean" else lam * lam) * p.t)
 
-    def draw():
-        return Point3(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi), rng.uniform(tlo, thi))
-
+    box_pts = [
+        Point3(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi), rng.uniform(tlo, thi)) for _ in range(max(1, n // 3))
+    ]
     coverage_failure = None
-    for _ in range(max(1, n // 3)):
-        p = draw()
+    for p in box_pts:
         try:
             cone_eval(C, p)
         except RuntimeError:
@@ -257,22 +258,20 @@ def _reference_family(C, n, seed):
             nesting_witness = NestingWitness(tau1, tau2, scale(tau1, p))
             break
     closedness_failure = None
-    if coverage_failure is None:
-        for _ in range(max(1, n // 3)):
-            p = draw()
-            try:
-                level = cone_eval(C, p)
-            except RuntimeError:
-                continue
-            if level <= 0.0:
-                continue
-            for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-                tau = level * (1.0 + eps) + C.tol.eps_geom
-                if not K.contains(scale(1.0 / tau, p)):
-                    closedness_failure = (p, tau)
-                    break
-            if closedness_failure is not None:
+    for p in box_pts:
+        try:
+            level = cone_eval(C, p)
+        except RuntimeError:
+            continue
+        if level <= 0.0:
+            continue
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+            tau = level * (1.0 + eps) + C.tol.eps_geom
+            if not K.contains(scale(1.0 / tau, p)):
+                closedness_failure = (p, tau)
                 break
+        if closedness_failure is not None:
+            break
     return FamilyReport(
         coverage_failure is None, axiom_ii_ok, closedness_failure is None, nesting_witness,
         n, seed, coverage_failure, closedness_failure,
@@ -329,7 +328,7 @@ def test_family_axioms_match_reference(case):
     if case == "ring":
         assert all(r.coverage_failure is not None and r.nesting_witness is not None for r in reports)
     if case == "half_ball":
-        # I fails and II is drawn again from where its loop stops
+        # I fails, II holds, and III holds on the points whose level is finite
         assert all(not r.axiom_i_ok and r.axiom_ii_ok and r.closedness_failure is None for r in reports)
     if case == "shelled":
         assert any(r.closedness_failure is not None for r in reports)
@@ -339,6 +338,24 @@ def test_family_axioms_match_reference(case):
             p, tau = r.closedness_failure
             assert r.axiom_i_ok and not r.axiom_iii_ok
             assert tau / norm(p, "koranyi") - 1.0 == pytest.approx(1e-4, rel=1e-2)
+
+
+def test_family_axioms_bisect_one_box_sample(monkeypatch):
+    # I and III share one sample: one dilation_level_many call on
+    # max(1, n // 3) rows, and the closedness witness is one of those rows
+    calls = []
+
+    def recording(K, x, y, t, *args, **kwargs):
+        calls.append(np.stack([x, y, t], axis=1))
+        return sets.dilation_level_many(K, x, y, t, *args, **kwargs)
+
+    monkeypatch.setattr(cones, "dilation_level_many", recording)
+    for build, n in ((lambda: gallery("koranyi_ball"), 300), (ring_set, 7), (_half_ball, 2), (_gapped_set, 300)):
+        calls.clear()
+        rep = family_axioms_check(ConeFunction(build()), n, seed=0)
+        assert [len(rows) for rows in calls] == [max(1, n // 3)], n
+    # the gapped set fails III at every seed, at a point of that one sample
+    assert list(rep.closedness_failure[0]) in calls[0].tolist()
 
 
 def test_closed_form_comparison_matches_reference(euclid_cone, koranyi_cone):

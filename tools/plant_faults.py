@@ -218,6 +218,52 @@ FAULTS = (
         "boundary_sample(K, PAIR_CHUNK, seed, tol, 0)",
         ("tests/test_chcheck.py::test_falsify_pairs_shared_across_chunk_boundary",),
     ),
+    Fault(
+        "family_coverage_nan",
+        "src/heisconvex/cones.py",
+        "ran_away = np.flatnonzero(np.isnan(levels))",
+        "ran_away = np.flatnonzero(np.isinf(levels))",
+        ("tests/test_cones.py::test_family_axioms_match_reference",),
+    ),
+    Fault(
+        "family_nesting_ratio",
+        "src/heisconvex/cones.py",
+        "scale(tau1 / tau2, *pts.T, C.kind)",
+        "scale(tau2 / tau1, *pts.T, C.kind)",
+        ("tests/test_cones.py::test_family_axioms_match_reference",),
+    ),
+    Fault(
+        "family_closedness_step",
+        "src/heisconvex/cones.py",
+        "levels[keep, None] * (1.0 + steps)",
+        "levels[keep, None] * (1.0 - steps)",
+        ("tests/test_cones.py::test_family_axioms_match_reference",),
+    ),
+    Fault(
+        "radial_theorem_i_shrink",
+        "src/heisconvex/chcheck.py",
+        "x, t = r * shrink, t * shrink * shrink",
+        "x, t = r * shrink, t * shrink",
+        ("tests/test_chcheck.py::test_radial_necessary_matches_scalar_reference",),
+    ),
+    Fault(
+        "radial_theorem_ii_slack",
+        "src/heisconvex/chcheck.py",
+        "thm_ii_ok = r_sup <= r_flat + slack",
+        "thm_ii_ok = r_sup <= r_flat - slack",
+        ("tests/test_chcheck.py::test_radial_necessary_matches_scalar_reference",),
+    ),
+    Fault(
+        "envelope_floor_sign",
+        "src/heisconvex/chcheck.py",
+        "floor = -max(1e-6, 10.0 * tol.eps_geom)",
+        "floor = max(1e-6, 10.0 * tol.eps_geom)",
+        (
+            "tests/test_chcheck.py::test_envelope_check_koranyi_anchor",
+            "tests/test_chcheck.py::test_envelope_check_matches_point_by_point_loop",
+            "tests/test_chcheck.py::test_envelope_check_lists_of_anchors_match_point_by_point_loop",
+        ),
+    ),
 )
 
 
