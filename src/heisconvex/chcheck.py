@@ -55,7 +55,8 @@ DEGENERATE_TAU_GRID = (0.25, 0.5, 2.0, 4.0)
 # falsify_ch draws pairs in chunks of this many, each from its own stream;
 # it is also the size of the boundary pool
 PAIR_CHUNK = 256
-# uniform theta samples of [0, 1] per curve, and per tau = 1 segment
+# uniform theta samples of [0, 1] per curve, and per tau = 1 line; 8 k + 1,
+# so a line's samples include the axiom check's SEGMENT_GRID = 9
 CURVE_SAMPLES = 33
 # chunks that pick from one boundary pool: 2048 of its 65536 ordered pairs
 POOL_GROUP = 8
@@ -258,10 +259,11 @@ def falsify_ch(
     escapes at least as far), solves for every admissible tau, and tests
     the CURVE_SAMPLES-sample curve with the robust escape predicate.  With
     tau_one=True the search restricts to horizontally reachable pairs at
-    tau = 1, which is the horizontal-segment convexity check of the set
-    module on a finer theta grid: the same probe stream and errors on equal
-    seeds, and a witness no later than the check's, sometimes where the
-    check finds none.
+    tau = 1, which is the horizontal convexity check of the set module
+    (scan_horizontal_segments) at CURVE_SAMPLES samples per line: the same
+    budget of lines and errors on equal seeds, and a witness no later than
+    the check's, sometimes where the check finds none.  Its pair_index is
+    then the index of the witness's line among the lines the budget counts.
 
     Pairs come in chunks of PAIR_CHUNK = 256; chunk c is drawn whole from
     default_rng([seed, 0xC4, c]), and each group of POOL_GROUP = 8 chunks

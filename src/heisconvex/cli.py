@@ -352,19 +352,20 @@ def _cmd_ch(cfg: RunConfig) -> int:
     return 2
 
 
-def _anchor_points(K: SetOracle, count: int = 3) -> list[Point3]:
-    """Deterministic envelope anchors: in-set profile points, |t| and r large."""
+def _anchor_points(K: SetOracle, tol: Tolerances = DEFAULT_TOL, count: int = 3) -> list[Point3]:
+    """Deterministic envelope anchors: in-set profile points, |t| and r large,
+    both above eps_eq, as envelope_check requires."""
     P = K.profile
     assert P is not None
     t_lo, t_hi = P.t_range
     found: list[Point3] = []
     for frac_t in (0.8, 0.5, 0.25, -0.8, -0.5, -0.25):
         t = (t_hi if frac_t > 0 else -t_lo) * frac_t
-        if t == 0.0:
+        if abs(t) <= tol.eps_eq:
             continue
         for frac_r in (0.8, 0.6, 0.4, 0.2):
             r = P.r_max * frac_r
-            if P.contains2d(r, t):
+            if r > tol.eps_eq and P.contains2d(r, t):
                 found.append(Point3(r, 0.0, t))
                 break
         if len(found) >= count:
@@ -378,16 +379,14 @@ def _cmd_radial(cfg: RunConfig) -> int:
         raise ValueError(f"{K.label} is not radial: the necessary conditions do not apply")
     rep = radial_necessary(K.profile, cfg.samples, cfg.seed, cfg.tolerances)
     n_env = max(64, cfg.samples // 8)
-    anchors = _anchor_points(K)
+    anchors = _anchor_points(K, cfg.tolerances)
     checks = envelope_check(K, anchors, n_env, cfg.tolerances)
     envelope_ok = all(env.ok() for env in checks)
     envelopes = [{"anchor": anchor, **_encode(env)} for anchor, env in zip(anchors, checks)]
     out = _write_report(cfg, f"radial_{_slug(K.label)}", radial={**_encode(rep), "envelopes": envelopes})
     ok = rep.thm_i_ok and rep.thm_ii_ok and envelope_ok
-    print(
-        f"radial {K.label}: thm_i={rep.thm_i_ok} thm_ii={rep.thm_ii_ok} "
-        f"envelopes_ok={envelope_ok} -> {out}"
-    )
+    envelope_note = f"envelopes_ok={envelope_ok}" if checks else "envelopes: none run (no anchor)"
+    print(f"radial {K.label}: thm_i={rep.thm_i_ok} thm_ii={rep.thm_ii_ok} {envelope_note} -> {out}")
     return 0 if ok else 2
 
 

@@ -161,7 +161,7 @@ def _segment_scan(
     if n < 1 or grid < 1:
         raise ValueError("need n >= 1 samples and grid >= 1")
     thetas = interior_thetas(max(grid, 2))
-    for group in _chunk_groups(segment_chunks(domain, n, thetas, seed, 0xF)):
+    for group in _chunk_groups(segment_chunks(domain, n, thetas, seed)):
         witness = _chunk_witness(f, group, thetas, tol, quasi)
         if witness is not None:
             return witness

@@ -11,7 +11,8 @@ the three standing assumptions on a candidate set by seeded sampling
 
 and provides the sampling utilities (rejection sampling, boundary points
 by ray bisection, dilation-level bisection, escape tests, the chunked
-horizontal-segment scan) shared by the falsifiers in the other modules.
+horizontal line and probe streams) shared by the falsifiers in the other
+modules.
 """
 
 from __future__ import annotations
@@ -908,34 +909,27 @@ def interior_thetas(m: int) -> np.ndarray:
     return np.array(grid)
 
 
-# candidate probes drawn per chunk of the horizontal probe stream
+# candidate probes drawn per chunk of the function falsifiers' probe stream
 PROBE_CHUNK = 256
-# theta samples of [0, 1] per segment in the assumption-c check
+# lines per chunk of the horizontal line stream
+LINE_CHUNK = 256
+# uniform samples of each horizontal line in the assumption-c check
 SEGMENT_GRID = 9
 
 
-def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int = 0xC):
-    """Yield the first n probes of the horizontal probe stream of K in
-    chunks, as (p, v, q, seg).
+def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int):
+    """Yield the first n probes of the function falsifiers' horizontal probe
+    stream of K in chunks, as (p, v, q, seg).
 
     A probe is a point p of K and a horizontal step v with q = p o exp_h(v)
-    in K.  Chunk c is drawn whole from default_rng([seed, tag, c]):
+    in K.  Chunk c is drawn whole from default_rng([seed, 0xF, c]):
     PROBE_CHUNK candidate points p from uniform_points, then as many
     directions uniform in [0, 2 pi) and log-magnitudes uniform between
     log(1e-3) and the log of the bbox diameter; candidates whose q leaves K
-    are dropped.  So probe i depends only on (seed, i), and a larger n
-    extends the stream and never reshuffles it.  The stream gives up after
-    1000 + 400 n candidates and raises, so no scan passes probes it never
-    tested.  Tag 0xC is the horizontal-segment axiom
-    check, which the tau = 1 restriction of the family falsifier shares:
-    the same probes and errors on equal seeds, but its 33 thetas include
-    the check's 9, so it escapes no later than the check, and sometimes
-    where the check does not; tag 0xF is the function falsifiers of the
-    convexity module.
-
-    p, v and q are (k, 3), (k, 2) and (k, 3) arrays, and seg is a Point3
-    of (k, len(thetas)) arrays: seg[r, j] = p o exp_h(theta_j v) of probe
-    r.  q and seg are group_mul's, computed on the arrays.
+    are dropped.  So probe i depends only on (seed, i).  The stream gives
+    up after 1000 + 400 n candidates and raises, so no scan passes probes
+    it never tested.  seg is a Point3 of (k, len(thetas)) arrays, seg[r, j]
+    = p o exp_h(theta_j v) of probe r; q and seg are group_mul's on arrays.
 
     Raises:
         RuntimeError: a chunk's rejection sampling stalls, or the stream
@@ -948,7 +942,7 @@ def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int
     for start in range(0, max_tries, PROBE_CHUNK):
         if produced == n:
             return
-        rng = np.random.default_rng([seed, tag, start // PROBE_CHUNK])
+        rng = np.random.default_rng([seed, 0xF, start // PROBE_CHUNK])
         p = uniform_points(K, PROBE_CHUNK, rng)
         phi = rng.uniform(0.0, 2.0 * math.pi, PROBE_CHUNK)
         mag = np.exp(rng.uniform(log_lo, log_hi, PROBE_CHUNK))
@@ -963,6 +957,41 @@ def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int, tag: int
         raise RuntimeError(f"domain {K.label} too thin: {produced}/{n} probes found")
 
 
+def _line_witness(K: SetOracle, p: np.ndarray, u: np.ndarray, thetas: np.ndarray, need: int, tol: Tolerances):
+    """(the first escape or None, the lines counted, at most need): see scan_horizontal_segments."""
+    # t is linear in s on p o exp_h(s u), so the line is clipped exactly to
+    # the bbox; axes run first, as numpy reduces over a short last axis slowly
+    d = np.stack([u[:, 0], u[:, 1], 2.0 * (u[:, 0] * p[:, 1] - p[:, 0] * u[:, 1])])
+    box = np.array(K.bbox)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # an axis the line runs parallel to gives -inf and inf: no bound
+        to_lo, to_hi = (box[:, :1] - p.T) / d, (box[:, 1:] - p.T) / d
+    s_lo, s_hi = np.minimum(to_lo, to_hi).max(axis=0), np.maximum(to_lo, to_hi).min(axis=0)
+    s = s_lo[:, None] + (s_hi - s_lo)[:, None] * thetas
+    x, y, t = group_mul(Point3(*p.T[:, :, None]), exp_h(HVec(s * u[:, :1], s * u[:, 1:])))
+    inside = K.contains_many(x, y, t)
+    step = (len(thetas) + 1) // (SEGMENT_GRID - 1)
+    counted = inside[:, step - 1 :: step].sum(axis=1) >= 2
+    counted &= np.cumsum(counted) <= need
+    # outside samples with inside ones on both sides get the pullback test,
+    # looked for only on the lines whose inside samples leave a gap
+    first, last = inside.argmax(axis=1), len(thetas) - 1 - inside[:, ::-1].argmax(axis=1)
+    rows = np.flatnonzero(counted & (last - first + 1 > inside.sum(axis=1)))
+    cols = np.arange(len(thetas))
+    r, j = np.nonzero(~inside[rows] & (first[rows, None] < cols) & (cols < last[rows, None]))
+    gap = rows[r], j
+    escaped = ~K.contains_many(*scale(_pullback(tol), x[gap], y[gap], t[gap]))
+    for r, j in zip(gap[0][escaped], gap[1][escaped]):
+        a, b = np.flatnonzero(inside[r, :j])[-1], j + 1 + np.flatnonzero(inside[r, j + 1 :])[0]
+        # base o exp_h(theta v) is curve_point at tau = 1, so the escape replays
+        base, width = Point3(float(x[r, a]), float(y[r, a]), float(t[r, a])), float(s[r, b] - s[r, a])
+        v, theta = HVec(width * float(u[r, 0]), width * float(u[r, 1])), float(s[r, j] - s[r, a]) / width
+        pt = group_mul(base, exp_h(HVec(theta * v.a, theta * v.b)))
+        if K.contains(group_mul(base, exp_h(v))) and escapes(K, pt, tol):
+            return SegmentEscape(base, v, theta, pt, escape_margin(K, pt, tol)), int(counted[: r + 1].sum())
+    return None, int(counted.sum())
+
+
 def scan_horizontal_segments(
     K: SetOracle,
     n: int,
@@ -970,25 +999,43 @@ def scan_horizontal_segments(
     seed: int,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[Optional[SegmentEscape], int]:
-    """Hunt for a horizontal segment leaving K.
+    """Hunt for a horizontal line meeting K in more than one interval (assumption c fails).
 
-    Tests the points of interior_thetas(grid) on n probes of
-    segment_chunks with escapes_many.  Returns (the escape or None,
-    probes_used); the first escape in (probe, theta) order wins.
+    Line i of the stream is s -> p o exp_h(s u) for row i % LINE_CHUNK of
+    chunk i // LINE_CHUNK: LINE_CHUNK points p of K (uniform_points), then
+    their directions u, from default_rng([seed, 0xC, chunk]), so it depends
+    only on (seed, i).  Lines are clipped to the bbox and sampled at
+    interior_thetas(grid), grid = 8 k + 1, which include SEGMENT_GRID's.  A
+    line counts toward n when two of those 9 test inside K, so every grid
+    scans the same lines and the tau = 1 search's 33 escape no later than
+    the axiom check's 9.  The escape is the first robustly outside sample
+    (escapes) with inside samples on both sides, in (line, theta) order,
+    as a step from the inside sample before it to the one after it, kept
+    only if its points, recomputed from that base, test out and in again.
+    Chunks are drawn and scanned one at a time.
+
+    Returns (the escape or None, the lines counted up to the escape's, or n).
 
     Raises:
-        RuntimeError: the stream stalls or runs short (segment_chunks).
+        RuntimeError: rejection sampling stalls (after the lines drawn
+            before it are scanned), or fewer than n of the first
+            1000 + 400 n lines count (too thin).
     """
     thetas = interior_thetas(grid)
+    max_lines = 1000 + 400 * n
     used = 0
-    for p, v, _q, (x, y, t) in segment_chunks(K, n, thetas, seed):
-        hits = np.flatnonzero(escapes_many(K, x, y, t, tol))
-        if hits.size:
-            r, j = divmod(int(hits[0]), len(thetas))
-            pt = Point3(float(x[r, j]), float(y[r, j]), float(t[r, j]))
-            base, step = Point3(*p[r].tolist()), HVec(*v[r].tolist())
-            return SegmentEscape(base, step, float(thetas[j]), pt, escape_margin(K, pt, tol)), used + r + 1
-        used += len(p)
+    for start in range(0, max_lines, LINE_CHUNK):
+        if used == n:
+            break
+        rng = np.random.default_rng([seed, 0xC, start // LINE_CHUNK])
+        p, phi = uniform_points(K, LINE_CHUNK, rng), rng.uniform(0.0, 2.0 * math.pi, LINE_CHUNK)
+        u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        found, counted = _line_witness(K, p[: max_lines - start], u[: max_lines - start], thetas, n - used, tol)
+        if found is not None:
+            return found, used + counted
+        used += counted
+    if used < n:
+        raise RuntimeError(f"domain {K.label} too thin: {used}/{n} lines found")
     return None, used
 
 
@@ -1034,9 +1081,9 @@ def check_axioms(
 ) -> AxiomReport:
     """Check assumptions a, b, c on K by seeded sampling.
 
-    a and b as in check_axioms_ab; c scans n horizontal segments with both
-    endpoints in K on the SEGMENT_GRID theta grid (scan_horizontal_segments,
-    which raises when its probe stream stalls or runs short).
+    a and b as in check_axioms_ab; c scans n horizontal lines at
+    SEGMENT_GRID samples each (scan_horizontal_segments, which raises when
+    its line stream stalls or runs short).
     """
     a_holds, b_holds, b_witness = check_axioms_ab(K, n, seed)
     found, used = scan_horizontal_segments(K, n, SEGMENT_GRID, seed, tol)

@@ -1,9 +1,11 @@
 """The horizontal probe stream drawn one candidate at a time.
 
-The reference that sets.segment_chunks must reproduce: chunk c of the
-stream comes from default_rng([seed, tag, c]) as PROBE_CHUNK points of K
-(uniform_points), then their directions and log-magnitudes; each candidate
-is then stepped with the scalar group law and tested with K.contains.
+The reference that sets.segment_chunks, the function falsifiers' stream,
+must reproduce: chunk c of the stream comes from default_rng([seed, 0xF, c])
+as PROBE_CHUNK points of K (uniform_points), then their directions and
+log-magnitudes; each candidate is then stepped with the scalar group law
+and tested with K.contains.  The set checks' line stream has its own
+reference, line_reference.
 """
 
 import math
@@ -14,7 +16,7 @@ from heisconvex import HVec, Point3, exp_h, group_mul
 from heisconvex.sets import PROBE_CHUNK, bbox_diameter, uniform_points
 
 
-def reference_probes(K, n, seed, tag=0xC):
+def reference_probes(K, n, seed):
     """Yield up to n probes (p, v, q), given up after 1000 + 400 n candidates.
 
     A stalled rejection sampler raises when the chunk it starts is needed.
@@ -25,7 +27,7 @@ def reference_probes(K, n, seed, tag=0xC):
     tries = produced = 0
     chunk = 0
     while produced < n and tries < max_tries:
-        rng = np.random.default_rng([seed, tag, chunk])
+        rng = np.random.default_rng([seed, 0xF, chunk])
         chunk += 1
         points = uniform_points(K, PROBE_CHUNK, rng).tolist()
         phi = rng.uniform(0.0, 2.0 * math.pi, PROBE_CHUNK)

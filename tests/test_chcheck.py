@@ -384,52 +384,85 @@ def test_tau_one_mode_matches_set_checker():
 
 
 def test_tau_one_finds_every_axiom_c_witness_no_later():
-    # both scans walk the same probes, and the 33 thetas of the tau = 1
-    # search include the axiom check's 9: a check that fails is met by a
-    # witness at its probe or earlier, but a clean check need not be
+    # both scans count the same lines, and the 33 samples per line of the
+    # tau = 1 search include the axiom check's 9: a check that fails is met
+    # by a witness on its line or earlier, but a clean check need not be
     plus = gallery("radial_custom", {"vertices": PLUS_VERTICES})
     tau_one_only = []
     for seed in range(64):
-        rep = check_axioms(plus, 200, seed)
-        w = falsify_ch(plus, 200, seed, tau_one=True)
+        rep = check_axioms(plus, 20, seed)
+        w = falsify_ch(plus, 20, seed, tau_one=True)
         if not rep.c_holds:
             assert w is not None and w.pair_index + 1 <= rep.samples_used, seed
         elif w is not None:
             tau_one_only.append((seed, w.pair_index + 1, w.theta_star))
-    # at seed 21 assumption c holds over 200 probes, and the tau = 1
-    # search escapes at probe 64, at a theta off the check's grid
-    assert (21, 64, 0.5625) in tau_one_only
+    # at seed 21 assumption c holds over 20 lines, and the tau = 1 search
+    # escapes on line 1: two of its samples between two of the check's test
+    # outside, while the check's own inside samples leave no gap
+    assert (21, 1, 0.33333333333333326) in tau_one_only
 
 
 # the plus shape's tau = 1 witnesses at seeds 0-15: seed -> (pair_index,
 # theta_star, escape_point), as `ch --tau-one --budget 100000` reports them
 PLUS_TAU_ONE_WITNESSES = {
-    0: (673, 0.34375, (-0.036691920178671546, 0.19807470069973562, -0.2092220468868922)),
-    1: (777, 0.1875, (0.17910517501234124, 0.08995929990885662, -0.3092412617580949)),
-    2: (7, 0.71875, (0.0696318033835377, 0.18802150938880005, -0.20320708336273574)),
-    3: (76, 0.3125, (0.3775307531055963, -0.4004485445860047, -0.20363179046106883)),
-    4: (950, 0.1875, (0.19750377070795824, 0.05328271217892244, -0.43721017213061875)),
-    5: (362, 0.40625, (0.09674405080760545, -0.17607639775855383, 0.21361332732039637)),
-    6: (114, 0.0625, (-0.12544269434722644, -0.16254957577218954, -0.4212901843818875)),
-    7: (1245, 0.0625, (-0.15078473577332108, 0.13614004723007284, 0.4692928189957324)),
-    8: (290, 0.125, (-0.2207687175979456, -0.08890365325762994, 0.47333307604821473)),
-    9: (167, 0.125, (-0.17447448026937004, 0.12886273737929899, -0.27051288657439576)),
-    10: (847, 0.03125, (-0.1470950013164797, -0.17618816627878894, 0.24753084119032087)),
-    11: (429, 0.0625, (-0.036403653479647885, 0.21402918451965136, -0.43559870576174636)),
-    12: (526, 0.125, (0.00062877982892162, -0.20184608164428794, -0.2175887432558366)),
-    13: (620, 0.0625, (0.5393478566545438, 0.5755139577469246, -0.20263229457571397)),
-    14: (500, 0.21875, (-0.22014625985221853, -0.16338635077111804, -0.20223853646120085)),
-    15: (156, 0.1875, (0.20797880747982395, -0.022599319636125006, -0.23846663407605379)),
+    0: (4, 0.1428571428571427, (-0.8750131250000002, -0.16907280774482625, -0.2082703045126129)),
+    1: (7, 0.12499999999999986, (-8.326672684688674e-17, -0.22036811515105514, 0.5310757692710442)),
+    2: (0, 0.33333333333333304, (0.3683716115952402, 0.25000374999999997, 0.22520293113316736)),
+    3: (7, 0.5, (0.12500187500000015, 0.2626615834722285, -0.23065078998461086)),
+    4: (2, 0.16666666666666652, (-0.6925269916012324, -0.42765405439081716, 0.22193764756637682)),
+    5: (2, 0.1666666666666668, (0.06447894052699804, 0.7500112499999998, 0.201617578221685)),
+    6: (2, 0.2500000000000001, (-0.5000074999999999, 0.26515522645749917, 0.21334905994750025)),
+    7: (3, 0.1666666666666666, (0.7500112500000004, -0.09323030991350378, -0.21940617303241983)),
+    8: (0, 0.11111111111111105, (-0.5772858352617939, 0.875013125, -0.2142736723489731)),
+    9: (6, 0.25000000000000017, (-0.02520617240355065, -0.2500037500000004, -0.2936087972502885)),
+    10: (2, 0.09090909090909094, (1.3750206249999999, 0.03661973887032122, 0.20190668420909624)),
+    11: (2, 0.125, (-0.10923947944946201, -1.0000149999999999, 0.20456999811764262)),
+    12: (13, 0.12500000000000003, (-0.3530640081400544, -1.0000149999999999, 0.20597870395304546)),
+    13: (0, 0.1, (-1.2500187500000002, 0.31422171717120495, -0.22446712015713963)),
+    14: (2, 0.3333333333333337, (0.0568601267028911, -0.25000374999999975, -0.2302570165726235)),
+    15: (3, 0.1666666666666666, (-0.04990471639066561, 0.7500112500000002, 0.20911607984434094)),
 }
 
 
 def test_plus_tau_one_witnesses_are_pinned():
-    # the stream of probes and the polygon membership it escapes from both
+    # the stream of lines and the polygon membership it escapes from both
     # decide these, so a change to either that moves a witness shows here
     plus = gallery("radial_custom", {"vertices": PLUS_VERTICES})
     for seed, (pair_index, theta_star, escape_point) in PLUS_TAU_ONE_WITNESSES.items():
         w = falsify_ch(plus, 100000, seed, tau_one=True)
         assert (w.pair_index, w.theta_star, tuple(w.escape_point)) == (pair_index, theta_star, escape_point), seed
+
+
+# profiles that fail horizontal convexity: the plus shape, a dumbbell
+# with a thin neck and a ring around the t-axis, whose identity is outside
+NOT_HCONVEX = {
+    "plus": PLUS_VERTICES,
+    "dumbbell": [(0, -2), (1, -2), (1, -1), (0.1, -1), (0.1, 1), (1, 1), (1, 2), (0, 2)],
+    "ring": [(0.5, -0.5), (1.0, -0.5), (1.0, 0.5), (0.5, 0.5)],
+}
+
+
+@given(st.sampled_from(sorted(NOT_HCONVEX)), st.integers(0, 2**32 - 1), st.sampled_from([1e-7, 1e-4]))
+@settings(max_examples=40, deadline=None)
+def test_tau_one_line_witnesses_replay(name, seed, eps_geom):
+    tol = Tolerances(eps_geom=eps_geom)
+    K = gallery("radial_custom", {"vertices": NOT_HCONVEX[name]}, tol)
+    w = falsify_ch(K, 300, seed, tol, tau_one=True)
+    # the dumbbell's neck is met by fewer lines: see the test below
+    assert w is not None or name == "dumbbell"
+    if w is not None:
+        assert w.tau == 1.0 and replay_ch_witness(K, w, tol)
+
+
+def test_tau_one_lines_find_every_not_hconvex_witness():
+    # at budget 2000, seeds 0-63, the line scan meets the dumbbell's neck
+    # and the ring's hole on every seed (the tag-0xC probe stream it
+    # replaced found the dumbbell's on 6 seeds and the ring's on all 64)
+    for name in ("dumbbell", "ring"):
+        K = gallery("radial_custom", {"vertices": NOT_HCONVEX[name]})
+        for seed in range(64):
+            w = falsify_ch(K, 2000, seed, tau_one=True)
+            assert w is not None and replay_ch_witness(K, w), (name, seed)
 
 
 def test_transport_witness_replays():

@@ -114,8 +114,9 @@ def test_cone_scans_f_when_no_escape_clears_the_slack(tmp_path):
 
 
 def test_thin_probe_stream_exits_1(tmp_path, capsys):
-    # a disk 2e-9 thick: q = p o exp_h(v) almost never lands back inside,
-    # so the probe stream gives up short of its budget and no verdict stands
+    # a disk 2e-9 thick: a horizontal line almost never meets it at two of
+    # its samples, so the line stream gives up short of its budget and no
+    # verdict stands
     params = '{"vertices": [[0,-1e-9],[1,-1e-9],[1,1e-9],[0,1e-9]]}'
     out = ["--set", "radial_custom", "--params", params, "--out", str(tmp_path)]
     assert main(["ch", "--tau-one", "--budget", "50"] + out) == 1
@@ -253,6 +254,23 @@ def test_radial_command_without_anchors(tmp_path):
     assert main(["radial", "--set", "radial_custom", "--params", PLUS_PARAMS, "--out", str(tmp_path)]) == 2
     rad = read_report(tmp_path / "radial_radial_custom.json")["radial"]
     assert rad["envelopes"] == [] and not rad["thm_i_ok"]
+
+
+def test_radial_command_on_a_polygon_too_thin_for_anchors(tmp_path, capsys):
+    # a polygon 1e-9 wide: every candidate anchor has r at most eps_eq, which
+    # envelope_check refuses, so no envelope runs and theorems i and ii decide
+    params = '{"vertices": [[0,-1],[1e-9,-1],[1e-9,1],[0,1]]}'
+    K = gallery("radial_custom", json.loads(params))
+    assert _anchor_points(K) == []
+    assert main(["radial", "--set", "radial_custom", "--params", params, "--out", str(tmp_path)]) == 0
+    assert "envelopes: none run (no anchor)" in capsys.readouterr().out
+    rad = read_report(tmp_path / "radial_radial_custom.json")["radial"]
+    assert rad["envelopes"] == [] and rad["thm_i_ok"] and rad["thm_ii_ok"]
+    # ten times wider, the anchors clear eps_eq and the envelopes run
+    wider = params.replace("1e-9", "1e-8")
+    assert main(["radial", "--set", "radial_custom", "--params", wider, "--out", str(tmp_path)]) == 0
+    assert "envelopes_ok=True" in capsys.readouterr().out
+    assert len(read_report(tmp_path / "radial_radial_custom.json")["radial"]["envelopes"]) == 3
 
 
 def test_gallery_matches_expectations(tmp_path):

@@ -138,7 +138,7 @@ def _reference_scan(f, domain, n, grid, seed, tol, quasi):
     """The probe-by-probe scan that the chunked scan must reproduce."""
     thetas = interior_thetas(max(grid, 2)).tolist()
     produced = 0
-    for p, v, q in reference_probes(domain, n, seed, 0xF):
+    for p, v, q in reference_probes(domain, n, seed):
         produced += 1
         f0 = f.eval(p)
         f1 = f.eval(q)
@@ -239,7 +239,7 @@ def _spiked(domain, n, seed, chunks):
     of these chunks of the grid-5 stream (so the violation sits there)."""
     spikes = set()
     try:
-        for c, (_p, _v, _q, seg) in enumerate(segment_chunks(domain, n, interior_thetas(5), seed, 0xF)):
+        for c, (_p, _v, _q, seg) in enumerate(segment_chunks(domain, n, interior_thetas(5), seed)):
             if c in chunks:
                 spikes.add(Point3(*(float(a[-1, 1]) for a in seg)))
     except RuntimeError:
@@ -275,7 +275,7 @@ SPECK = dataclasses.replace(box_oracle(((-0.25, 0.25),) * 3, "speck"), bbox=((-1
 def test_grouped_scan_matches_reference_on_a_stall_inside_a_group():
     drawn = []
     with pytest.raises(RuntimeError, match="rejection sampling stalled on speck"):
-        for chunk in segment_chunks(SPECK, 10000, interior_thetas(5), 10, 0xF):
+        for chunk in segment_chunks(SPECK, 10000, interior_thetas(5), 10):
             drawn.append(chunk)
     assert len(drawn) == 5
     # no violation before the stall: its error, from both scans

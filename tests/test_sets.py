@@ -43,6 +43,7 @@ from heisconvex.sets import (
     box_oracle,
     dilation_level_many,
     check_axioms_ab,
+    LINE_CHUNK,
     escapes_many,
     interior_thetas,
     polygon_profile,
@@ -53,7 +54,7 @@ from heisconvex.sets import (
 )
 from ch_reference import dilate_oracle
 from radial_reference import radial_sets, reference_polygon_member
-from stream_reference import reference_probes
+from line_reference import reference_scan
 
 PLUS_VERTICES = [
     (0.0, 2.0),
@@ -339,30 +340,6 @@ def test_scan_clean_on_koranyi():
     assert used == 500
 
 
-def _reference_scan(K, n, grid, seed, tol=Tolerances()):
-    """The probe-by-probe theta loop that scan_horizontal_segments must
-    reproduce: (escape or None, probes used), or the error it stops on,
-    which is "too thin" when the stream gives up short of n probes."""
-    thetas = interior_thetas(grid).tolist()
-    used = 0
-    try:
-        for p, v, _q in reference_probes(K, n, seed):
-            used += 1
-            for th in thetas:
-                pt = group_mul(p, exp_h(HVec(th * v.a, th * v.b)))
-                if escapes(K, pt, tol):
-                    try:
-                        margin = escape_margin(K, pt, tol)
-                    except RuntimeError:
-                        margin = math.inf
-                    return SegmentEscape(p, v, th, pt, margin), used
-        if used < n:
-            raise RuntimeError(f"domain {K.label} too thin: {used}/{n} probes found")
-    except RuntimeError as exc:
-        return RuntimeError, str(exc)
-    return None, used
-
-
 def _scan_outcome(K, n, grid, seed):
     try:
         return scan_horizontal_segments(K, n, grid, seed)
@@ -374,17 +351,23 @@ def _stripes(p):
     return math.floor(4.0 * p.x) % 2 == 0 and abs(p.y) <= 1.0 and abs(p.t) <= 1.0
 
 
+def _sliver(x, y, t):
+    return (abs(x) <= 1.0) & (abs(y) <= 1.0) & (abs(t) <= 1e-4)
+
+
 def _scan_cases():
-    """name: (set, probe budget n)."""
+    """name: (set, line budget n)."""
     plus = plus_set()
     (xlo, xhi), (ylo, yhi), tb = plus.bbox
     return {
         **{name: (_level_set(name, Tolerances()), 100) for name in GALLERY_NAMES},
         # a bare predicate: contains_many is a row loop over contains
         "bare plus": (SetOracle(plus.contains, plus.bbox, "bare plus"), 100),
-        # too thin for n probes: q = p o exp_h(v) rarely lands back inside
-        "sliver": (box_oracle(((-1e-5, 1e-5), (-1.0, 1.0), (-1.0, 1.0)), "sliver"), 10),
-        # rejection sampling stalls a few probes into the stream
+        # too thin for n lines: almost no line meets it at two of its samples
+        # (at seed 1, 2 of the first 1000 + 400 n lines count, and 3 of the
+        # first 5120, which end chunk 19: the scan must stop at the bound)
+        "sliver": (SetOracle(lambda p: _sliver(*p), ((-1.0, 1.0), (-1.0, 1.0), (-1e-3, 1e-3)), "sliver", kernel=_sliver), 10),
+        # rejection sampling stalls a few lines into the stream
         "wide plus": (SetOracle(plus.contains, ((6 * xlo, 6 * xhi), (6 * ylo, 6 * yhi), tb), "wide plus", kernel=plus.kernel), 200),
         "tall stripes": (SetOracle(_stripes, ((-1.0, 1.0), (-1.0, 1.0), (-200.0, 200.0)), "tall stripes"), 200),
     }
@@ -396,7 +379,7 @@ def test_scan_matches_reference_loop():
     for name, (K, n) in cases.items():
         for grid in (9, 33):
             for seed in range(4):
-                want = _reference_scan(K, n, grid, seed)
+                want = reference_scan(K, n, grid, seed)
                 assert _scan_outcome(K, n, grid, seed) == want, (name, grid, seed)
                 outcomes[name, grid, seed] = want
     kinds = {
@@ -408,17 +391,38 @@ def test_scan_matches_reference_loop():
     assert all(kinds.values()), kinds
     assert sum(map(len, kinds.values())) == len(outcomes)
     assert all(k[0] == "sliver" for k in kinds["thin"])
-    # an escape found before a stall is reported: at seed 6 probe 14 of the
-    # tall stripes escapes, and drawing chunk 1, after 107 probes, stalls
-    stripes = cases["tall stripes"][0]
-    drawn = []
+    # an escape found before a stall is reported: in a thin box with a
+    # pinhole, at seed 149, line 334 escapes in chunk 1, and drawing chunk 2
+    # stalls
+    def pinhole(x, y, t):
+        return (abs(x) <= 1.0) & (abs(y) <= 1.0) & (abs(t) <= 0.5) & (x * x + y * y >= 1e-4)
+
+    holed = SetOracle(lambda p: pinhole(*p), ((-1.0, 1.0), (-1.0, 1.0), (-200.0, 200.0)), "pinhole", kernel=pinhole)
+    for chunk in range(2):
+        uniform_points(holed, LINE_CHUNK, np.random.default_rng([149, 0xC, chunk]))
     with pytest.raises(RuntimeError, match="stalled"):
-        for p, _v, _q, _seg in segment_chunks(stripes, 200, interior_thetas(9), 6):
-            drawn.append(len(p))
-    assert drawn == [107]
-    want = _reference_scan(stripes, 200, 9, 6)
-    assert _scan_outcome(stripes, 200, 9, 6) == want
-    assert isinstance(want[0], SegmentEscape) and want[1] == 14
+        uniform_points(holed, LINE_CHUNK, np.random.default_rng([149, 0xC, 2]))
+    for grid in (9, 33):
+        want = reference_scan(holed, 2000, grid, 149)
+        assert _scan_outcome(holed, 2000, grid, 149) == want
+        assert isinstance(want[0], SegmentEscape) and want[1] == 334
+
+
+def test_line_scan_budget_prefix_stable():
+    # line i depends only on (seed, i), and so does whether it counts: a
+    # smaller budget scans a prefix of the lines, a larger one extends them
+    plus = plus_set()
+    for grid in (9, 33):
+        for seed in range(6):
+            w, used = scan_horizontal_segments(plus, 5000, grid, seed)
+            assert w is not None
+            for n in (used, used + 1, 2 * used + 7):
+                assert scan_horizontal_segments(plus, n, grid, seed) == (w, used), (grid, seed, n)
+            for n in range(1, used):
+                assert scan_horizontal_segments(plus, n, grid, seed) == (None, n), (grid, seed, n)
+    K = gallery("cylinder_hat")
+    assert scan_horizontal_segments(K, 40, 33, 5) == (None, 40)
+    assert scan_horizontal_segments(K, 3000, 33, 5) == (None, 3000)
 
 
 def _stream(K, n, seed):

@@ -134,6 +134,13 @@ FAULTS = (
         "src/heisconvex/sets.py",
         "    if produced < n:\n",
         "    if produced < 0:\n",
+        ("tests/test_convexity.py::test_thin_domain_raises",),
+    ),
+    Fault(
+        "line_scan_too_thin_raise",
+        "src/heisconvex/sets.py",
+        "    if used < n:\n",
+        "    if used < 0:\n",
         (
             "tests/test_sets.py::test_scan_matches_reference_loop",
             "tests/test_cli.py::test_thin_probe_stream_exits_1",
