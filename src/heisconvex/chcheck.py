@@ -60,7 +60,9 @@ PAIR_CHUNK = 256
 CURVE_SAMPLES = 33
 # chunks that pick from one boundary pool: 2048 of its 65536 ordered pairs
 POOL_GROUP = 8
-# radii per height that the outer-radius scan tests at once
+# the outer-radius scan tests the radii r_hi * j / RADIUS_GRID, j = 0..RADIUS_GRID,
+# per height, RADIUS_BLOCK of them at once
+RADIUS_GRID = 512
 RADIUS_BLOCK = 64
 
 
@@ -373,10 +375,10 @@ def replay_ch_witness(K: SetOracle, w: ChWitness, tol: Tolerances = DEFAULT_TOL)
 # radial necessary conditions
 
 
-def _outer_radii(P: RadialProfile, ts: np.ndarray, tol: Tolerances, grid: int = 512) -> np.ndarray:
+def _outer_radii(P: RadialProfile, ts: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Outermost radius of the profile at each height of ts (0 where none).
 
-    Scans the grid + 1 radii r_hi * j / grid down from j = grid, in blocks
+    Scans the radii r_hi * j / RADIUS_GRID down from j = RADIUS_GRID, in blocks
     of RADIUS_BLOCK and only for the heights not yet resolved, to the first
     inside radius; then bisects all heights at once with bisect_many
     through contains2d_many, a height stopping once its bracket is within
@@ -384,10 +386,10 @@ def _outer_radii(P: RadialProfile, ts: np.ndarray, tol: Tolerances, grid: int = 
     scanning and bisecting that height alone gives.
     """
     r_hi = P.r_max * 1.01 + 10.0 * tol.eps_geom
-    radii = r_hi * np.arange(grid, -1, -1) / grid
+    radii = r_hi * np.arange(RADIUS_GRID, -1, -1) / RADIUS_GRID
     last = np.full(len(ts), np.nan)
     todo = np.arange(len(ts))
-    for s in range(0, grid + 1, RADIUS_BLOCK):
+    for s in range(0, RADIUS_GRID + 1, RADIUS_BLOCK):
         r = radii[s : s + RADIUS_BLOCK]
         hit = P.contains2d_many(*np.broadcast_arrays(r, ts[todo, None]))
         found = hit.any(axis=1)
@@ -396,7 +398,7 @@ def _outer_radii(P: RadialProfile, ts: np.ndarray, tol: Tolerances, grid: int = 
         if not len(todo):
             break
     # heights with no inside radius keep a NaN bracket and read 0
-    hi = np.minimum(last + r_hi / grid, r_hi)
+    hi = np.minimum(last + r_hi / RADIUS_GRID, r_hi)
     lo, hi = bisect_many(lambda t, r: ~P.contains2d_many(r, t), (ts,), last, hi, tol, relative=False)
     return np.where(np.isnan(lo), 0.0, 0.5 * (lo + hi))
 

@@ -19,9 +19,9 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,39 +32,6 @@ from .core import DEFAULT_TOL, HVec, Point3, Tolerances, scale
 from .sets import GALLERY, GALLERY_NAMES, SetOracle, check_axioms, gallery
 
 MESH_KINDS = ("mesh", "curve")
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully determined (reports replay byte-for-byte).
-
-    Each field is the parsed option of the same dest, except tolerances,
-    which main builds from --eps-geom and --eps-eq.
-    """
-
-    command: str
-    set_descriptor: str = "koranyi_ball"
-    seed: int = 0
-    budget: int = 2000
-    samples: int = 2000
-    tolerances: Tolerances = DEFAULT_TOL
-    output_dir: Path = Path(".")
-    compare_closed_form: bool = False
-    tau_one: bool = False
-    cone_kind: str = "heisenberg"
-    export_kind: str = "mesh"
-    tau: float = 1.0
-    resolution: int = 32
-    curve_json: str = ""
-
-    def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError("--seed must be >= 0")
-        self.output_dir = Path(self.output_dir)
 
 
 def parse_descriptor(descriptor: str) -> tuple[str, dict]:
@@ -86,7 +53,7 @@ def parse_descriptor(descriptor: str) -> tuple[str, dict]:
     return text, {}
 
 
-def _resolve_set(cfg: RunConfig) -> SetOracle:
+def _resolve_set(cfg: argparse.Namespace) -> SetOracle:
     name, params = parse_descriptor(cfg.set_descriptor)
     return gallery(name, params, cfg.tolerances)
 
@@ -102,7 +69,7 @@ def _encode(obj) -> dict:
     raise TypeError(f"cannot write {type(obj).__name__} to a report")
 
 
-def _write_report(cfg: RunConfig, stem: str, **blocks) -> Path:
+def _write_report(cfg: argparse.Namespace, stem: str, **blocks) -> Path:
     """Write the run header plus blocks as stem.json.
 
     Raises:
@@ -314,7 +281,7 @@ def export_curve(curve: list[Point3], path: Path) -> Path:
 # commands
 
 
-def _cmd_axioms(cfg: RunConfig) -> int:
+def _cmd_axioms(cfg: argparse.Namespace) -> int:
     K = _resolve_set(cfg)
     rep = check_axioms(K, cfg.samples, cfg.seed, cfg.tolerances)
     ok = rep.a_holds and rep.b_holds and rep.c_holds
@@ -323,9 +290,9 @@ def _cmd_axioms(cfg: RunConfig) -> int:
     return 0 if ok else 2
 
 
-def _cmd_cone(cfg: RunConfig) -> int:
+def _cmd_cone(cfg: argparse.Namespace) -> int:
     K = _resolve_set(cfg)
-    C = make_cone(K, cfg.cone_kind, cfg.tolerances, n=min(cfg.samples, 1000), seed=cfg.seed)
+    C = make_cone(K, cfg.kind, cfg.tolerances, n=min(cfg.samples, 1000), seed=cfg.seed)
     validation = cone_validate(C, cfg.samples, cfg.seed)
     cone = {"kind": C.kind, **_encode(validation)}
     if cfg.compare_closed_form:
@@ -335,7 +302,7 @@ def _cmd_cone(cfg: RunConfig) -> int:
     return 0 if validation.verdict.startswith("candidate") else 2
 
 
-def _cmd_ch(cfg: RunConfig) -> int:
+def _cmd_ch(cfg: argparse.Namespace) -> int:
     K = _resolve_set(cfg)
     w = falsify_ch(K, cfg.budget, seed=cfg.seed, tol=cfg.tolerances, tau_one=cfg.tau_one)
     out = _write_report(cfg, f"ch_{_slug(K.label)}", ch={"tau_one": cfg.tau_one, "witness": w})
@@ -373,7 +340,7 @@ def _anchor_points(K: SetOracle, tol: Tolerances = DEFAULT_TOL, count: int = 3) 
     return found
 
 
-def _cmd_radial(cfg: RunConfig) -> int:
+def _cmd_radial(cfg: argparse.Namespace) -> int:
     K = _resolve_set(cfg)
     if K.profile is None:
         raise ValueError(f"{K.label} is not radial: the necessary conditions do not apply")
@@ -390,7 +357,7 @@ def _cmd_radial(cfg: RunConfig) -> int:
     return 0 if ok else 2
 
 
-def _cmd_gallery(cfg: RunConfig) -> int:
+def _cmd_gallery(cfg: argparse.Namespace) -> int:
     all_match = True
     blocks = {}
     # a registry entry without expected verdicts is not in the suite
@@ -450,49 +417,29 @@ def _cmd_gallery(cfg: RunConfig) -> int:
     return 0 if all_match else 2
 
 
-def _cmd_export(cfg: RunConfig) -> int:
-    if cfg.export_kind == "mesh":
+def _cmd_export(cfg: argparse.Namespace) -> int:
+    if cfg.kind == "mesh":
         K = _resolve_set(cfg)
         out = cfg.output_dir / f"levelset_{_slug(K.label)}_tau{cfg.tau:g}.obj"
         export_levelset(K, cfg.tau, cfg.resolution, out)
         print(f"export mesh {K.label}: tau={cfg.tau:g} res={cfg.resolution} -> {out}")
         return 0
-    if cfg.export_kind == "curve":
-        if not cfg.curve_json:
-            raise ValueError("export --kind curve requires --curve-json")
-        obj = json.loads(Path(cfg.curve_json).read_text())
-        try:
-            # the witness of a ch report, a bare witness, or the spec itself
-            spec = (obj.get("ch") or {}).get("witness") or obj.get("witness") or obj
-            xi0 = Point3(*map(float, spec["xi0"]))
-            v = HVec(*map(float, spec["v"]))
-            tau = float(spec["tau"])
-            m = int(spec.get("m", 101))
-        except (KeyError, TypeError, AttributeError):
-            raise ValueError("curve spec needs xi0 [x, y, t], v [a, b] and tau") from None
-        out = cfg.output_dir / "curve.csv"
-        export_curve(ch_curve(xi0, v, tau, m, cfg.tolerances), out)
-        print(f"export curve: tau={tau:g}, {m} samples -> {out}")
-        return 0
-    raise ValueError(f"unknown export kind {cfg.export_kind!r}")
-
-
-_COMMANDS = {
-    "axioms": _cmd_axioms,
-    "cone": _cmd_cone,
-    "ch": _cmd_ch,
-    "radial": _cmd_radial,
-    "gallery": _cmd_gallery,
-    "export": _cmd_export,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
-    handler = _COMMANDS.get(cfg.command)
-    if handler is None:
-        raise ValueError(f"unknown command {cfg.command!r}")
-    return handler(cfg)
+    if not cfg.curve_json:
+        raise ValueError("export --kind curve requires --curve-json")
+    obj = json.loads(Path(cfg.curve_json).read_text())
+    try:
+        # the witness of a ch report, a bare witness, or the spec itself
+        spec = (obj.get("ch") or {}).get("witness") or obj.get("witness") or obj
+        xi0 = Point3(*map(float, spec["xi0"]))
+        v = HVec(*map(float, spec["v"]))
+        tau = float(spec["tau"])
+        m = int(spec.get("m", 101))
+    except (KeyError, TypeError, AttributeError):
+        raise ValueError("curve spec needs xi0 [x, y, t], v [a, b] and tau") from None
+    out = cfg.output_dir / "curve.csv"
+    export_curve(ch_curve(xi0, v, tau, m, cfg.tolerances), out)
+    print(f"export curve: tau={tau:g}, {m} samples -> {out}")
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -510,47 +457,59 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Convexity verification toolkit for the Heisenberg group.",
     )
     parser.add_argument("--version", action="version", version=f"heisconvex {__version__}")
+    # every report header records the set, seed, budget and samples, so a
+    # command that takes none of them still carries these defaults; the
+    # subcommand options leave them unset unless given (SUPPRESS)
+    parser.set_defaults(set_descriptor="koranyi_ball", params="", seed=0, budget=2000, samples=2000)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_set: bool = True) -> None:
-        if with_set:
+    def command(
+        name: str, handler: Callable[[argparse.Namespace], int], summary: str, *takes: str
+    ) -> argparse.ArgumentParser:
+        # every command takes --seed, the tolerances and --out; takes names
+        # which of --set (with --params), --budget and --samples it reads
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        if "set" in takes:
             p.add_argument(
                 "--set",
                 dest="set_descriptor",
                 metavar="SET",
-                default="koranyi_ball",
+                default=argparse.SUPPRESS,
                 help=f"gallery name, inline JSON, or JSON file (names: {', '.join(GALLERY_NAMES)})",
             )
-            p.add_argument("--params", default="", help="JSON object merged into the set params")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=2000, help="pair budget for falsifiers")
-        p.add_argument("--samples", type=int, default=2000, help="sample count for checks")
+            p.add_argument("--params", default=argparse.SUPPRESS, help="JSON object merged into the set params")
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        if "budget" in takes:
+            p.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="pair budget for falsifiers")
+        if "samples" in takes:
+            p.add_argument("--samples", type=int, default=argparse.SUPPRESS, help="sample count for checks")
         p.add_argument("--eps-geom", type=float, default=DEFAULT_TOL.eps_geom)
         p.add_argument("--eps-eq", type=float, default=DEFAULT_TOL.eps_eq)
-        p.add_argument("--out", dest="output_dir", metavar="OUT", default=".", help="output directory for reports")
+        p.add_argument(
+            "--out", dest="output_dir", metavar="OUT", type=Path, default=".", help="output directory for reports"
+        )
+        return p
 
-    common(sub.add_parser("axioms", help="check assumptions a/b/c on a set"))
+    command("axioms", _cmd_axioms, "check assumptions a/b/c on a set", "set", "samples")
 
-    cone = sub.add_parser("cone", help="build and validate the cone function of a set")
-    common(cone)
-    cone.add_argument("--kind", dest="cone_kind", choices=KINDS, default="heisenberg")
+    cone = command("cone", _cmd_cone, "build and validate the cone function of a set", "set", "samples")
+    cone.add_argument("--kind", choices=KINDS, default="heisenberg")
     cone.add_argument(
         "--compare-closed-form",
         action="store_true",
         help="also compare against the gallery closed form (error if none)",
     )
 
-    ch = sub.add_parser("ch", help="hunt for a dilation-family convexity violation")
-    common(ch)
+    ch = command("ch", _cmd_ch, "hunt for a dilation-family convexity violation", "set", "budget")
     ch.add_argument("--tau-one", action="store_true", help="restrict to tau=1 (horizontal segments)")
 
-    common(sub.add_parser("radial", help="radial necessary conditions and envelope sweep"))
+    command("radial", _cmd_radial, "radial necessary conditions and envelope sweep", "set", "samples")
 
-    common(sub.add_parser("gallery", help="run the reference suite against expected verdicts"), with_set=False)
+    command("gallery", _cmd_gallery, "run the reference suite against expected verdicts", "budget", "samples")
 
-    exp = sub.add_parser("export", help="export a level-set mesh or an interpolation curve")
-    common(exp)
-    exp.add_argument("--kind", dest="export_kind", choices=MESH_KINDS, default="mesh")
+    exp = command("export", _cmd_export, "export a level-set mesh or an interpolation curve", "set")
+    exp.add_argument("--kind", choices=MESH_KINDS, default="mesh")
     exp.add_argument("--tau", type=float, default=1.0, help="dilation level of the exported set")
     exp.add_argument("--resolution", type=int, default=32, help="grid resolution (>= 8)")
     exp.add_argument("--curve-json", default="", help="witness JSON (from ch) or curve spec")
@@ -558,18 +517,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # every option's dest is a RunConfig field, except the three below
-    opts = vars(_build_parser().parse_args(argv))
+    cfg = _build_parser().parse_args(argv)
     try:
-        tol = Tolerances(eps_geom=opts.pop("eps_geom"), eps_eq=opts.pop("eps_eq"))
-        params = json.loads(opts.pop("params", "") or "{}")
+        cfg.tolerances = Tolerances(eps_geom=cfg.eps_geom, eps_eq=cfg.eps_eq)
+        params = json.loads(cfg.params or "{}")
         if not isinstance(params, dict):
             raise ValueError("--params must be a JSON object")
         if params:
-            name, base = parse_descriptor(opts["set_descriptor"])
+            name, base = parse_descriptor(cfg.set_descriptor)
             base.update(params)
-            opts["set_descriptor"] = json.dumps({"set": name, "params": base})
-        return run(RunConfig(tolerances=tol, **opts))
+            cfg.set_descriptor = json.dumps({"set": name, "params": base})
+        if cfg.budget < 1:
+            raise ValueError("budget must be >= 1")
+        if cfg.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if cfg.seed < 0:
+            raise ValueError("--seed must be >= 0")
+        return cfg.handler(cfg)
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"heisconvex: error: {exc}", file=sys.stderr)
         return 1

@@ -236,10 +236,10 @@ def cone_validate(C: ConeFunction, n: int, seed: int = 0) -> ConeValidation:
     )
     f = cone_fn_oracle(C)
     hom = check_homogeneous(f, max(50, n // 20), seed, loose, box=C.source.bbox)
-    if C.kind == "euclidean":
+    # the Euclidean kind has no C_H search, so f itself is always scanned
+    witness, scan = _ch_convexity_witness(C, f, n, seed, loose) if C.kind == "heisenberg" else (None, True)
+    if scan:
         witness = check_hconvex_fn(f, _scaled_box(C, 1.5), n, grid=5, seed=seed, tol=loose)
-    else:
-        witness = _ch_convexity_witness(C, f, n, seed, loose)
     if not hom.ok:
         verdict = "homogeneity deviation above tolerance"
     elif witness is not None:
@@ -249,10 +249,12 @@ def cone_validate(C: ConeFunction, n: int, seed: int = 0) -> ConeValidation:
     return ConeValidation(family, hom, witness, verdict)
 
 
-def _ch_convexity_witness(C: ConeFunction, f: FnOracle, n: int, seed: int, loose: Tolerances) -> Optional[ConvexityWitness]:
-    """The first escape of the C_H search on C's source (n pairs) that is a
-    witness of f; failing that, a witness from a scan of f when the search
-    escaped, else None.
+def _ch_convexity_witness(
+    C: ConeFunction, f: FnOracle, n: int, seed: int, loose: Tolerances
+) -> tuple[Optional[ConvexityWitness], bool]:
+    """(witness, scan): the first escape of the C_H search on C's source
+    (n pairs) that is a witness of f, and whether f must still be scanned
+    for one, which is when the search escaped but gave no witness.
 
     An escape (xi0, xi1, tau, v, theta) puts f(xi0 o exp_h(theta v)) above
     (1 - theta) + theta tau, which bounds (1 - theta) f(xi0) + theta
@@ -263,8 +265,8 @@ def _ch_convexity_witness(C: ConeFunction, f: FnOracle, n: int, seed: int, loose
     eval_many call, which equals eval bit for bit, so the witness replays;
     an escape whose gap does not clear loose.eps_eq is passed over.
     Escapes that all fall below it (margins about 1e-6 on a fine polygon)
-    still show that f is not horizontally convex, so f is then scanned
-    (check_hconvex_fn) for a witness that clears it.
+    still show that f is not horizontally convex, so cone_validate then
+    scans f (check_hconvex_fn) for a witness that clears it.
     """
     escaped = False
     for _, row in groupby(ch_escapes(C.source, n, seed=seed, tol=C.tol), lambda w: (w.pair_index, w.tau)):
@@ -277,10 +279,8 @@ def _ch_convexity_witness(C: ConeFunction, f: FnOracle, n: int, seed: int, loose
         for theta, value in zip(thetas, lhs):
             rhs = (1.0 - theta) * f0 + theta * f1
             if value > rhs + loose.eps_eq:
-                return ConvexityWitness(base, v, theta, value, rhs)
-    if not escaped:
-        return None
-    return check_hconvex_fn(f, _scaled_box(C, 1.5), n, grid=5, seed=seed, tol=loose)
+                return ConvexityWitness(base, v, theta, value, rhs), False
+    return None, escaped
 
 
 def compare_closed_form(C: ConeFunction, n: int, seed: int = 0) -> float:
@@ -288,8 +288,12 @@ def compare_closed_form(C: ConeFunction, n: int, seed: int = 0) -> float:
     the closed form evaluated on all of them at once with ARRAYS.
 
     Raises:
-        ValueError: the source set has no recorded closed form.
+        ValueError: C is not of the Heisenberg kind (the recorded closed
+            forms are Heisenberg dilation levels), or the source set has no
+            recorded closed form.
     """
+    if C.kind != "heisenberg":
+        raise ValueError(f"closed forms are heisenberg cone functions; {C.source.label} has none for the {C.kind} kind")
     if C.source.closed_form_cone is None:
         raise ValueError(f"{C.source.label} has no closed-form cone function")
     rng = np.random.default_rng([seed, 0xCF])

@@ -36,7 +36,6 @@ from heisconvex import (
 )
 from heisconvex import cli
 from heisconvex.cli import (
-    RunConfig,
     _anchor_points,
     _write_report,
     export_curve,
@@ -138,11 +137,49 @@ def test_infinite_tolerance_exits_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig("axioms", budget=0)
-    with pytest.raises(ValueError):
-        RunConfig("axioms", samples=0)
+def test_budget_and_samples_below_1_exit_1(tmp_path, capsys):
+    for argv, message in (
+        (["ch", "--budget", "0"], "budget must be >= 1"),
+        (["axioms", "--samples", "0"], "samples must be >= 1"),
+        (["gallery", "--budget", "0"], "budget must be >= 1"),
+    ):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1, argv
+        assert capsys.readouterr().err == f"heisconvex: error: {message}\n", argv
+    assert not (tmp_path / "out").exists()
+
+
+# the (command, option) pairs that no command reads, so the parser refuses them
+UNREAD_OPTIONS = [
+    ("axioms", "--budget"),
+    ("cone", "--budget"),
+    ("radial", "--budget"),
+    ("export", "--budget"),
+    ("ch", "--samples"),
+    ("export", "--samples"),
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS, ids=[c + o for c, o in UNREAD_OPTIONS])
+def test_options_a_command_does_not_read_exit_1(tmp_path, capsys, command, option):
+    # accepted, radial --budget 100000 would run the 2000-sample check as if it were a larger one
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, "100000", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert f"heisconvex: error: unrecognized arguments: {option} 100000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reports_record_the_budget_and_samples_defaults(tmp_path):
+    # every report header keeps set, seed, budget and samples, also those a command does not take
+    assert main(["radial", "--set", "koranyi_ball", "--samples", "300", "--out", str(tmp_path)]) == 0
+    radial = read_report(tmp_path / "radial_koranyi_ball_r_1.json")
+    assert (radial["budget"], radial["samples"], radial["seed"]) == (2000, 300, 0)
+    assert main(["ch", "--set", "koranyi_ball", "--budget", "50", "--seed", "4", "--out", str(tmp_path)]) == 0
+    ch = read_report(tmp_path / "ch_koranyi_ball_r_1.json")
+    assert (ch["budget"], ch["samples"], ch["seed"], ch["set"]) == (50, 2000, 4, "koranyi_ball")
+    assert main(["gallery", "--samples", "400", "--budget", "50", "--out", str(tmp_path)]) == 0
+    gallery_ = read_report(tmp_path / "gallery.json")
+    assert (gallery_["budget"], gallery_["samples"], gallery_["set"]) == (50, 400, "koranyi_ball")
 
 
 def test_axioms_roundtrip(tmp_path):
@@ -378,11 +415,14 @@ def test_error_exits(tmp_path):
     assert main(["axioms", "--set", "nonsense"] + out) == 1
     assert main(["radial", "--set", "slab_x"] + out) == 1
     assert main(["cone", "--set", "cylinder", "--compare-closed-form"] + out) == 1
+    # the recorded closed forms are Heisenberg levels: the euclidean kind has none to compare with
+    assert main(["cone", "--set", "koranyi_ball", "--kind", "euclidean", "--compare-closed-form"] + out) == 1
     assert main(["export", "--kind", "curve"] + out) == 1
     assert main(["export", "--set", "slab_x", "--kind", "mesh"] + out) == 1
     assert main(["export", "--set", "koranyi_ball", "--kind", "mesh", "--resolution", "4"] + out) == 1
     assert main(["axioms", "--set", "radial_custom"] + out) == 1
     assert main(["axioms", "--set", "{bad json"] + out) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_parser_reuse_keeps_reports_and_usage_errors(tmp_path, capsys):
@@ -625,7 +665,9 @@ def test_export_levelset_writes_in_blocks(tmp_path, monkeypatch):
 
 
 def test_bad_params_exit_1(tmp_path, tmp_path_factory, capsys):
-    out = ["--samples", "50", "--out", str(tmp_path)]
+    # export takes no --samples
+    to_dir = ["--out", str(tmp_path)]
+    out = ["--samples", "50"] + to_dir
     for params in ('{"radius": 3}', '{"r": NaN}', '{"r": -1}', '{"r": Infinity}', '{"r": 0}', '{"r": 1e300}'):
         assert main(["axioms", "--set", "koranyi_ball", "--params", params] + out) == 1
         assert "heisconvex: error: koranyi_ball" in capsys.readouterr().err
@@ -657,14 +699,14 @@ def test_bad_params_exit_1(tmp_path, tmp_path_factory, capsys):
     specs = tmp_path_factory.mktemp("specs")
     for i, spec in enumerate(({}, {"xi0": [0.1, 0.2], "v": [0.3, 0.4], "tau": 1.5}, [1, 2], {"ch": 3})):
         (specs / f"{i}.json").write_text(json.dumps(spec))
-        assert main(["export", "--kind", "curve", "--curve-json", str(specs / f"{i}.json")] + out) == 1
+        assert main(["export", "--kind", "curve", "--curve-json", str(specs / f"{i}.json")] + to_dir) == 1
         assert "heisconvex: error: curve spec needs xi0 [x, y, t], v [a, b] and tau" in capsys.readouterr().err
     # curve specs with a NaN or infinite tau, a NaN coordinate or a NaN step
     good = {"xi0": [0.1, 0.2, 0.3], "v": [0.3, 0.4], "tau": 1.5}
     nonfinite = ({"tau": math.nan}, {"tau": math.inf}, {"xi0": [0.1, math.nan, 0.3]}, {"v": [math.nan, 0.4]})
     for i, change in enumerate(nonfinite):
         (specs / f"nonfinite{i}.json").write_text(json.dumps({**good, **change}))
-        assert main(["export", "--kind", "curve", "--curve-json", str(specs / f"nonfinite{i}.json")] + out) == 1
+        assert main(["export", "--kind", "curve", "--curve-json", str(specs / f"nonfinite{i}.json")] + to_dir) == 1
         assert "heisconvex: error: curve needs finite xi0, v and tau" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -804,7 +846,8 @@ def test_report_rebuilds_the_result(tmp_path, case):
 
 
 def test_report_encoder_rejects_foreign_values(tmp_path):
-    cfg = RunConfig("ch", output_dir=tmp_path / "out")
+    cfg = cli._build_parser().parse_args(["ch", "--out", str(tmp_path / "out")])
+    cfg.tolerances = Tolerances(eps_geom=cfg.eps_geom, eps_eq=cfg.eps_eq)
     # np.int64 is no int to json; a dataclass type is not a dataclass value
     for bad in (object(), {1, 2}, np.int64(3), ChWitness):
         with pytest.raises(TypeError):

@@ -359,7 +359,10 @@ def test_family_axioms_bisect_one_box_sample(monkeypatch):
 
 
 def test_closed_form_comparison_matches_reference(euclid_cone, koranyi_cone):
-    for C in (euclid_cone, koranyi_cone, make_cone(gallery("cylinder_hat"), "euclidean", seed=0)):
+    # the closed forms are Heisenberg levels: the Euclidean kind has none
+    with pytest.raises(ValueError, match="none for the euclidean kind"):
+        compare_closed_form(make_cone(gallery("cylinder_hat"), "euclidean", seed=0), 300, seed=3)
+    for C in (euclid_cone, koranyi_cone, make_cone(gallery("cylinder_hat"), seed=0)):
         rng = np.random.default_rng([3, 0xCF])
         (xlo, xhi), (ylo, yhi), (tlo, thi) = _scaled_box(C, 1.5).bbox
         worst = 0.0

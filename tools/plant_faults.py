@@ -271,6 +271,37 @@ FAULTS = (
             "tests/test_chcheck.py::test_envelope_check_lists_of_anchors_match_point_by_point_loop",
         ),
     ),
+    Fault(
+        "budget_range_check",
+        "src/heisconvex/cli.py",
+        "if cfg.budget < 1:",
+        "if cfg.budget < 0:",
+        ("tests/test_cli.py::test_budget_and_samples_below_1_exit_1",),
+    ),
+    Fault(
+        "radial_takes_budget",
+        "src/heisconvex/cli.py",
+        '"radial necessary conditions and envelope sweep", "set", "samples")',
+        '"radial necessary conditions and envelope sweep", "set", "budget", "samples")',
+        ("tests/test_cli.py::test_options_a_command_does_not_read_exit_1",),
+    ),
+    Fault(
+        "closed_form_any_kind",
+        "src/heisconvex/cones.py",
+        'if C.kind != "heisenberg":',
+        "if False:",
+        (
+            "tests/test_cli.py::test_error_exits",
+            "tests/test_cones.py::test_closed_form_comparison_matches_reference",
+        ),
+    ),
+    Fault(
+        "cone_scan_euclidean_only",
+        "src/heisconvex/cones.py",
+        "    if scan:\n",
+        '    if C.kind == "euclidean":\n',
+        ("tests/test_cli.py::test_cone_scans_f_when_no_escape_clears_the_slack",),
+    ),
 )
 
 
