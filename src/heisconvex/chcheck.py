@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -60,6 +61,9 @@ PAIR_CHUNK = 256
 CURVE_SAMPLES = 33
 # chunks that pick from one boundary pool: 2048 of its 65536 ordered pairs
 POOL_GROUP = 8
+# ch_escapes draws and solves a group's pairs in batches of these many
+# chunks (chunk 0, chunk 1, chunks 2-7) and screens curves chunk by chunk
+PAIR_BATCHES = (1, 1, 6)
 # the outer-radius scan tests the radii r_hi * j / RADIUS_GRID, j = 0..RADIUS_GRID,
 # per height, RADIUS_BLOCK of them at once
 RADIUS_GRID = 512
@@ -272,10 +276,12 @@ def falsify_ch(
     picks from its own 256-point boundary_sample pool, built when the
     group is first reached (uniform_points without a pool).  So pair i
     depends only on (seed, i): a larger budget extends the search and
-    never reshuffles it.  Each chunk is screened with array operations:
-    the levels through solve_tau_many, and the curve points of all its
-    admissible (pair, tau) rows in one curve_point and escapes_many call.
-    That search is ch_escapes; the witness is its first escape.
+    never reshuffles it.  A batch of chunks (PAIR_BATCHES: a group's chunk
+    0, chunk 1, then chunks 2-7) is drawn only when the batches before it
+    hold no witness, and solved in one solve_tau_many call; the curve
+    points of each chunk's admissible (pair, tau) rows go through one
+    curve_point and escapes_many call.  That search is ch_escapes; the
+    witness is its first escape.
 
     A witness stands on any K: replay_ch_witness checks that its escape
     point lies on the curve and outside K.  Without assumption a there is
@@ -303,54 +309,76 @@ def falsify_ch(
 def ch_escapes(K: SetOracle, budget: int, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Iterator[ChWitness]:
     """Every escape of falsify_ch's search, lazily, in (pair, tau, theta) order.
 
-    Each is a ChWitness whose margin is NaN (escape_margin gives it); a
-    chunk is drawn and screened only when the escapes of the chunks
-    before it are used up.
+    Each is a ChWitness whose margin is NaN (escape_margin gives it).  A
+    batch of chunks (PAIR_BATCHES) is drawn and solved only when the
+    escapes of the batches before it are used up; its curves are then
+    screened one chunk at a time.
     """
     thetas = interior_thetas(CURVE_SAMPLES)
-    for chunk, start in enumerate(range(0, budget, PAIR_CHUNK)):
-        if chunk % POOL_GROUP == 0:
-            try:
-                pool = boundary_sample(K, PAIR_CHUNK, seed, tol, chunk // POOL_GROUP)
-            except (ValueError, RuntimeError):
-                pool = None
-        xi0, xi1 = _chunk_pairs(K, chunk, seed, pool)
-        xi0, xi1 = xi0[: budget - start], xi1[: budget - start]
+    for first, parts in _pair_batches(K, budget, seed, tol):
+        xi0, xi1 = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         taus = solve_tau_many(xi0.T, xi1.T, tol)[0]
         # row-major order: pairs in sample order, each pair's taus ascending
         p, root = np.nonzero(~np.isnan(taus))
         tau = taus[p, root]
         a = tau * xi1[p, 0] - xi0[p, 0]
         b = tau * xi1[p, 1] - xi0[p, 1]
-        x0, y0, t0 = xi0[p].T[:, :, None]
-        px, py, pt = curve_point(x0, y0, t0, a[:, None], b[:, None], tau[:, None], thetas)
-        for hit in np.flatnonzero(escapes_many(K, px, py, pt, tol)).tolist():
-            r, j = divmod(hit, len(thetas))
-            yield ChWitness(
-                Point3(*xi0[p[r]].tolist()),
-                Point3(*xi1[p[r]].tolist()),
-                float(tau[r]),
-                HVec(float(a[r]), float(b[r])),
-                float(thetas[j]),
-                Point3(float(px[r, j]), float(py[r, j]), float(pt[r, j])),
-                math.nan,
-                pair_index=start + int(p[r]),
-            )
+        base = xi0[p]
+        # the rows of chunk k are cuts[k]:cuts[k + 1]
+        cuts = [0, len(p)]
+        if len(parts) > 1:
+            cuts[1:1] = np.searchsorted(p, range(PAIR_CHUNK, len(xi0), PAIR_CHUNK)).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            x0, y0, t0 = base[lo:hi].T[:, :, None]
+            px, py, pt = curve_point(x0, y0, t0, a[lo:hi, None], b[lo:hi, None], tau[lo:hi, None], thetas)
+            for hit in np.flatnonzero(escapes_many(K, px, py, pt, tol)).tolist():
+                q, j = divmod(hit, len(thetas))
+                r = lo + q
+                yield ChWitness(
+                    Point3(*base[r].tolist()),
+                    Point3(*xi1[p[r]].tolist()),
+                    float(tau[r]),
+                    HVec(float(a[r]), float(b[r])),
+                    float(thetas[j]),
+                    Point3(float(px[q, j]), float(py[q, j]), float(pt[q, j])),
+                    math.nan,
+                    pair_index=first + int(p[r]),
+                )
 
 
-def _chunk_pairs(K: SetOracle, chunk: int, seed: int, pool: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The PAIR_CHUNK pairs of one chunk, as two (PAIR_CHUNK, 3) arrays.
+def _pair_batches(K: SetOracle, budget: int, seed: int, tol: Tolerances) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """falsify_ch's pairs, cut at budget, in batches of PAIR_BATCHES chunks.
 
-    With a pool, pair k is (pool[i], pool[j]) for row k of the chunk
-    stream's (PAIR_CHUNK, 2) integers; without one, it is the chunk
-    stream's uniform points 2k and 2k + 1.
+    A batch is its first pair index and a (2, n, 3) array of pairs (xi0,
+    xi1) per chunk.  Chunk c's pair k is (pool[i], pool[j]) for row k of
+    default_rng([seed, 0xC4, c])'s (PAIR_CHUNK, 2) integers, or without a
+    pool that stream's uniform points 2k and 2k + 1.  A uniform_points
+    stall comes after a last batch of the chunks drawn before it, where a
+    chunk by chunk loop would meet it.
     """
-    rng = np.random.default_rng([seed, 0xC4, chunk])
-    if pool is None:
-        pts = uniform_points(K, 2 * PAIR_CHUNK, rng).reshape(PAIR_CHUNK, 2, 3)
-        return pts[:, 0], pts[:, 1]
-    pick = rng.integers(0, len(pool), size=(PAIR_CHUNK, 2))
-    return pool[pick[:, 0]], pool[pick[:, 1]]
+    # the chunks of a group that end a batch
+    last = [n - 1 for n in accumulate(PAIR_BATCHES)]
+    first, parts = 0, []
+    for chunk, start in enumerate(range(0, budget, PAIR_CHUNK)):
+        if chunk % POOL_GROUP == 0:
+            try:
+                pool = boundary_sample(K, PAIR_CHUNK, seed, tol, chunk // POOL_GROUP)
+            except (ValueError, RuntimeError):
+                pool = None
+        rng = np.random.default_rng([seed, 0xC4, chunk])
+        if pool is not None:
+            pairs = pool[rng.integers(0, len(pool), size=(PAIR_CHUNK, 2)).T]
+        else:
+            try:
+                pairs = uniform_points(K, 2 * PAIR_CHUNK, rng).reshape(PAIR_CHUNK, 2, 3).swapaxes(0, 1)
+            except RuntimeError:
+                if parts:
+                    yield first, parts
+                raise
+        parts.append(pairs[:, : budget - start])
+        if chunk % POOL_GROUP in last or start + PAIR_CHUNK >= budget:
+            yield first, parts
+            first, parts = start + PAIR_CHUNK, []
 
 
 def replay_ch_witness(K: SetOracle, w: ChWitness, tol: Tolerances = DEFAULT_TOL) -> bool:

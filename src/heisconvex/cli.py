@@ -449,6 +449,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _CommandParser(_Parser):
+    # a subcommand refuses an option it does not take under its own usage line
+    def parse_known_args(self, args=None, namespace=None):  # noqa: D102
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser as it found it
@@ -461,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # command that takes none of them still carries these defaults; the
     # subcommand options leave them unset unless given (SUPPRESS)
     parser.set_defaults(set_descriptor="koranyi_ball", params="", seed=0, budget=2000, samples=2000)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def command(
         name: str, handler: Callable[[argparse.Namespace], int], summary: str, *takes: str

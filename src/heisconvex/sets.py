@@ -821,6 +821,8 @@ def escapes(K: SetOracle, p: Point3, tol: Tolerances = DEFAULT_TOL) -> bool:
 def escapes_many(K: SetOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """escapes on coordinate arrays of one shape, element for element."""
     out = ~K.contains_many(x, y, t)
+    if not out.any():
+        return out
     idx = out.nonzero()
     out[idx] = ~K.contains_many(*scale(_pullback(tol), x[idx], y[idx], t[idx]))
     return out

@@ -2,18 +2,29 @@
 
 The program's checks are compared against these: the piecewise closed
 forms of the interpolation curve (ch_curve must agree with them point by
-point), the dilated copy of a set, a witness carried along the dilation
-to that copy (it must replay against it), and a convexity witness of the
-cone function carried back to a C_H witness of its set.
+point), the C_H search one chunk at a time (ch_escapes must yield its
+escapes bit for bit), the dilated copy of a set, a witness carried along
+the dilation to that copy (it must replay against it), and a convexity
+witness of the cone function carried back to a C_H witness of its set.
 """
 
 import math
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from heisconvex import DEFAULT_TOL, ConvexityWitness, FnOracle, HVec, Point3, Tolerances, dilate, exp_h, group_mul
-from heisconvex.chcheck import ChWitness, _check_curve_inputs, curve_point
+from heisconvex.chcheck import (
+    CURVE_SAMPLES,
+    PAIR_CHUNK,
+    POOL_GROUP,
+    ChWitness,
+    _check_curve_inputs,
+    curve_point,
+    solve_tau_many,
+)
 from heisconvex.core import FLOATS
-from heisconvex.sets import RadialProfile, SetOracle
+from heisconvex.sets import RadialProfile, SetOracle, boundary_sample, escapes_many, interior_thetas, uniform_points
 
 
 def _case_of(xi0: Point3, alpha: float, beta: float, tau: float, tol: Tolerances) -> str:
@@ -74,6 +85,52 @@ def ch_curve_cases(
             den = 1.0 + s * (tau - 1.0)
             pts.append(Point3(x0, y0, t0 / (den * den)))
     return pts
+
+
+def reference_ch_escapes(K: SetOracle, budget: int, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Iterator[ChWitness]:
+    """The escapes of falsify_ch's search, drawn, solved and screened one chunk at a time.
+
+    Chunk c draws from default_rng([seed, 0xC4, c]).  With the boundary
+    pool of its group of POOL_GROUP chunks, built when the group is
+    reached, pair k is (pool[i], pool[j]) for row k of the stream's
+    (PAIR_CHUNK, 2) integers; without one, the stream's uniform points 2k
+    and 2k + 1.  A draw that raises does so after the escapes of every
+    chunk before it.
+    """
+    thetas = interior_thetas(CURVE_SAMPLES)
+    for chunk, start in enumerate(range(0, budget, PAIR_CHUNK)):
+        if chunk % POOL_GROUP == 0:
+            try:
+                pool = boundary_sample(K, PAIR_CHUNK, seed, tol, chunk // POOL_GROUP)
+            except (ValueError, RuntimeError):
+                pool = None
+        rng = np.random.default_rng([seed, 0xC4, chunk])
+        if pool is None:
+            pts = uniform_points(K, 2 * PAIR_CHUNK, rng).reshape(PAIR_CHUNK, 2, 3)
+            xi0, xi1 = pts[:, 0], pts[:, 1]
+        else:
+            pick = rng.integers(0, len(pool), size=(PAIR_CHUNK, 2))
+            xi0, xi1 = pool[pick[:, 0]], pool[pick[:, 1]]
+        xi0, xi1 = xi0[: budget - start], xi1[: budget - start]
+        taus = solve_tau_many(xi0.T, xi1.T, tol)[0]
+        p, root = np.nonzero(~np.isnan(taus))
+        tau = taus[p, root]
+        a = tau * xi1[p, 0] - xi0[p, 0]
+        b = tau * xi1[p, 1] - xi0[p, 1]
+        x0, y0, t0 = xi0[p].T[:, :, None]
+        px, py, pt = curve_point(x0, y0, t0, a[:, None], b[:, None], tau[:, None], thetas)
+        for hit in np.flatnonzero(escapes_many(K, px, py, pt, tol)).tolist():
+            r, j = divmod(hit, len(thetas))
+            yield ChWitness(
+                Point3(*xi0[p[r]].tolist()),
+                Point3(*xi1[p[r]].tolist()),
+                float(tau[r]),
+                HVec(float(a[r]), float(b[r])),
+                float(thetas[j]),
+                Point3(float(px[r, j]), float(py[r, j]), float(pt[r, j])),
+                math.nan,
+                pair_index=start + int(p[r]),
+            )
 
 
 def transport_witness(w: ChWitness, alpha: float) -> ChWitness:

@@ -31,10 +31,10 @@ from heisconvex import (
 )
 from heisconvex import chcheck
 from heisconvex.cli import _anchor_points
-from heisconvex.chcheck import DEGENERATE_TAU_GRID, ChWitness, TauSolution, curve_point, solve_tau_many
+from heisconvex.chcheck import DEGENERATE_TAU_GRID, PAIR_CHUNK, ChWitness, TauSolution, ch_escapes, curve_point, solve_tau_many
 from heisconvex.core import DEFAULT_TOL
-from heisconvex.sets import IMPORTANTE_R_MAX, boundary_sample, check_axioms, polygon_profile, radial_to_oracle
-from ch_reference import ch_curve_cases, dilate_oracle, transport_witness
+from heisconvex.sets import IMPORTANTE_R_MAX, SetOracle, boundary_sample, check_axioms, polygon_profile, radial_to_oracle
+from ch_reference import ch_curve_cases, dilate_oracle, reference_ch_escapes, transport_witness
 from radial_reference import PLUS_VERTICES, radial_sets, reference_outer_radius, reference_radial_necessary
 
 coord = st.floats(min_value=-3.0, max_value=3.0)
@@ -463,6 +463,48 @@ def test_tau_one_lines_find_every_not_hconvex_witness():
         for seed in range(64):
             w = falsify_ch(K, 2000, seed, tau_one=True)
             assert w is not None and replay_ch_witness(K, w), (name, seed)
+
+
+def _escape_rows(escapes):
+    """Every escape as a row of its fields, and the error that ends the stream (or None)."""
+    rows, error = [], None
+    try:
+        for w in escapes:
+            assert math.isnan(w.margin)
+            rows.append([*w.xi0, *w.xi1, w.tau, *w.v, w.theta_star, *w.escape_point, w.pair_index])
+    except RuntimeError as exc:
+        error = str(exc)
+    return np.array(rows).reshape(-1, 14), error
+
+
+def _assert_reference_escapes(K, budget, seed):
+    got, error = _escape_rows(ch_escapes(K, budget, seed))
+    want, want_error = _escape_rows(reference_ch_escapes(K, budget, seed))
+    assert (got.tobytes(), error) == (want.tobytes(), want_error), (K.label, budget, seed)
+    return got, error
+
+
+@pytest.mark.parametrize("name", ["koranyi_ball", "cylinder", "euclidean_ball", "importante", "plus", "ring"])
+def test_ch_escapes_match_chunk_by_chunk_reference(name):
+    # the pairs of a batch of chunks are drawn and solved together, and the
+    # escapes still come bit for bit as a chunk by chunk loop gives them,
+    # across chunk, batch and pool-group cuts; the ring has no pool
+    K = gallery("radial_custom", {"vertices": NOT_HCONVEX[name]}) if name in NOT_HCONVEX else gallery(name)
+    for budget in (1, 255, 256, 257, 512, 513, 2000, 2048, 2049, 4200):
+        rows, error = _assert_reference_escapes(K, budget, seed=3)
+        assert error is None
+    assert (len(rows) > 0) == (name != "koranyi_ball")
+
+
+def test_ch_escapes_stall_comes_after_the_chunks_drawn_before_it():
+    # a ring in a box 232 high keeps about 0.25 % of the uniform draws: at
+    # seed 4, chunks 0-5 find their 512 points and chunk 6, in the batch of
+    # chunks 2-7, stalls; the escapes of chunks 2-5 still come first
+    ring = radial_to_oracle(polygon_profile(NOT_HCONVEX["ring"]), "ring")
+    tall = SetOracle(ring.contains, ((-1.0, 1.0), (-1.0, 1.0), (-116.0, 116.0)), "tall ring", kernel=ring.kernel)
+    rows, error = _assert_reference_escapes(tall, 2000, seed=4)
+    assert error == "rejection sampling stalled on tall ring: 473/512 after 205800 tries"
+    assert sorted(set(rows[:, -1].astype(int) // PAIR_CHUNK)) == list(range(6))
 
 
 def test_transport_witness_replays():

@@ -165,8 +165,22 @@ def test_options_a_command_does_not_read_exit_1(tmp_path, capsys, command, optio
     with pytest.raises(SystemExit) as exc:
         main([command, option, "100000", "--out", str(tmp_path / "out")])
     assert exc.value.code == 1
-    assert f"heisconvex: error: unrecognized arguments: {option} 100000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: heisconvex {command} ")
+    assert f"heisconvex {command}: error: unrecognized arguments: {option} 100000" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_unread_option_prints_the_command_usage(capsys):
+    # the command's own parser refuses it, with the usage line of the
+    # options the command does take
+    with pytest.raises(SystemExit) as exc:
+        main(["radial", "--budget", "5"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: heisconvex radial")
+    assert "[--samples SAMPLES]" in err and "--budget BUDGET" not in err
+    assert err.endswith("heisconvex radial: error: unrecognized arguments: --budget 5\n")
 
 
 def test_reports_record_the_budget_and_samples_defaults(tmp_path):

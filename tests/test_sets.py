@@ -887,6 +887,21 @@ def test_escapes_many_matches_escapes():
         assert got.any() and not got.all()
 
 
+def test_escapes_many_keeps_shape_when_nothing_is_outside():
+    # a clean input returns after one membership call: all inside, empty,
+    # and 2-D, each element for element the scalar predicate
+    for name in ("koranyi_ball", "cylinder", "importante", "radial_custom"):
+        K = ORACLES[name]
+        inside = uniform_points(K, 24, np.random.default_rng(7))
+        out = _edge_points(K, 2)[:24] * np.array([1.0 + 1e-5, 1.0 + 1e-5, (1.0 + 1e-5) ** 2])
+        cases = [(inside, (24,)), (inside, (4, 6)), (inside[:0], (0,)), (inside[:0], (3, 0)), (out, (4, 6))]
+        for pts, shape in cases:
+            got = escapes_many(K, *(c.reshape(shape) for c in pts.T))
+            assert got.shape == shape and got.dtype == bool
+            assert got.ravel().tolist() == [escapes(K, Point3(*p)) for p in pts.tolist()]
+        assert not escapes_many(K, *inside.T).any() and escapes_many(K, *out.T).any()
+
+
 def _reference_boundary_sample(K, n, seed, tol=Tolerances(), group=0):
     """The one-ray-at-a-time loop boundary_sample must reproduce bit for bit."""
     rng = np.random.default_rng([seed, 0xB0, group])

@@ -188,7 +188,29 @@ FAULTS = (
         (
             "tests/test_chcheck.py::test_falsify_cylinder_frozen",
             "tests/test_chcheck.py::test_falsify_euclidean_ball_frozen",
+            "tests/test_chcheck.py::test_ch_escapes_match_chunk_by_chunk_reference",
         ),
+    ),
+    Fault(
+        "ch_batch_first_index",
+        "src/heisconvex/chcheck.py",
+        "first, parts = start + PAIR_CHUNK, []",
+        "first, parts = start + PAIR_CHUNK - 1, []",
+        ("tests/test_chcheck.py::test_ch_escapes_match_chunk_by_chunk_reference",),
+    ),
+    Fault(
+        "ch_chunk_budget_cut",
+        "src/heisconvex/chcheck.py",
+        "parts.append(pairs[:, : budget - start])",
+        "parts.append(pairs[:, : budget - start + 1])",
+        ("tests/test_chcheck.py::test_ch_escapes_match_chunk_by_chunk_reference",),
+    ),
+    Fault(
+        "ch_stall_drops_drawn_chunks",
+        "src/heisconvex/chcheck.py",
+        "                if parts:\n                    yield first, parts\n                raise\n",
+        "                raise\n",
+        ("tests/test_chcheck.py::test_ch_escapes_stall_comes_after_the_chunks_drawn_before_it",),
     ),
     Fault(
         "replay_ch_escape",
@@ -223,7 +245,10 @@ FAULTS = (
         "src/heisconvex/chcheck.py",
         "boundary_sample(K, PAIR_CHUNK, seed, tol, chunk // POOL_GROUP)",
         "boundary_sample(K, PAIR_CHUNK, seed, tol, 0)",
-        ("tests/test_chcheck.py::test_falsify_pairs_shared_across_chunk_boundary",),
+        (
+            "tests/test_chcheck.py::test_falsify_pairs_shared_across_chunk_boundary",
+            "tests/test_chcheck.py::test_ch_escapes_match_chunk_by_chunk_reference",
+        ),
     ),
     Fault(
         "family_coverage_nan",
