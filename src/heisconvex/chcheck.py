@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import cycle
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .sets import (
     SetOracle,
     bisect_many,
     boundary_sample,
+    chunk_batches,
     dilation_level_many,
     escape_margin,
     escapes,
@@ -59,11 +60,11 @@ PAIR_CHUNK = 256
 # uniform theta samples of [0, 1] per curve, and per tau = 1 line; 8 k + 1,
 # so a line's samples include the axiom check's SEGMENT_GRID = 9
 CURVE_SAMPLES = 33
-# chunks that pick from one boundary pool: 2048 of its 65536 ordered pairs
-POOL_GROUP = 8
 # ch_escapes draws and solves a group's pairs in batches of these many
 # chunks (chunk 0, chunk 1, chunks 2-7) and screens curves chunk by chunk
 PAIR_BATCHES = (1, 1, 6)
+# chunks that pick from one boundary pool: 2048 of its 65536 ordered pairs
+POOL_GROUP = sum(PAIR_BATCHES)
 # the outer-radius scan tests the radii r_hi * j / RADIUS_GRID, j = 0..RADIUS_GRID,
 # per height, RADIUS_BLOCK of them at once
 RADIUS_GRID = 512
@@ -276,12 +277,12 @@ def falsify_ch(
     picks from its own 256-point boundary_sample pool, built when the
     group is first reached (uniform_points without a pool).  So pair i
     depends only on (seed, i): a larger budget extends the search and
-    never reshuffles it.  A batch of chunks (PAIR_BATCHES: a group's chunk
-    0, chunk 1, then chunks 2-7) is drawn only when the batches before it
-    hold no witness, and solved in one solve_tau_many call; the curve
-    points of each chunk's admissible (pair, tau) rows go through one
-    curve_point and escapes_many call.  That search is ch_escapes; the
-    witness is its first escape.
+    never reshuffles it.  A batch of chunks (sets.chunk_batches over
+    PAIR_BATCHES: a group's chunk 0, chunk 1, then chunks 2-7) is drawn
+    only when the batches before it hold no witness, and solved in one
+    solve_tau_many call; the curve points of each chunk's admissible
+    (pair, tau) rows go through one curve_point and escapes_many call.
+    That search is ch_escapes; the witness is its first escape.
 
     A witness stands on any K: replay_ch_witness checks that its escape
     point lies on the curve and outside K.  Without assumption a there is
@@ -310,12 +311,14 @@ def ch_escapes(K: SetOracle, budget: int, seed: int = 0, tol: Tolerances = DEFAU
     """Every escape of falsify_ch's search, lazily, in (pair, tau, theta) order.
 
     Each is a ChWitness whose margin is NaN (escape_margin gives it).  A
-    batch of chunks (PAIR_BATCHES) is drawn and solved only when the
-    escapes of the batches before it are used up; its curves are then
-    screened one chunk at a time.
+    batch of _pair_chunks (chunk_batches over PAIR_BATCHES) is drawn and
+    solved only when the escapes of the batches before it are used up;
+    its curves are then screened one chunk at a time.  A stall comes
+    after the escapes of the chunks drawn before it.
     """
     thetas = interior_thetas(CURVE_SAMPLES)
-    for first, parts in _pair_batches(K, budget, seed, tol):
+    for batch in chunk_batches(_pair_chunks(K, budget, seed, tol), cycle(PAIR_BATCHES)):
+        first, parts = batch[0][0], [pairs for _, pairs in batch]
         xi0, xi1 = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         taus = solve_tau_many(xi0.T, xi1.T, tol)[0]
         # row-major order: pairs in sample order, each pair's taus ascending
@@ -346,19 +349,13 @@ def ch_escapes(K: SetOracle, budget: int, seed: int = 0, tol: Tolerances = DEFAU
                 )
 
 
-def _pair_batches(K: SetOracle, budget: int, seed: int, tol: Tolerances) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """falsify_ch's pairs, cut at budget, in batches of PAIR_BATCHES chunks.
+def _pair_chunks(K: SetOracle, budget: int, seed: int, tol: Tolerances) -> Iterator[tuple[int, np.ndarray]]:
+    """falsify_ch's pairs, cut at budget, as (first pair index, pairs) per chunk.
 
-    A batch is its first pair index and a (2, n, 3) array of pairs (xi0,
-    xi1) per chunk.  Chunk c's pair k is (pool[i], pool[j]) for row k of
-    default_rng([seed, 0xC4, c])'s (PAIR_CHUNK, 2) integers, or without a
-    pool that stream's uniform points 2k and 2k + 1.  A uniform_points
-    stall comes after a last batch of the chunks drawn before it, where a
-    chunk by chunk loop would meet it.
+    pairs is a (2, n, 3) array (xi0, xi1).  Chunk c's pair k is (pool[i],
+    pool[j]) for row k of default_rng([seed, 0xC4, c])'s (PAIR_CHUNK, 2)
+    integers, or without a pool that stream's uniform points 2k and 2k + 1.
     """
-    # the chunks of a group that end a batch
-    last = [n - 1 for n in accumulate(PAIR_BATCHES)]
-    first, parts = 0, []
     for chunk, start in enumerate(range(0, budget, PAIR_CHUNK)):
         if chunk % POOL_GROUP == 0:
             try:
@@ -369,16 +366,8 @@ def _pair_batches(K: SetOracle, budget: int, seed: int, tol: Tolerances) -> Iter
         if pool is not None:
             pairs = pool[rng.integers(0, len(pool), size=(PAIR_CHUNK, 2)).T]
         else:
-            try:
-                pairs = uniform_points(K, 2 * PAIR_CHUNK, rng).reshape(PAIR_CHUNK, 2, 3).swapaxes(0, 1)
-            except RuntimeError:
-                if parts:
-                    yield first, parts
-                raise
-        parts.append(pairs[:, : budget - start])
-        if chunk % POOL_GROUP in last or start + PAIR_CHUNK >= budget:
-            yield first, parts
-            first, parts = start + PAIR_CHUNK, []
+            pairs = uniform_points(K, 2 * PAIR_CHUNK, rng).reshape(PAIR_CHUNK, 2, 3).swapaxes(0, 1)
+        yield start, pairs[:, : budget - start]
 
 
 def replay_ch_witness(K: SetOracle, w: ChWitness, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ from .core import (
     group_mul,
     scale,
 )
-from .sets import SetOracle, interior_thetas, segment_chunks
+from .sets import SetOracle, chunk_batches, interior_thetas, segment_chunks
 
 
 @dataclass
@@ -125,28 +126,6 @@ def _chunk_witness(
     return None
 
 
-def _chunk_groups(chunks):
-    """The chunks in lists of 1, 2, 4, ... up to 16 chunks, in order.
-
-    The stream's RuntimeError (a stall, or too few probes) comes after a
-    last list of the chunks drawn before it, where a chunk by chunk loop
-    would meet it.
-    """
-    group, size = [], 1
-    try:
-        for chunk in chunks:
-            group.append(chunk)
-            if len(group) == size:
-                yield group
-                group, size = [], min(2 * size, 16)
-    except RuntimeError:
-        if group:
-            yield group
-        raise
-    if group:
-        yield group
-
-
 def _segment_scan(
     f: FnOracle,
     domain: SetOracle,
@@ -158,10 +137,11 @@ def _segment_scan(
 ) -> Optional[ConvexityWitness]:
     # One shared probe stream for both inequality kinds, so passing the
     # convex check at a seed implies passing the quasiconvex check there.
+    # Its chunks are tested in batches of 1, 2, 4, 8, then 16 (chunk_batches).
     if n < 1 or grid < 1:
         raise ValueError("need n >= 1 samples and grid >= 1")
     thetas = interior_thetas(max(grid, 2))
-    for group in _chunk_groups(segment_chunks(domain, n, thetas, seed)):
+    for group in chunk_batches(segment_chunks(domain, n, thetas, seed), chain((1, 2, 4, 8), repeat(16))):
         witness = _chunk_witness(f, group, thetas, tol, quasi)
         if witness is not None:
             return witness

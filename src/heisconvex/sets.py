@@ -959,6 +959,29 @@ def segment_chunks(K: SetOracle, n: int, thetas: np.ndarray, seed: int):
         raise RuntimeError(f"domain {K.label} too thin: {produced}/{n} probes found")
 
 
+def chunk_batches(chunks, sizes):
+    """The chunks in lists, each as long as the next entry of sizes, in order.
+
+    The last list is short when the chunks run out.  A RuntimeError the
+    chunks raise (a stall, or a stream run short) comes after a last list
+    of the chunks drawn before it, where a chunk by chunk loop would meet it.
+    """
+    batch, sizes = [], iter(sizes)
+    size = next(sizes)
+    try:
+        for chunk in chunks:
+            batch.append(chunk)
+            if len(batch) == size:
+                yield batch
+                batch, size = [], next(sizes)
+    except RuntimeError:
+        if batch:
+            yield batch
+        raise
+    if batch:
+        yield batch
+
+
 def _line_witness(K: SetOracle, p: np.ndarray, u: np.ndarray, thetas: np.ndarray, need: int, tol: Tolerances):
     """(the first escape or None, the lines counted, at most need): see scan_horizontal_segments."""
     # t is linear in s on p o exp_h(s u), so the line is clipped exactly to
@@ -1019,10 +1042,13 @@ def scan_horizontal_segments(
     Returns (the escape or None, the lines counted up to the escape's, or n).
 
     Raises:
+        ValueError: grid is not 8 k + 1 >= 9.
         RuntimeError: rejection sampling stalls (after the lines drawn
             before it are scanned), or fewer than n of the first
             1000 + 400 n lines count (too thin).
     """
+    if grid < SEGMENT_GRID or (grid - 1) % (SEGMENT_GRID - 1):
+        raise ValueError("need grid = 8 k + 1 >= 9 line samples")
     thetas = interior_thetas(grid)
     max_lines = 1000 + 400 * n
     used = 0

@@ -23,7 +23,6 @@ from heisconvex import (
     replay_witness,
 )
 from heisconvex.cones import _scaled_box
-from heisconvex.convexity import _chunk_groups
 from heisconvex.sets import box_oracle, interior_thetas, segment_chunks
 from stream_reference import reference_probes
 
@@ -218,20 +217,6 @@ def test_scan_evaluation_errors_match_reference():
     errors = [o for o in outcomes if isinstance(o, tuple)]
     assert errors and len(errors) < len(outcomes)
     assert {kind for kind, _ in errors} == {ValueError}
-
-
-def test_chunk_groups_double_up_to_16_chunks():
-    assert [len(g) for g in _chunk_groups(iter(range(47)))] == [1, 2, 4, 8, 16, 16]
-
-    def stalling():
-        yield from range(5)
-        raise RuntimeError("stalled")
-
-    # the chunks drawn before a stall come out first, then its error
-    groups = _chunk_groups(stalling())
-    assert [next(groups) for _ in range(3)] == [[0], [1, 2], [3, 4]]
-    with pytest.raises(RuntimeError, match="stalled"):
-        next(groups)
 
 
 def _spiked(domain, n, seed, chunks):

@@ -29,7 +29,7 @@ from heisconvex import (
     norm,
     sample_in_set,
 )
-from heisconvex.chcheck import curve_point
+from heisconvex.chcheck import PAIR_BATCHES, curve_point
 from heisconvex.core import ARRAYS, FLOATS
 from heisconvex.core import scale as core_scale
 from heisconvex import sets
@@ -43,6 +43,7 @@ from heisconvex.sets import (
     box_oracle,
     dilation_level_many,
     check_axioms_ab,
+    chunk_batches,
     LINE_CHUNK,
     escapes_many,
     interior_thetas,
@@ -423,6 +424,60 @@ def test_line_scan_budget_prefix_stable():
     K = gallery("cylinder_hat")
     assert scan_horizontal_segments(K, 40, 33, 5) == (None, 40)
     assert scan_horizontal_segments(K, 3000, 33, 5) == (None, 3000)
+
+
+def test_line_scan_takes_only_grids_8k_plus_1(monkeypatch):
+    # a line counts when two of its 9 samples j / 8 test inside, and only a
+    # grid of 8 k + 1 >= 9 samples holds them: grid 5 once died on a zero
+    # slice step, and grid 10 counted other samples and escaped later than 9
+    plus = plus_set()
+    drawn = []
+    monkeypatch.setattr(sets, "uniform_points", lambda *args: drawn.append(args) or uniform_points(*args))
+    for grid in (5, 10, 12):
+        with pytest.raises(ValueError, match=r"8 k \+ 1 >= 9"):
+            scan_horizontal_segments(plus, 2000, grid, 0)
+    assert not drawn
+    for seed in (0, 3):
+        w, used = scan_horizontal_segments(plus, 2000, 9, seed)
+        assert isinstance(w, SegmentEscape)
+        for grid in (17, 33):
+            w, finer = scan_horizontal_segments(plus, 2000, grid, seed)
+            assert isinstance(w, SegmentEscape) and finer <= used, (grid, seed)
+    assert drawn
+
+
+def test_chunk_batches_follow_the_sizes_and_end_with_the_stall():
+    def falsifiers():
+        return itertools.chain((1, 2, 4, 8), itertools.repeat(16))
+
+    def pairs():
+        return itertools.cycle(PAIR_BATCHES)
+
+    batches = list(chunk_batches(iter(range(47)), falsifiers()))
+    assert [len(b) for b in batches] == [1, 2, 4, 8, 16, 16]
+    assert sum(batches, []) == list(range(47))
+    batches = list(chunk_batches(iter(range(20)), pairs()))
+    assert [len(b) for b in batches] == [1, 1, 6, 1, 1, 6, 1, 1, 2]
+    assert sum(batches, []) == list(range(20))
+    assert list(chunk_batches(iter(()), pairs())) == []
+
+    def stalling(n):
+        yield from range(n)
+        raise RuntimeError("stalled")
+
+    # the chunks drawn before a stall come out first, then its error, and
+    # no list is empty, also when the stall falls on a batch boundary
+    batches = chunk_batches(stalling(5), falsifiers())
+    assert [next(batches) for _ in range(3)] == [[0], [1, 2], [3, 4]]
+    with pytest.raises(RuntimeError, match="stalled"):
+        next(batches)
+    for sizes in (falsifiers, pairs):
+        for n in range(18):
+            batches = []
+            with pytest.raises(RuntimeError, match="stalled"):
+                for batch in chunk_batches(stalling(n), sizes()):
+                    batches.append(batch)
+            assert all(batches) and sum(batches, []) == list(range(n)), (sizes, n)
 
 
 def _stream(K, n, seed):

@@ -194,23 +194,35 @@ FAULTS = (
     Fault(
         "ch_batch_first_index",
         "src/heisconvex/chcheck.py",
-        "first, parts = start + PAIR_CHUNK, []",
-        "first, parts = start + PAIR_CHUNK - 1, []",
+        "first, parts = batch[0][0], [pairs for _, pairs in batch]",
+        "first, parts = batch[0][0] - 1, [pairs for _, pairs in batch]",
         ("tests/test_chcheck.py::test_ch_escapes_match_chunk_by_chunk_reference",),
     ),
     Fault(
         "ch_chunk_budget_cut",
         "src/heisconvex/chcheck.py",
-        "parts.append(pairs[:, : budget - start])",
-        "parts.append(pairs[:, : budget - start + 1])",
+        "yield start, pairs[:, : budget - start]",
+        "yield start, pairs[:, : budget - start + 1]",
         ("tests/test_chcheck.py::test_ch_escapes_match_chunk_by_chunk_reference",),
     ),
     Fault(
+        # chunk_batches orders the stalls of both the C_H pair stage and the
+        # function falsifiers, so one plant must fail both stall tests
         "ch_stall_drops_drawn_chunks",
-        "src/heisconvex/chcheck.py",
-        "                if parts:\n                    yield first, parts\n                raise\n",
-        "                raise\n",
-        ("tests/test_chcheck.py::test_ch_escapes_stall_comes_after_the_chunks_drawn_before_it",),
+        "src/heisconvex/sets.py",
+        "        if batch:\n            yield batch\n        raise\n",
+        "        raise\n",
+        (
+            "tests/test_chcheck.py::test_ch_escapes_stall_comes_after_the_chunks_drawn_before_it",
+            "tests/test_convexity.py::test_grouped_scan_matches_reference_on_a_stall_inside_a_group",
+        ),
+    ),
+    Fault(
+        "line_grid_check",
+        "src/heisconvex/sets.py",
+        "if grid < SEGMENT_GRID or (grid - 1) % (SEGMENT_GRID - 1):",
+        "if grid < SEGMENT_GRID:",
+        ("tests/test_sets.py::test_line_scan_takes_only_grids_8k_plus_1",),
     ),
     Fault(
         "replay_ch_escape",
