@@ -143,13 +143,17 @@ def solve_tau_many(xi0, xi1, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray,
     admissible levels of that pair in ascending order, padded with NaN;
     discriminant and degenerate are per pair.  Every branch of solve_tau
     runs as a mask with the same arithmetic, so row i equals
-    solve_tau(xi0[i], xi1[i]) bit for bit.
+    solve_tau(xi0[i], xi1[i]) bit for bit.  The tolerances do not change
+    under dilations: with size = |t0| + |t1| + |cross|, a discriminant
+    above -eps_eq size^2 clamps to 0; a root must replay within eps_eq
+    times the coefficients' scale |t0| + |t1| + 2 (|x0 y1| + |x1 y0|);
+    and a second root within eps_eq max(1, tau) of the first merges.
     """
     x0, y0, t0 = (np.asarray(c, dtype=float) for c in xi0)
     x1, y1, t1 = (np.asarray(c, dtype=float) for c in xi1)
     cross = x0 * y1 - x1 * y0
-    size = 1.0 + abs(t0) + abs(t1) + abs(cross)
-    res_bound = tol.eps_eq * (1.0 + abs(t0) + abs(t1))
+    size = abs(t0) + abs(t1) + abs(cross)
+    res_bound = tol.eps_eq * (abs(t0) + abs(t1) + 2.0 * (abs(x0 * y1) + abs(x1 * y0)))
 
     def verified(tau):
         # every returned root must replay the quadratic; this rejects the
@@ -170,7 +174,7 @@ def solve_tau_many(xi0, xi1, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray,
         second = np.where(linear, np.nan, second)
         disc = np.where(linear, cross * cross, disc)
         ok1 = verified(first)
-        ok2 = verified(second) & ~(ok1 & (abs(second - first) <= tol.eps_eq * size))
+        ok2 = verified(second) & ~(ok1 & (abs(second - first) <= tol.eps_eq * np.maximum(1.0, abs(first))))
     first = np.where(ok1, first, np.nan)
     second = np.where(ok2, second, np.nan)
     tau = np.full((len(x0), len(DEGENERATE_TAU_GRID)), np.nan)
@@ -311,15 +315,14 @@ def ch_escapes(K: SetOracle, budget: int, seed: int = 0, tol: Tolerances = DEFAU
     """Every escape of falsify_ch's search, lazily, in (pair, tau, theta) order.
 
     Each is a ChWitness whose margin is NaN (escape_margin gives it).  A
-    batch of _pair_chunks (chunk_batches over PAIR_BATCHES) is drawn and
-    solved only when the escapes of the batches before it are used up;
-    its curves are then screened one chunk at a time.  A stall comes
-    after the escapes of the chunks drawn before it.
+    batch of _pair_chunks (chunk_batches over PAIR_BATCHES), of any size,
+    is drawn, concatenated and solved only when the batches before it are
+    used up; its curves are then screened one chunk at a time.  A stall
+    comes after the escapes of the chunks drawn before it.
     """
     thetas = interior_thetas(CURVE_SAMPLES)
     for batch in chunk_batches(_pair_chunks(K, budget, seed, tol), cycle(PAIR_BATCHES)):
-        first, parts = batch[0][0], [pairs for _, pairs in batch]
-        xi0, xi1 = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        xi0, xi1 = np.concatenate([pairs for _, pairs in batch], axis=1)
         taus = solve_tau_many(xi0.T, xi1.T, tol)[0]
         # row-major order: pairs in sample order, each pair's taus ascending
         p, root = np.nonzero(~np.isnan(taus))
@@ -328,9 +331,7 @@ def ch_escapes(K: SetOracle, budget: int, seed: int = 0, tol: Tolerances = DEFAU
         b = tau * xi1[p, 1] - xi0[p, 1]
         base = xi0[p]
         # the rows of chunk k are cuts[k]:cuts[k + 1]
-        cuts = [0, len(p)]
-        if len(parts) > 1:
-            cuts[1:1] = np.searchsorted(p, range(PAIR_CHUNK, len(xi0), PAIR_CHUNK)).tolist()
+        cuts = [0, *np.searchsorted(p, range(PAIR_CHUNK, len(xi0), PAIR_CHUNK)).tolist(), len(p)]
         for lo, hi in zip(cuts, cuts[1:]):
             x0, y0, t0 = base[lo:hi].T[:, :, None]
             px, py, pt = curve_point(x0, y0, t0, a[lo:hi, None], b[lo:hi, None], tau[lo:hi, None], thetas)
@@ -345,7 +346,7 @@ def ch_escapes(K: SetOracle, budget: int, seed: int = 0, tol: Tolerances = DEFAU
                     float(thetas[j]),
                     Point3(float(px[q, j]), float(py[q, j]), float(pt[q, j])),
                     math.nan,
-                    pair_index=first + int(p[r]),
+                    pair_index=batch[0][0] + int(p[r]),
                 )
 
 
@@ -374,7 +375,7 @@ def replay_ch_witness(K: SetOracle, w: ChWitness, tol: Tolerances = DEFAULT_TOL)
     """Re-verify a witness from its stored fields alone."""
     if not (K.contains(w.xi0) and K.contains(w.xi1)):
         return False
-    tscale = 1.0 + abs(w.xi0.t) + abs(w.xi1.t)
+    tscale = abs(w.xi0.t) + abs(w.xi1.t) + abs(w.xi0.x * w.xi1.y) + abs(w.xi1.x * w.xi0.y)
     if abs(tau_residual(w.xi0, w.xi1, w.tau)) > 1e-9 * tscale * (1.0 + abs(w.tau)) ** 2:
         return False
     expect_v = HVec(w.tau * w.xi1.x - w.xi0.x, w.tau * w.xi1.y - w.xi0.y)

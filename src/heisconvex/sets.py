@@ -630,22 +630,22 @@ def _vertex_level(tol: Tolerances) -> float:
     return max(tol.eps_geom, 2.0 ** -500)
 
 
-def _bracket_up(upper, cols: tuple, lo, hi, rows: np.ndarray, limit: float) -> np.ndarray:
-    """Double the brackets of rows, in place, until upper(*cols, hi) holds.
+def _bracket(moves, cols: tuple, near, far, rows: np.ndarray, factor: float, stop: float) -> np.ndarray:
+    """Move the brackets of rows, in place, while moves(*cols, near) holds.
 
-    Each step sets lo = hi and doubles hi on the rows whose hi is still
-    below their level, as a one-row loop would; a row whose hi passes
-    limit stops there.  Returns the mask of those runaway rows.
+    Each step sets far = near and scales near by factor (2 or 0.5) on the
+    rows that still move, as a one-row loop would; a row whose near passes
+    stop in that direction stops there.  Returns the mask of those rows.
     """
-    ran_away = np.zeros(lo.size, dtype=bool)
+    stopped = np.zeros(near.size, dtype=bool)
     while rows.size:
-        rows = rows[~upper(*(c[rows] for c in cols), hi[rows])]
-        lo[rows] = hi[rows]
-        hi[rows] *= 2.0
-        runaway = hi[rows] > limit
-        ran_away[rows[runaway]] = True
-        rows = rows[~runaway]
-    return ran_away
+        rows = rows[moves(*(c[rows] for c in cols), near[rows])]
+        far[rows] = near[rows]
+        near[rows] *= factor
+        out = near[rows] > stop if factor > 1.0 else near[rows] < stop
+        stopped[rows[out]] = True
+        rows = rows[~out]
+    return stopped
 
 
 def bisect_many(upper, cols: tuple, lo, hi, tol: Tolerances, relative: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -690,7 +690,7 @@ def dilation_level_many(
     """dilation_level of every point (x, y, t) at once, as a flat array.
 
     All points are bracketed and bisected together through K.contains_many
-    (the upward bracket by _bracket_up, the bisection by bisect_many).
+    (halved or doubled by _bracket, then bisected by bisect_many).
     Each point runs exactly the steps of its own scalar loop with the same
     arithmetic (core.scale by lam = 1.0 / tau, for either scaling), so
     every level is bit for bit its dilation_level.
@@ -717,21 +717,16 @@ def dilation_level_many(
     vertex = _vertex_level(tol)
     inside = upper(*cols, np.ones(x.size))
     # inside at tau = 1: halve lo = 0.5, 0.25, ... while still inside; a
-    # point whose lo falls below vertex / 4 is at the vertex, level 0, as in
-    # the scalar loop, so it gets the empty bracket [0, 0], never bisected
+    # point inside whose lo is below vertex / 4 (even unmoved, when eps_geom
+    # > 2) is at the vertex, level 0, so it gets the empty bracket [0, 0]
     lo = np.where(inside, 0.5, 1.0)
     hi = np.where(inside, 1.0, 2.0)
-    down = np.flatnonzero(inside)
-    while down.size:
-        down = down[upper(x[down], y[down], t[down], lo[down])]
-        hi[down] = lo[down]
-        lo[down] *= 0.5
-        down = down[lo[down] >= 0.25 * vertex]
-    at_vertex = lo < 0.25 * vertex
+    _bracket(upper, cols, lo, hi, np.flatnonzero(inside), 0.5, 0.25 * vertex)
+    at_vertex = inside & (lo < 0.25 * vertex)
     lo[at_vertex] = hi[at_vertex] = 0.0
     # outside at tau = 1: double hi = 2, 4, ... until inside
     limit = max(1.0, bbox_scale(K.bbox)) * 2.0 ** 32
-    ran_away = _bracket_up(upper, cols, lo, hi, np.flatnonzero(~inside), limit)
+    ran_away = _bracket(lambda *a: ~upper(*a), cols, hi, lo, np.flatnonzero(~inside), 2.0, limit)
     if strict and ran_away.any():
         raise RuntimeError(_runaway_message(K))
     lo[ran_away] = hi[ran_away] = np.nan  # no bracket, never bisected
@@ -859,7 +854,7 @@ def boundary_sample(
 
     Point k depends only on (seed, group, k): ray k takes the k-th
     accepted direction of default_rng([seed, 0xB0, group]), so the first
-    points do not depend on n.  All rays are bracketed (_bracket_up) and
+    points do not depend on n.  All rays are doubled (_bracket) and
     bisected (bisect_many) together through K.contains_many; each ray
     runs exactly the steps it would run on its own, so the result is bit
     for bit the one-ray-at-a-time loop with K.contains.
@@ -892,7 +887,7 @@ def boundary_sample(
 
     lo, hi = np.zeros(n), np.ones(n)
     # more than 60 doublings from hi = 1 is exactly hi > 2**60
-    if _bracket_up(upper, (ux, uy, ut), lo, hi, np.arange(n), 2.0 ** 60).any():
+    if _bracket(lambda *a: ~upper(*a), (ux, uy, ut), hi, lo, np.arange(n), 2.0, 2.0 ** 60).any():
         raise RuntimeError(f"ray from e never exits {K.label}: non-compact input?")
     lo, hi = bisect_many(upper, (ux, uy, ut), lo, hi, tol, relative=False)
     # inner bracket end: guaranteed member, still within eps of the boundary

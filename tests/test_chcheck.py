@@ -57,7 +57,8 @@ def test_solve_tau_residual_and_reach(x0, y0, t0, x1, y1, t1):
     xi1 = Point3(x1, y1, t1)
     for sol in solve_tau(xi0, xi1):
         assume(not sol.degenerate)
-        assert abs(tau_residual(xi0, xi1, sol.tau)) <= 1e-9 * (1.0 + abs(t0) + abs(t1))
+        # within eps_eq of the scale of the quadratic's coefficients
+        assert abs(tau_residual(xi0, xi1, sol.tau)) <= 1e-9 * (abs(t0) + abs(t1) + 2.0 * (abs(x0 * y1) + abs(x1 * y0)))
         v = horizontal_reach(xi0, dilate(sol.tau, xi1))
         assert v == sol.v
 
@@ -67,8 +68,8 @@ def _reference_solve_tau(xi0, xi1, tol=DEFAULT_TOL):
     x0, y0, t0 = xi0
     x1, y1, t1 = xi1
     cross = x0 * y1 - x1 * y0
-    scale = 1.0 + abs(t0) + abs(t1) + abs(cross)
-    res_bound = tol.eps_eq * (1.0 + abs(t0) + abs(t1))
+    scale = abs(t0) + abs(t1) + abs(cross)
+    res_bound = tol.eps_eq * (abs(t0) + abs(t1) + 2.0 * (abs(x0 * y1) + abs(x1 * y0)))
 
     def make(tau, disc, degenerate=False):
         return TauSolution(tau, HVec(tau * x1 - x0, tau * y1 - y0), disc, degenerate)
@@ -97,7 +98,7 @@ def _reference_solve_tau(xi0, xi1, tol=DEFAULT_TOL):
     candidates = [q / t1, -t0 / q] if q != 0.0 else [root / t1]
     out = []
     for tau in candidates:
-        if verified(tau) and all(abs(tau - s.tau) > tol.eps_eq * scale for s in out):
+        if verified(tau) and all(abs(tau - s.tau) > tol.eps_eq * max(1.0, abs(s.tau)) for s in out):
             out.append(make(tau, disc))
     out.sort(key=lambda s: s.tau)
     return out
@@ -105,7 +106,8 @@ def _reference_solve_tau(xi0, xi1, tol=DEFAULT_TOL):
 
 # pairs that reach every branch: t1 = 0 (linear), cross = 0, the all-zero
 # degenerate grid, a discriminant just below 0 (clamped, double root
-# merged) and one too negative to clamp, two positive roots, NaN input
+# merged) and one too negative to clamp, two positive roots, NaN input,
+# and the same pairs near t = 0 and dilated
 SOLVE_TAU_CASES = [
     (Point3(1.0, 0.0, 1.0), Point3(0.0, 1.0, 0.0)),
     (Point3(1.0, 0.0, 1.0), Point3(2.0, 0.0, 0.0)),
@@ -122,6 +124,12 @@ SOLVE_TAU_CASES = [
     # t1 all but 0: the Vieta complement of the root 0.5 is about 1.4e33,
     # positive and finite, but does not replay the quadratic
     (Point3(0.0, 1.0, 1.0), Point3(-1.0, 0.0, -1.4693795734434819e-33)),
+    # near the t = 0 plane: roots about 5e-5 and 2e4, at unit size and
+    # dilated by 1e-3 (tau does not change under dilations)
+    (Point3(1.0, 0.0, 1e-4), Point3(0.0, 1.0, -1e-4)),
+    (Point3(1e-3, 0.0, 1e-10), Point3(0.0, 1e-3, -1e-10)),
+    # the clamped double root of case 5 dilated by 0.01
+    (Point3(0.01, 0.0, 1e-4), Point3(0.0, 0.01, -(1.0 + 1e-12) * 1e-4)),
 ]
 
 
@@ -148,6 +156,12 @@ def test_solve_tau_many_branches_match_reference():
     assert solve_tau(*SOLVE_TAU_CASES[6]) == []
     # only the root that replays is returned
     assert [s.tau for s in solve_tau(*SOLVE_TAU_CASES[12])] == [0.5]
+    # both roots come back near t = 0, at any scale, and the dilated
+    # double root still merges
+    for case in SOLVE_TAU_CASES[13:15]:
+        assert [s.tau for s in solve_tau(*case)] == pytest.approx([5e-5, 2e4], rel=1e-6)
+    assert len(solve_tau(*SOLVE_TAU_CASES[15])) == 1
+    assert solve_tau(*SOLVE_TAU_CASES[15])[0].discriminant == 0.0
 
 
 special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
@@ -568,6 +582,47 @@ def test_replay_rejects_escape_within_pullback_slack():
         lo, hi = (mid, hi) if K.contains(at(mid)) else (lo, mid)
     assert not K.contains(at(hi)) and not escapes(K, at(hi))
     assert not replay_ch_witness(K, dataclasses.replace(w, theta_star=hi, escape_point=at(hi)))
+
+
+@pytest.mark.parametrize("r", [1e-4, 1e-5, 1e-6])
+def test_small_koranyi_balls_stay_clean(r):
+    # every Koranyi ball is a dilate of the unit ball, which has no witness;
+    # its pairs are about 1e-8 in t and cross, so solve_tau's tolerances
+    # must scale with the pair for no negative discriminant to clamp to 0
+    K = gallery("koranyi_ball", {"r": r})
+    assert [falsify_ch(K, 2000, seed) for seed in range(8)] == [None] * 8
+
+
+def test_replay_rejects_the_small_ball_false_witness():
+    # the witness ch once reported on the Koranyi ball of radius 1e-4 at
+    # seed 0 (pair 132): its pair has no real tau (discriminant -5.5e-18)
+    xi0 = Point3(5.78000549157987e-05, 8.151411898771818e-05, 8.124343026767678e-10)
+    xi1 = Point3(3.554079423491975e-05, 6.822924721300163e-05, -8.07785223143607e-09)
+    w = ChWitness(
+        xi0,
+        xi1,
+        0.12956138285359345,
+        HVec(-5.319534046700747e-05, -7.2674243367742e-05),
+        0.75,
+        Point3(5.156982481321809e-05, 7.779576512024847e-05, 5.053112884338045e-09),
+        0.0025445520877838135,
+        pair_index=132,
+    )
+    cross = xi0.x * xi1.y - xi1.x * xi0.y
+    assert cross * cross + xi0.t * xi1.t == pytest.approx(-5.5e-18, rel=0.01)
+    assert solve_tau(xi0, xi1) == []
+    assert not replay_ch_witness(gallery("koranyi_ball", {"r": 1e-4}), w)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.1, 0.01, 0.003])
+def test_dilated_cylinder_profiles_keep_their_witness_pairs(s):
+    # the unit cylinder's profile dilated by s (r by s, t by s^2): the C_H
+    # search is invariant under dilations, so every seed's witness comes
+    # at the pair it comes at on the unit profile
+    K = gallery("radial_custom", {"vertices": [[0, -s * s], [s, -s * s], [s, s * s], [0, s * s]]})
+    found = [falsify_ch(K, 2000, seed) for seed in range(8)]
+    assert [w.pair_index for w in found] == [7, 0, 5, 3, 17, 5, 0, 10]
+    assert all(replay_ch_witness(K, w) for w in found)
 
 
 RADIAL_TABLE = {

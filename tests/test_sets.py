@@ -1114,6 +1114,18 @@ def test_dilation_level_many_stops_at_the_vertex():
     assert calls == {"contains": 503, "kernel": 503}
 
 
+@pytest.mark.parametrize("scaling", ["heisenberg", "euclidean"])
+@pytest.mark.parametrize("eps_geom", [3.0, 5.0, 6.0])
+def test_dilation_level_many_matches_scalar_at_coarse_eps_geom(eps_geom, scaling):
+    # above eps_geom = 2 a point inside at tau = 1 is at the vertex before
+    # it halves; above 4 the outside points' lo = 1 is below vertex / 4 as
+    # well, yet they must double from [1, 2] as the scalar loop does (from
+    # [0, 0] the doubling never ends)
+    tol = Tolerances(eps_geom=eps_geom)
+    K = gallery("importante", None, tol)
+    _assert_levels_match(K, _level_points(K, 4), tol, scaling)
+
+
 @given(
     st.sampled_from(GALLERY_NAMES),
     st.sampled_from(["heisenberg", "euclidean"]),

@@ -82,6 +82,14 @@ FAULTS = (
         ("tests/test_sets.py::test_dilation_level_many_stops_at_the_vertex",),
     ),
     Fault(
+        # the halving toward the vertex takes one step past vertex / 4
+        "bracket_halving_stop",
+        "src/heisconvex/sets.py",
+        "else near[rows] < stop",
+        "else near[rows] < 0.5 * stop",
+        ("tests/test_sets.py::test_dilation_level_many_stops_at_the_vertex",),
+    ),
+    Fault(
         "bisect_stop_test",
         "src/heisconvex/sets.py",
         "go = b - a > (tol.eps_geom * np.maximum(1.0, a) if relative else tol.eps_geom)",
@@ -192,11 +200,40 @@ FAULTS = (
         ),
     ),
     Fault(
+        # a batch's pair indices count from its first chunk's start; the
+        # last chunk's start differs only in batches of several chunks
         "ch_batch_first_index",
         "src/heisconvex/chcheck.py",
-        "first, parts = batch[0][0], [pairs for _, pairs in batch]",
-        "first, parts = batch[0][0] - 1, [pairs for _, pairs in batch]",
+        "pair_index=batch[0][0] + int(p[r]),",
+        "pair_index=batch[-1][0] + int(p[r]),",
         ("tests/test_chcheck.py::test_ch_escapes_match_chunk_by_chunk_reference",),
+    ),
+    Fault(
+        # the absolute 1 back in solve_tau's clamp scale and residual bound
+        # (the scale alone changes no root here: the relative residual bound
+        # still rejects the root of every discriminant it clamps)
+        "solve_tau_absolute_scale",
+        "src/heisconvex/chcheck.py",
+        "    size = abs(t0) + abs(t1) + abs(cross)\n    res_bound = tol.eps_eq * (abs(t0)",
+        "    size = 1.0 + abs(t0) + abs(t1) + abs(cross)\n    res_bound = tol.eps_eq * (1.0 + abs(t0)",
+        ("tests/test_chcheck.py::test_small_koranyi_balls_stay_clean",),
+    ),
+    Fault(
+        # the residual bound without the cross term loses the far root of a
+        # pair near the t = 0 plane
+        "solve_tau_residual_without_cross",
+        "src/heisconvex/chcheck.py",
+        "res_bound = tol.eps_eq * (abs(t0) + abs(t1) + 2.0 * (abs(x0 * y1) + abs(x1 * y0)))",
+        "res_bound = tol.eps_eq * (abs(t0) + abs(t1))",
+        ("tests/test_chcheck.py::test_solve_tau_many_branches_match_reference",),
+    ),
+    Fault(
+        # merging roots within eps_eq * size splits a dilated double root
+        "solve_tau_merge_by_size",
+        "src/heisconvex/chcheck.py",
+        "tol.eps_eq * np.maximum(1.0, abs(first))",
+        "tol.eps_eq * size",
+        ("tests/test_chcheck.py::test_solve_tau_many_branches_match_reference",),
     ),
     Fault(
         "ch_chunk_budget_cut",
