@@ -550,9 +550,9 @@ def envelope_check(
     in [r0/sqrt(2), r0]; the cap is the gauge-ball sector beyond t0.  Both
     are necessary once the set's dilation family interpolates convexly, so
     a negative margin beyond slack is a genuine obstruction.  Grids are
-    deterministic; margins come from dilation-level bisection.  Every
-    anchor is validated before any level is bisected, and then the 3n
-    points of all anchors are bisected in one dilation_level_many call.
+    deterministic; margins come from dilation levels (exact or bisected).
+    Every anchor is validated before any level is taken, and then the 3n
+    points of all anchors go through one dilation_level_many call.
 
     Raises:
         ValueError: n < 2, or an anchor outside K, or with t0 = 0 or r0 = 0.

@@ -1,9 +1,9 @@
-"""Candidate cone functions built from a set by dilation bisection.
+"""Candidate cone functions built from a set by its dilation levels.
 
 For a compact set K, star-shaped under dilations with the identity
 interior, the nested family {dilate(tau, K)} determines the function
 f(p) = min{tau >= 0 : p in dilate(tau, K)}; this module evaluates it by
-monotone bisection, checks the three level-family axioms (coverage,
+a level formula or bisection, checks the three level-family axioms (coverage,
 nesting, closedness from above) by sampling, and validates the built
 function's homogeneity by sampling.  Its horizontal convexity is, by the
 paper's equivalence, condition C_H of the family: the verdict comes from
@@ -35,6 +35,7 @@ from .sets import (
     SetOracle,
     box_oracle,
     check_axioms_ab,
+    _bisected_levels,
     dilation_level,
     dilation_level_many,
     uniform_points,
@@ -124,10 +125,9 @@ def make_cone(
 
 
 def cone_eval(C: ConeFunction, xi: Point3) -> float:
-    """The dilation level of xi: exponential bracketing plus bisection.
-
-    Returns the midpoint of the final bracket; levels below eps_geom snap
-    to 0, so cone_eval(e) = 0 exactly.
+    """The dilation level of xi (sets.dilation_level): the set's level
+    formula, or the midpoint of a bisected bracket; levels below eps_geom
+    snap to 0, so cone_eval(e) = 0 exactly.
     """
     return dilation_level(C.source, xi, C.tol, scaling=C.kind)
 
@@ -260,7 +260,7 @@ def _ch_convexity_witness(
     (1 - theta) + theta tau, which bounds (1 - theta) f(xi0) + theta
     f(xi0 o exp_h(v)).  It is first dilated by 1/max(1, tau), which keeps
     it a violation (f is homogeneous) and its levels near or below 1, where
-    the bisected f is accurate to about eps_geom.  The sides are taken as
+    f, bisected or exact, is accurate to about eps_geom.  The sides are taken as
     replay_witness takes them, the points of each (pair, tau) row in one
     eval_many call, which equals eval bit for bit, so the witness replays;
     an escape whose gap does not clear loose.eps_eq is passed over.
@@ -284,21 +284,23 @@ def _ch_convexity_witness(
 
 
 def compare_closed_form(C: ConeFunction, n: int, seed: int = 0) -> float:
-    """Max |cone_eval - closed form| over n sampled points of a 1.5x box,
-    the closed form evaluated on all of them at once with ARRAYS.
+    """Max |bisected level - level formula| over n sampled points of a 1.5x
+    box, the formula evaluated on all of them at once with ARRAYS; the
+    levels are bisected (sets._bisected_levels), since cone_eval takes the
+    formula itself.
 
     Raises:
-        ValueError: C is not of the Heisenberg kind (the recorded closed
-            forms are Heisenberg dilation levels), or the source set has no
-            recorded closed form.
+        ValueError: C is not of the Heisenberg kind (the level formulas
+            are Heisenberg dilation levels), or the source set has no
+            level formula.
     """
     if C.kind != "heisenberg":
         raise ValueError(f"closed forms are heisenberg cone functions; {C.source.label} has none for the {C.kind} kind")
-    if C.source.closed_form_cone is None:
+    if C.source.level is None:
         raise ValueError(f"{C.source.label} has no closed-form cone function")
     rng = np.random.default_rng([seed, 0xCF])
     (xlo, xhi), (ylo, yhi), (tlo, thi) = _scaled_box(C, 1.5).bbox
     draws = rng.uniform((xlo, ylo, tlo), (xhi, yhi, thi), size=(n, 3))
-    closed = C.source.closed_form_cone(Point3(*draws.T), ARRAYS)
-    level = dilation_level_many(C.source, *draws.T, C.tol, C.kind)
+    closed = C.source.level(Point3(*draws.T), ARRAYS)
+    level = _bisected_levels(C.source, *draws.T, C.tol, C.kind, strict=True)
     return float(np.abs(level - closed).max(initial=0.0))

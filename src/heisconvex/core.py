@@ -77,21 +77,20 @@ class Kit(NamedTuple):
     sqrt: Callable
     sin: Callable
     copysign: Callable
-    hypot: Callable
     pow: Callable
     max: Callable
     min: Callable
 
 
 def _per_element(f: Callable) -> Callable:
-    # f of two floats, applied per element as a float array: np.power and
-    # np.hypot round some values differently from math (numpy 2.4.6, x86-64)
+    # f of two floats, applied per element as a float array: np.power
+    # rounds some values differently from math.pow (numpy 2.4.6, x86-64)
     ufunc = np.frompyfunc(f, 2, 1)
     return lambda a, b: np.asarray(ufunc(a, b), dtype=float)
 
 
-FLOATS = Kit(math.sqrt, math.sin, math.copysign, math.hypot, math.pow, max, min)
-ARRAYS = Kit(np.sqrt, np.sin, np.copysign, _per_element(math.hypot), _per_element(math.pow), np.maximum, np.minimum)
+FLOATS = Kit(math.sqrt, math.sin, math.copysign, math.pow, max, min)
+ARRAYS = Kit(np.sqrt, np.sin, np.copysign, _per_element(math.pow), np.maximum, np.minimum)
 
 
 def group_mul(p: Point3, q: Point3) -> Point3:

@@ -10,9 +10,9 @@ the three standing assumptions on a candidate set by seeded sampling
     c. horizontally convex: horizontal segments with endpoints in K stay in K,
 
 and provides the sampling utilities (rejection sampling, boundary points
-by ray bisection, dilation-level bisection, escape tests, the chunked
-horizontal line and probe streams) shared by the falsifiers in the other
-modules.
+and dilation levels, exact from a set's level formula or bisected, escape
+tests, the chunked horizontal line and probe streams) shared by the
+falsifiers in the other modules.
 """
 
 from __future__ import annotations
@@ -79,6 +79,9 @@ class SetOracle:
     truncated box for sampling and are flagged is_compact=False.  A set is
     radial exactly when it carries a profile.
 
+    level(p, k), where known, is the dilation level of the set without
+    slack, one formula in arithmetic and k.sqrt: FLOATS and ARRAYS agree.
+
     contains_many(x, y, t) is the vectorized predicate: it takes coordinate
     arrays of one shape and returns a bool array of that shape, equal to
     contains element for element.  Every oracle this module builds has an
@@ -93,7 +96,7 @@ class SetOracle:
     label: str
     is_compact: bool = True
     profile: Optional[RadialProfile] = None
-    closed_form_cone: Optional[Callable[[Point3, Kit], float]] = None
+    level: Optional[Callable[[Point3, Kit], float]] = None
     kernel: Optional[Kernel] = None
 
     def contains_many(self, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -193,6 +196,12 @@ def _sym_bbox(hx: float, hy: float, ht: float) -> Bbox:
     return ((-_pad(hx), _pad(hx)), (-_pad(hy), _pad(hy)), (-_pad(ht), _pad(ht)))
 
 
+def _koranyi_level(p: Point3, k: Kit) -> float:
+    # |p|_K by two square roots: ARRAYS.pow runs per element in Python
+    rho2 = p.x * p.x + p.y * p.y
+    return k.sqrt(k.sqrt(rho2 * rho2 + p.t * p.t))
+
+
 def _koranyi_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
     eps = tol.eps_geom
     bound = (r + eps) ** 4
@@ -207,11 +216,11 @@ def _koranyi_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
         _sym_bbox(r, r, r * r),
         f"koranyi_ball(r={r:g})",
         radial=(r, (-r * r, r * r)),
-        closed_form_cone=lambda p, k=FLOATS: norm(p, "koranyi", k) / r,
+        level=lambda p, k=FLOATS: _koranyi_level(p, k) / r,
     )
 
 
-def _euclidean_cone_value(p: Point3, radius: float, k: Kit = FLOATS) -> float:
+def _euclidean_level(p: Point3, radius: float, k: Kit = FLOATS) -> float:
     # smallest tau with dilate(1/tau, p) in the Euclidean ball of this radius
     rho2 = p.x * p.x + p.y * p.y
     inner = k.sqrt(rho2 * rho2 + 4.0 * radius * radius * p.t * p.t)
@@ -230,7 +239,7 @@ def _euclidean_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
         _sym_bbox(r, r, r),
         f"euclidean_ball(r={r:g})",
         radial=(r, (-r, r)),
-        closed_form_cone=lambda p, k=FLOATS: _euclidean_cone_value(p, r, k),
+        level=lambda p, k=FLOATS: _euclidean_level(p, r, k),
     )
 
 
@@ -242,7 +251,8 @@ def _cylinder(tol: Tolerances) -> SetOracle:
     def inside(p: Point3, k: Kit = FLOATS) -> bool:
         return (p.x * p.x + p.y * p.y <= bound) & (abs(p.t) <= height)
 
-    return _formula_oracle(inside, _sym_bbox(1.0, 1.0, 1.0), "cylinder", radial=(1.0, (-1.0, 1.0)))
+    level = lambda p, k=FLOATS: k.max(k.sqrt(p.x * p.x + p.y * p.y), k.sqrt(abs(p.t)))
+    return _formula_oracle(inside, _sym_bbox(1.0, 1.0, 1.0), "cylinder", radial=(1.0, (-1.0, 1.0)), level=level)
 
 
 def _cylinder_hat(tol: Tolerances) -> SetOracle:
@@ -252,11 +262,8 @@ def _cylinder_hat(tol: Tolerances) -> SetOracle:
     radial_bound = (1.0 + eps) ** 2
     gauge_bound = (2.0 * (1.0 + eps)) ** 4
 
-    def cone_value(p: Point3, k: Kit = FLOATS) -> float:
-        return k.max(k.hypot(p.x, p.y), 0.5 * norm(p, "koranyi", k))
-
     def inside(p: Point3, k: Kit = FLOATS) -> bool:
-        # cone_value <= 1 + eps, each branch of the max squared out
+        # level <= 1 + eps, each branch of the max squared out
         rho2 = p.x * p.x + p.y * p.y
         return (rho2 <= radial_bound) & (rho2 * rho2 + p.t * p.t <= gauge_bound)
 
@@ -265,7 +272,7 @@ def _cylinder_hat(tol: Tolerances) -> SetOracle:
         _sym_bbox(1.0, 1.0, 4.0),
         "cylinder_hat",
         radial=(1.0, (-4.0, 4.0)),
-        closed_form_cone=cone_value,
+        level=lambda p, k=FLOATS: k.max(k.sqrt(p.x * p.x + p.y * p.y), 0.5 * _koranyi_level(p, k)),
     )
 
 
@@ -689,11 +696,11 @@ def dilation_level_many(
 ) -> np.ndarray:
     """dilation_level of every point (x, y, t) at once, as a flat array.
 
-    All points are bracketed and bisected together through K.contains_many
-    (halved or doubled by _bracket, then bisected by bisect_many).
-    Each point runs exactly the steps of its own scalar loop with the same
-    arithmetic (core.scale by lam = 1.0 / tau, for either scaling), so
-    every level is bit for bit its dilation_level.
+    A set with a level formula gets, under the Heisenberg scaling, its
+    exact levels, and every other set or scaling its bisected ones
+    (_bisected_levels); either way each level is bit for bit the scalar
+    dilation_level of its point, and levels below max(eps_geom, 2**-500)
+    read 0.
 
     Args:
         strict: when False, a point whose bracket runs away gets level NaN
@@ -709,6 +716,21 @@ def dilation_level_many(
     if bad.size:
         i = bad[0]
         raise ValueError(_non_finite_message(K, Point3(float(x[i]), float(y[i]), float(t[i]))))
+    if K.level is None or scaling != "heisenberg":
+        return _bisected_levels(K, x, y, t, tol, scaling, strict)
+    # K.level of each point dilated by lam = 2**e, which brings s into
+    # [0.5, 1) (|e| <= 500), over lam: exact steps, and the formula's
+    # squares stay in range, so (0, 0, 1e-200) has level 1e-100
+    s = np.maximum(np.maximum(abs(x), abs(y)), np.sqrt(abs(t)))
+    lam = np.ldexp(1.0, np.minimum(np.maximum(-np.frexp(s)[1], -500), 500))
+    level = K.level(Point3(*scale(lam, x, y, t)), ARRAYS) / lam
+    return np.where(level < _vertex_level(tol), 0.0, level)
+
+
+def _bisected_levels(K: SetOracle, x, y, t, tol: Tolerances, scaling: str, strict: bool) -> np.ndarray:
+    """dilation_level_many by bisection on finite flat arrays: all points
+    halved or doubled (_bracket) and bisected (bisect_many) at once, each
+    in the steps and arithmetic of dilation_level's loop, bit for bit."""
     # membership at level tau, with one point's scalar-loop arithmetic
     def upper(x, y, t, tau):
         return K.contains_many(*scale(1.0 / tau, x, y, t, scaling))
@@ -744,15 +766,13 @@ def dilation_level(
 ) -> float:
     """Smallest level tau with q inside the tau-scaled copy of K.
 
-    Uses exponential bracketing from tau=1 followed by bisection, assuming
-    the single-flip monotonicity that assumption b guarantees.  Levels
-    below max(eps_geom, 2**-500) snap to 0 (the vertex).
-
-    This per-point loop is the reference that dilation_level_many matches
-    bit for bit.  It stays scalar because one point through the array
-    code costs about 12 to 15 times as much (some 0.4 ms against 30 us on
-    2 CPUs, Python 3.11.7, numpy 2.4.6), and escape_margin asks for one
-    level on every witness.
+    A set with a level formula gets its exact level under the Heisenberg
+    scaling, from dilation_level_many.  Otherwise exponential bracketing
+    from tau=1 and bisection, assuming the single-flip monotonicity of
+    assumption b.  That loop is the reference _bisected_levels matches bit
+    for bit, and stays scalar: one point costs some 12 times as much
+    through the array bisection.  Levels below max(eps_geom, 2**-500)
+    snap to 0 (the vertex).
 
     Args:
         scaling: "heisenberg" or "euclidean", the dilations of core.scale.
@@ -764,6 +784,8 @@ def dilation_level(
     """
     if not (math.isfinite(q.x) and math.isfinite(q.y) and math.isfinite(q.t)):
         raise ValueError(_non_finite_message(K, q))
+    if K.level is not None and scaling == "heisenberg":
+        return float(dilation_level_many(K, q.x, q.y, q.t, tol)[0])
     def member(tau: float) -> bool:
         return K.contains(Point3(*scale(1.0 / tau, q.x, q.y, q.t, scaling)))
 
@@ -826,8 +848,9 @@ def escapes_many(K: SetOracle, x: np.ndarray, y: np.ndarray, t: np.ndarray, tol:
 def escape_margin(K: SetOracle, p: Point3, tol: Tolerances = DEFAULT_TOL) -> float:
     """How far outside K the point sits, in dilation-level units.
 
-    Positive for escaped points: the dilation level L of p minus one; inf,
-    an unreliable margin, when the level bracket runs away (the identity
+    Positive for escaped points: the dilation level L of p minus one, exact
+    on a set with a level formula and bisected otherwise; inf, an
+    unreliable margin, when the bisection's bracket runs away (the identity
     is not interior) or when dilate(1/tau, p) is in K at some level
     tau = L 2**(-k/4) below L, k = 1..32 (K is not star-shaped under
     dilations, so L is one of several flips of membership).
@@ -850,14 +873,15 @@ def boundary_sample(
     tol: Tolerances = DEFAULT_TOL,
     group: int = 0,
 ) -> np.ndarray:
-    """n near-boundary points, as an (n, 3) array, by bisecting dilation rays from e.
+    """n boundary points of K, as an (n, 3) array, one on each of n dilation rays from e.
 
     Point k depends only on (seed, group, k): ray k takes the k-th
-    accepted direction of default_rng([seed, 0xB0, group]), so the first
-    points do not depend on n.  All rays are doubled (_bracket) and
-    bisected (bisect_many) together through K.contains_many; each ray
-    runs exactly the steps it would run on its own, so the result is bit
-    for bit the one-ray-at-a-time loop with K.contains.
+    accepted direction u of default_rng([seed, 0xB0, group]), so the first
+    points do not depend on n.  On a set with a level formula the point is
+    dilate(1 / level(u), u), on the boundary of K without slack; the
+    points that round outside K (at eps_geom below about 1e-16), found in
+    one contains_many call, and every point of a set without a level are
+    bisected (_bisected_rays) instead, so every point tests inside K.
 
     Requires a compact set with the identity interior (assumption a); the
     ray parameter is the dilation scale, which is exact for sets that are
@@ -881,13 +905,25 @@ def boundary_sample(
         keep = length >= 1e-12
         dirs = np.concatenate([dirs, d[keep] / length[keep, None]])
     ux, uy, ut = dirs.T
+    pts, rows = np.empty((n, 3)), np.arange(n)
+    if K.level is not None:
+        pts = np.stack(scale(1.0 / K.level(Point3(ux, uy, ut), ARRAYS), ux, uy, ut), axis=1)
+        rows = np.flatnonzero(~K.contains_many(*pts.T))
+    if rows.size:
+        pts[rows] = _bisected_rays(K, ux[rows], uy[rows], ut[rows], tol)
+    return pts
 
+
+def _bisected_rays(K: SetOracle, ux, uy, ut, tol: Tolerances) -> np.ndarray:
+    """The inner bracket ends of the dilation rays along (ux, uy, ut), all
+    doubled (_bracket) and bisected (bisect_many) at once, each bit for bit
+    the one-ray-at-a-time loop with K.contains."""
     def upper(ux, uy, ut, s):
         return ~K.contains_many(*scale(s, ux, uy, ut))
 
-    lo, hi = np.zeros(n), np.ones(n)
+    lo, hi = np.zeros(ux.size), np.ones(ux.size)
     # more than 60 doublings from hi = 1 is exactly hi > 2**60
-    if _bracket(lambda *a: ~upper(*a), (ux, uy, ut), hi, lo, np.arange(n), 2.0, 2.0 ** 60).any():
+    if _bracket(lambda *a: ~upper(*a), (ux, uy, ut), hi, lo, np.arange(ux.size), 2.0, 2.0 ** 60).any():
         raise RuntimeError(f"ray from e never exits {K.label}: non-compact input?")
     lo, hi = bisect_many(upper, (ux, uy, ut), lo, hi, tol, relative=False)
     # inner bracket end: guaranteed member, still within eps of the boundary

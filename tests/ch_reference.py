@@ -170,17 +170,17 @@ def dilate_oracle(K: SetOracle, alpha: float) -> SetOracle:
             inner.r_max * alpha,
             (inner.t_range[0] * a2, inner.t_range[1] * a2),
         )
-    cone = None
-    if K.closed_form_cone is not None:
-        inner_cone = K.closed_form_cone
-        cone = lambda p, k=FLOATS: inner_cone(p, k) / alpha
+    level = None
+    if K.level is not None:
+        inner_level = K.level
+        level = lambda p, k=FLOATS: inner_level(p, k) / alpha
     return SetOracle(
         contains=contains,
         bbox=((alpha * xlo, alpha * xhi), (alpha * ylo, alpha * yhi), (a2 * tlo, a2 * thi)),
         label=f"dilate({alpha:g}, {K.label})",
         is_compact=K.is_compact,
         profile=profile,
-        closed_form_cone=cone,
+        level=level,
         kernel=kernel,
     )
 

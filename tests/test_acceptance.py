@@ -119,7 +119,7 @@ def test_criterion_02_euclidean_ball_closed_form():
     dev = compare_closed_form(C, 10000, seed=0)
     closed_ok = dev <= 1e-6
 
-    f = FnOracle(eval=K.closed_form_cone, label="euclidean-ball-cone")
+    f = FnOracle(eval=K.level, label="euclidean-ball-cone")
     hom = check_homogeneous(f, 2000, seed=0)
     hom_ok = hom.max_dev <= 1e-8
 
@@ -169,7 +169,7 @@ def test_exact_gap_bound_not_positive_at_segment_ends():
     # at theta = 0 or 1 the theta point is an endpoint, so lhs equals one
     # term of rhs exactly and no sound lower bound can be positive
     K = gallery("euclidean_ball")
-    f = FnOracle(eval=K.closed_form_cone, label="euclidean-ball-cone")
+    f = FnOracle(eval=K.level, label="euclidean-ball-cone")
     dom = box_oracle(((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)), "box15")
     w = check_hconvex_fn(f, dom, 100000, grid=9, seed=0)
     assert w is not None
@@ -201,7 +201,7 @@ def test_criterion_03_cylinder_falsification():
 def test_criterion_04_cylinder_hat_function():
     K = gallery("cylinder_hat")
     # the closed form on arrays is the scalar one bit for bit
-    f = FnOracle(K.closed_form_cone, "hat", lambda x, y, t: K.closed_form_cone(Point3(x, y, t), ARRAYS))
+    f = FnOracle(K.level, "hat", lambda x, y, t: K.level(Point3(x, y, t), ARRAYS))
     hom = check_homogeneous(f, 2000, seed=0)
     dom = box_oracle(((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)), "box2")
     w = check_hconvex_fn(f, dom, 100000, grid=9, seed=0)

@@ -276,6 +276,18 @@ def test_cone_falsified_exit(tmp_path):
     assert rep["cone"]["convexity_witness"] is not None
 
 
+def test_tiny_tolerances_stay_clean(tmp_path):
+    # at eps_geom = eps_eq = 1e-19 the pool points that round outside K are
+    # bisected, so no false escape; the cone's homogeneity deviation is the
+    # rounding of exact levels, under check_homogeneous's floor
+    tiny = ["--eps-geom", "1e-19", "--eps-eq", "1e-19", "--out", str(tmp_path)]
+    for name in ("koranyi_ball", "cylinder_hat"):
+        assert main(["ch", "--set", name] + tiny) == 0
+    assert main(["cone", "--set", "koranyi_ball"] + tiny) == 0
+    hom = read_report(tmp_path / "cone_koranyi_ball_r_1_heisenberg.json")["cone"]["homogeneity"]
+    assert hom["ok"] and 1e-19 < hom["max_dev"] < 1e-15
+
+
 def test_cone_euclidean_kind_exit(tmp_path):
     # the Euclidean scaling's levels are not homogeneous under the
     # Heisenberg dilations that the homogeneity check applies
@@ -428,7 +440,7 @@ def test_error_exits(tmp_path):
     out = ["--out", str(tmp_path)]
     assert main(["axioms", "--set", "nonsense"] + out) == 1
     assert main(["radial", "--set", "slab_x"] + out) == 1
-    assert main(["cone", "--set", "cylinder", "--compare-closed-form"] + out) == 1
+    assert main(["cone", "--set", "importante", "--compare-closed-form"] + out) == 1
     # the recorded closed forms are Heisenberg levels: the euclidean kind has none to compare with
     assert main(["cone", "--set", "koranyi_ball", "--kind", "euclidean", "--compare-closed-form"] + out) == 1
     assert main(["export", "--kind", "curve"] + out) == 1

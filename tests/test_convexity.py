@@ -67,7 +67,7 @@ def test_replay_recomputes_from_fields():
 def test_euclidean_ball_gauge_witness_frozen():
     # the seed-0 stream (chunks from default_rng([0, 0xF, c]) through
     # segment_chunks) pinned: criterion 2 proves this witness exactly
-    f = FnOracle(eval=gallery("euclidean_ball").closed_form_cone, label="euclidean-ball-cone")
+    f = FnOracle(eval=gallery("euclidean_ball").level, label="euclidean-ball-cone")
     box15 = box_oracle(((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5)), "box15")
     w = check_hconvex_fn(f, box15, 100000, grid=9, seed=0)
     assert w is not None and w.kind == "convex"
@@ -120,14 +120,26 @@ def test_check_homogeneous_rejects_ln():
     assert 0.25 <= lam <= 4.0
 
 
+def test_check_homogeneous_floor_is_a_few_ulps():
+    # an exact level deviates by rounding alone, which passes however small
+    # eps_eq is; 1e-14 off homogeneity still fails
+    tiny = Tolerances(eps_geom=1e-300, eps_eq=1e-300)
+    for name in ("euclidean_ball", "cylinder", "cylinder_hat", "koranyi_ball"):
+        K = gallery(name)
+        rep = check_homogeneous(FnOracle(K.level, name), 2000, seed=0, tol=tiny, box=K.bbox)
+        assert rep.ok and rep.max_dev > 0.0, name
+    skewed = FnOracle(lambda p: norm(p, "koranyi") + 1e-14 * p.t, "skewed")
+    assert not check_homogeneous(skewed, 2000, seed=0, tol=tiny).ok
+
+
 def test_check_homogeneous_validates_n():
     with pytest.raises(ValueError):
         check_homogeneous(gauge, 0)
 
 
 def test_closed_form_cones_are_homogeneous():
-    for name in ("euclidean_ball", "cylinder_hat", "koranyi_ball"):
-        f = FnOracle(eval=gallery(name).closed_form_cone, label=name)
+    for name in ("euclidean_ball", "cylinder", "cylinder_hat", "koranyi_ball"):
+        f = FnOracle(eval=gallery(name).level, label=name)
         rep = check_homogeneous(f, 400, seed=0)
         assert rep.ok, name
         assert rep.max_dev <= 1e-12

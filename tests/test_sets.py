@@ -679,7 +679,7 @@ def test_dilate_oracle_closed_form():
     K = gallery("koranyi_ball")
     K2 = dilate_oracle(K, 2.0)
     p = Point3(0.7, -0.2, 1.3)
-    assert K2.closed_form_cone(p) == pytest.approx(K.closed_form_cone(p) / 2.0)
+    assert K2.level(p) == pytest.approx(K.level(p) / 2.0)
     with pytest.raises(ValueError):
         dilate_oracle(K, 0.0)
 
@@ -844,7 +844,7 @@ def test_cylinder_hat_closed_form_matches_oracle():
     rng = np.random.default_rng(12)
     for _ in range(300):
         p = Point3(*(rng.uniform(-1.7, 1.7, size=2)), rng.uniform(-4.5, 4.5))
-        f = K.closed_form_cone(p)
+        f = K.level(p)
         if abs(f - 1.0) > 1e-6:
             assert K.contains(p) == (f <= 1.0)
 
@@ -864,11 +864,16 @@ ORACLES = _all_oracles()
 FINE_TOL = Tolerances(eps_geom=1e-300, eps_eq=1e-300, max_iter=200)
 
 
+def _bisected(K):
+    """K without its level formula, so its levels and boundary rays are bisected."""
+    return dataclasses.replace(K, level=None)
+
+
 def _edge_points(K, seed):
     """Points within a few ulps of the membership boundary: rays bisected
     down to adjacent floats, then each coordinate stepped one ulp each way."""
     if K.is_compact:
-        pts = boundary_sample(K, 256, seed, FINE_TOL)
+        pts = boundary_sample(_bisected(K), 256, seed, FINE_TOL)
     else:
         # the slabs: bisect x between the t-axis and the box face instead
         rng = np.random.default_rng(seed)
@@ -990,7 +995,9 @@ def _reference_boundary_sample(K, n, seed, tol=Tolerances(), group=0):
 
 @pytest.mark.parametrize("name", ["koranyi_ball", "euclidean_ball", "cylinder", "cylinder_hat", "importante"])
 def test_boundary_sample_matches_per_ray_loop(name):
-    K = gallery(name)
+    # the bisection, which a set with a level formula keeps for the points
+    # that round outside K
+    K = _bisected(gallery(name))
     # also under a max_iter cap that cuts every ray's bisection short
     for tol in (Tolerances(), Tolerances(eps_geom=1e-4, eps_eq=1e-4, max_iter=5)):
         for seed in (0, 1, 2):
@@ -1001,6 +1008,65 @@ def test_boundary_sample_matches_per_ray_loop(name):
     later = boundary_sample(K, 256, 0, group=3)
     assert later.tolist() == _reference_boundary_sample(K, 256, 0, group=3)
     assert not np.isin(later, boundary_sample(K, 256, 0)).any()
+
+
+LEVEL_ORACLES = {name: K for name, K in ORACLES.items() if K.level is not None}
+
+
+def _box_points(K, n, seed):
+    """n uniform points of K's bounding box dilated by 1.5."""
+    lo, hi = (core_scale(1.5, *corner) for corner in zip(*K.bbox))
+    return np.random.default_rng(seed).uniform(lo, hi, size=(n, 3))
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_ORACLES))
+def test_level_formula_on_arrays_is_the_scalar_formula(name):
+    K = LEVEL_ORACLES[name]
+    pts = _box_points(K, 2000, 5)
+    want = [K.level(Point3(*p)) for p in pts.tolist()]
+    assert np.array_equal(_bits(K.level(Point3(*pts.T), ARRAYS)), _bits(want))
+    # dilation_level_many's dilation by powers of two changes no bit here,
+    # and far out, where the formula's squares alone would underflow or
+    # overflow, it keeps the level homogeneous to the bit
+    assert np.array_equal(_bits(dilation_level_many(K, *pts.T)), _bits(want))
+    for k in (-400, -200, 200, 400):
+        far = dilation_level_many(K, *core_scale(2.0 ** k, *pts.T), FINE_TOL)
+        assert np.array_equal(_bits(far), _bits(2.0 ** k * np.array(want)))
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_ORACLES))
+def test_level_formula_matches_bisection(name):
+    # the bisection finds the level of K with its slack, which differs from
+    # the formula's by at most eps_geom level (the dilated sets carry the
+    # scaled level and slack), to half a bracket, eps_geom max(1, level) / 2
+    K, tol = LEVEL_ORACLES[name], Tolerances()
+    pts = _box_points(K, 2000, 6)
+    level = K.level(Point3(*pts.T), ARRAYS)
+    bisected = sets._bisected_levels(K, *pts.T, tol, "heisenberg", True)
+    assert (np.abs(level - bisected) <= tol.eps_geom * (level + np.maximum(1.0, level))).all()
+
+
+@pytest.mark.parametrize("eps_geom", [1e-7, 1e-19, 1e-300])
+def test_boundary_sample_points_test_inside_k(eps_geom):
+    # each point is the exact one, dilate(1 / level(u), u) at level 1, or,
+    # where that rounds outside K, the bisected one; either tests inside K
+    tol = Tolerances(eps_geom=eps_geom, eps_eq=eps_geom)
+    fallbacks = 0
+    for name in ("koranyi_ball", "euclidean_ball", "cylinder", "cylinder_hat"):
+        K, sizes = _counting(gallery(name, None, tol))
+        for group in range(20):
+            sizes.clear()
+            pts = boundary_sample(K, 256, 0, tol, group)
+            # one membership call on the exact points, then the bisection's
+            # on the rows outside K, if any
+            assert sizes[0] == 256
+            fallbacks += sizes[1] if len(sizes) > 1 else 0
+            assert K.contains_many(*pts.T).all(), (name, group)
+            exact = np.abs(K.level(Point3(*pts.T), ARRAYS) - 1.0) <= 4.0 * 2.0 ** -52
+            bisected = (pts == boundary_sample(_bisected(K), 256, 0, tol, group)).all(axis=1)
+            assert (exact | bisected).all(), (name, group)
+    # exact points round outside K only at the tiny slacks
+    assert (fallbacks == 0) == (eps_geom == 1e-7), fallbacks
 
 
 @pytest.mark.parametrize("relative", [False, True])
@@ -1060,10 +1126,12 @@ def _level_points(K, seed):
 
 
 def _assert_levels_match(K, pts, tol, scaling):
-    got = dilation_level_many(K, pts[:, 0], pts[:, 1], pts[:, 2], tol, scaling)
-    want = [dilation_level(K, Point3(*p), tol, scaling) for p in pts.tolist()]
-    assert got.dtype == float and got.shape == (len(pts),)
-    assert got.tolist() == want
+    # a set with a level formula as it is, and bisected
+    for K in [K] + [_bisected(K)] * (K.level is not None):
+        got = dilation_level_many(K, pts[:, 0], pts[:, 1], pts[:, 2], tol, scaling)
+        want = [dilation_level(K, Point3(*p), tol, scaling) for p in pts.tolist()]
+        assert got.dtype == float and got.shape == (len(pts),)
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("tol_name", sorted(LEVEL_TOLS))
@@ -1089,7 +1157,7 @@ def test_vertex_level_zero_at_tiny_eps_geom():
         assert dilation_level_many(K, *np.zeros((3, 1)), tol).tolist() == [0.0]
         assert cone_eval(ConeFunction(K, tol=tol), ORIGIN) == 0.0
         # a point at gauge 1e-100 keeps its level
-        assert dilation_level(K, Point3(0.0, 0.0, 1e-200), tol) == pytest.approx(1e-100)
+        assert dilation_level(K, Point3(0.0, 0.0, 1e-200), tol) == pytest.approx(1e-100, rel=1e-9, abs=0.0)
 
 
 def test_dilation_level_many_stops_at_the_vertex():

@@ -370,6 +370,36 @@ FAULTS = (
         ),
     ),
     Fault(
+        # a level formula 1e-4 off: the comparison with the bisection sees it
+        "level_formula_scale",
+        "src/heisconvex/sets.py",
+        "level=lambda p, k=FLOATS: _koranyi_level(p, k) / r,",
+        "level=lambda p, k=FLOATS: _koranyi_level(p, k) / (r * 1.0001),",
+        (
+            "tests/test_sets.py::test_level_formula_matches_bisection",
+            "tests/test_cones.py::test_closed_form_comparison_matches_reference",
+        ),
+    ),
+    Fault(
+        # without the power-of-two dilation a level's squares underflow
+        "exact_level_unscaled",
+        "src/heisconvex/sets.py",
+        "    lam = np.ldexp(1.0, np.minimum(np.maximum(-np.frexp(s)[1], -500), 500))\n",
+        "    lam = np.ones_like(x)\n",
+        (
+            "tests/test_sets.py::test_vertex_level_zero_at_tiny_eps_geom",
+            "tests/test_sets.py::test_level_formula_on_arrays_is_the_scalar_formula",
+        ),
+    ),
+    Fault(
+        # exact pool points that round outside K kept, not bisected
+        "boundary_sample_no_fallback",
+        "src/heisconvex/sets.py",
+        "rows = np.flatnonzero(~K.contains_many(*pts.T))",
+        "rows = np.flatnonzero(np.zeros(n, bool))",
+        ("tests/test_sets.py::test_boundary_sample_points_test_inside_k",),
+    ),
+    Fault(
         "cone_scan_euclidean_only",
         "src/heisconvex/cones.py",
         "    if scan:\n",
