@@ -31,6 +31,7 @@ from .core import (
     FLOATS,
     HVec,
     Kit,
+    ORIGIN,
     Point3,
     Tolerances,
     exp_h,
@@ -356,13 +357,13 @@ def _pair_chunks(K: SetOracle, budget: int, seed: int, tol: Tolerances) -> Itera
     pairs is a (2, n, 3) array (xi0, xi1).  Chunk c's pair k is (pool[i],
     pool[j]) for row k of default_rng([seed, 0xC4, c])'s (PAIR_CHUNK, 2)
     integers, or without a pool that stream's uniform points 2k and 2k + 1.
+    Only a set without assumption a (not compact, or e outside) has no
+    pool; on any other set an error of boundary_sample stands.
     """
+    pooled = K.is_compact and K.contains(ORIGIN)
     for chunk, start in enumerate(range(0, budget, PAIR_CHUNK)):
         if chunk % POOL_GROUP == 0:
-            try:
-                pool = boundary_sample(K, PAIR_CHUNK, seed, tol, chunk // POOL_GROUP)
-            except (ValueError, RuntimeError):
-                pool = None
+            pool = boundary_sample(K, PAIR_CHUNK, seed, tol, chunk // POOL_GROUP) if pooled else None
         rng = np.random.default_rng([seed, 0xC4, chunk])
         if pool is not None:
             pairs = pool[rng.integers(0, len(pool), size=(PAIR_CHUNK, 2)).T]
@@ -459,7 +460,7 @@ def radial_necessary(
         # the boundary arc at t and -t, then n - half seeded caps from pairs
         # of doubles d: uniform(lo, hi) is lo + (hi - lo) * d on the same d
         d = rng.random(2 * (n - half))
-        r_cap = r_flat * ARRAYS.pow(d[0::2], 0.25)
+        r_cap = r_flat * np.sqrt(np.sqrt(d[0::2]))
         t_cap = envelope_psi(r_cap, r_flat, 0.0, ARRAYS)
         r = np.concatenate([np.repeat(r_arc, 2), r_cap])
         t = np.concatenate([np.stack([t_arc, -t_arc], axis=1).ravel(), -t_cap + (t_cap + t_cap) * d[1::2]])
@@ -505,13 +506,13 @@ def radial_necessary(
 def envelope_phi(r: float, r0: float, t0: float, k: Kit = FLOATS) -> float:
     """Height profile of the revolution solid anchored at (r0, t0); r may
     be an array with k=ARRAYS."""
-    mag = 0.5 * (abs(t0) + k.sqrt(t0 * t0 + 4.0 * r0 * r0 * r * r - 4.0 * k.pow(r, 4)))
+    mag = 0.5 * (abs(t0) + k.sqrt(t0 * t0 + 4.0 * r0 * r0 * r * r - 4.0 * ((r * r) * (r * r))))
     return k.copysign(mag, t0)
 
 
 def envelope_psi(r: float, r0: float, t0: float, k: Kit = FLOATS) -> float:
     """Gauge-sphere cap profile through (r0, t0): r^4 + psi^2 is constant."""
-    return k.sqrt(k.max(k.pow(r0, 4) + t0 * t0 - k.pow(r, 4), 0.0))
+    return k.sqrt(k.max((r0 * r0) * (r0 * r0) + t0 * t0 - (r * r) * (r * r), 0.0))
 
 
 def _envelope_grids(xi0: Point3, n: int) -> tuple[tuple, tuple, float, float]:
@@ -529,7 +530,7 @@ def _envelope_grids(xi0: Point3, n: int) -> tuple[tuple, tuple, float, float]:
     sgn = math.copysign(1.0, t0)
     r = r0 * k / (n - 1)
     psi = envelope_psi(r, r0, t0, ARRAYS)
-    cap_res = float(np.abs(ARRAYS.pow(r, 4) + psi * psi - (r0 ** 4 + t0 * t0)).max())
+    cap_res = float(np.abs((r * r) * (r * r) + psi * psi - ((r0 * r0) * (r0 * r0) + t0 * t0)).max())
     # two cap points per radius: at height sgn psi, then halfway to t0
     ang = k * golden + 1.0
     heights = np.stack([sgn * psi, 0.5 * (t0 + sgn * psi)], axis=1).ravel()

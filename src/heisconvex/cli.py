@@ -107,16 +107,16 @@ _WRITE_BLOCK = 4096
 
 
 @functools.cache
-def _cube_table() -> tuple[np.ndarray, ...]:
+def _cube_table() -> tuple[np.ndarray, np.ndarray]:
     """Marching-tetrahedra table of a cube, for the 256 codes whose bit c
-    says whether the corner of code c is inside, as (key, edge_ptr, tris,
-    tri_ptr): a code's crossing edges, once per tet in _TETS order, are its
-    run key[edge_ptr[code]:edge_ptr[code + 1]], each 7 * (lower end a & b) +
-    (direction a ^ b) - 1 for its corners a and b (a Kuhn edge joins corners
-    ordered coordinate by coordinate); its triangles, as positions among
-    those edges, are its run of tris.  Built on first use, once per process,
-    and read-only: it does not depend on the grid."""
-    key, tris, edge_ptr, tri_ptr = [], [], [0], [0]
+    says whether the corner of code c is inside, as (key, ptr): a code's
+    triangles, tet by tet in _TETS order, are the triples of its run
+    key[ptr[code]:ptr[code + 1]], each corner keyed by its crossing edge as
+    7 * (lower end a & b) + (direction a ^ b) - 1 for the edge's corners a
+    and b (a Kuhn edge joins corners ordered coordinate by coordinate).
+    Built on first use, once per process, and read-only: it does not
+    depend on the grid."""
+    key, ptr = [], [0]
     for code in range(256):
         for tet in _TETS:
             ins = [c for c in tet if code >> c & 1]
@@ -130,20 +130,12 @@ def _cube_table() -> tuple[np.ndarray, ...]:
             else:
                 (p, q), (r, s) = ins, outs
                 edges, faces = [(p, r), (p, s), (q, r), (q, s)], [(0, 1, 2), (1, 3, 2)]
-            tris += [[len(key) - edge_ptr[-1] + e for e in face] for face in faces]
-            key += [7 * (a & b) + (a ^ b) - 1 for a, b in edges]
-        edge_ptr.append(len(key))
-        tri_ptr.append(len(tris))
-    table = tuple(map(np.array, (key, edge_ptr, tris, tri_ptr)))
+            key += [7 * (a & b) + (a ^ b) - 1 for a, b in (edges[e] for face in faces for e in face)]
+        ptr.append(len(key))
+    table = np.array(key), np.array(ptr)
     for array in table:
         array.setflags(write=False)
     return table
-
-
-def _runs(ptr: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the runs ptr[c]:ptr[c + 1] of the codes laid end to end: (table indices, run lengths)
-    count = ptr[code + 1] - ptr[code]
-    return np.arange(count.sum()) + np.repeat(ptr[code] - (np.cumsum(count) - count), count), count
 
 
 def _face_tokens(count: int) -> np.ndarray:
@@ -168,26 +160,28 @@ def _march(field_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (verts, faces): the crossing edges, one per vertex in the order
     a cube-by-cube march first meets them, as 7 * (flat grid index of the
     lower end) + direction - 1 (see _cube_table); and the triangles as
-    triples of vertex numbers, counted from 1.
+    triples of vertex numbers, counted from 1.  A tetrahedron's triangle
+    corners meet its crossing edges first in the order it lists the edges
+    ((0, 1, 2), and (0, 1, 2), (1, 3, 2) on a 2-2 split), so the vertices
+    are numbered by their first triangle corner.
     """
     n = field_.shape[0]
-    m = n - 1
-    # bit c of a cube's code says whether its corner c, at (dx, dy, dz), is inside
-    offset = [(c >> 2, c >> 1 & 1, c & 1) for c in range(8)]
-    code = np.zeros((m, m, m), dtype=np.uint8)
-    for c, (dx, dy, dz) in enumerate(offset):
-        code |= np.left_shift(field_[dx : dx + m, dy : dy + m, dz : dz + m], c, dtype=np.uint8)
+    # bit c = 4 dx + 2 dy + dz of a cube's code says whether its corner at
+    # (dx, dy, dz) is inside: the dz bit, then dy, then dx, one axis at a time
+    code = field_[:, :, :-1] | np.left_shift(field_[:, :, 1:], 1, dtype=np.uint8)
+    code = code[:, :-1] | code[:, 1:] << 2
+    code = code[:-1] | code[1:] << 4
     # mixed cubes in (i, j, k) order, by their corner 0 grid point
     i, j, k = np.nonzero((code != 0) & (code != 255))
     code = code[i, j, k].astype(np.intp)
-    key, edge_ptr, tris, tri_ptr = _cube_table()
+    key, ptr = _cube_table()
     # the grid enters only here: the flat offset of each corner code's corner
-    corner = np.array([(dx * n + dy) * n + dz for dx, dy, dz in offset])
-    run, count = _runs(edge_ptr, code)
-    # each crossing edge once per tetrahedron that meets it, in march order
+    corner = np.array([((c >> 2) * n + (c >> 1 & 1)) * n + (c & 1) for c in range(8)])
+    # the runs ptr[c]:ptr[c + 1] of the cubes' codes, laid end to end
+    count = ptr[code + 1] - ptr[code]
+    run = np.arange(count.sum()) + np.repeat(ptr[code] - (np.cumsum(count) - count), count)
+    # each triangle corner's crossing edge, in march order
     edge = np.repeat(7 * ((i * n + j) * n + k), count) + (7 * corner[key // 7] + key % 7)[run]
-    run, tri_count = _runs(tri_ptr, code)
-    tri = np.repeat(np.cumsum(count) - count, tri_count)[:, None] + tris[run]
     # an edge's vertex is new where the edge first comes up: numbered 1, 2, ...
     pos = np.arange(len(edge), dtype=np.int32)
     first = np.empty(7 * n**3, dtype=np.int32)
@@ -195,7 +189,7 @@ def _march(field_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.minimum.at(first, edge, pos)
     first = first[edge]
     new = first == pos
-    return edge[new], np.cumsum(new)[first][tri]
+    return edge[new], np.cumsum(new)[first].reshape(-1, 3)
 
 
 def export_levelset(K: SetOracle, tau: float, resolution: int, path: Path) -> Path:

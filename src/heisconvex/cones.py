@@ -287,12 +287,13 @@ def compare_closed_form(C: ConeFunction, n: int, seed: int = 0) -> float:
     """Max |bisected level - level formula| over n sampled points of a 1.5x
     box, the formula evaluated on all of them at once with ARRAYS; the
     levels are bisected (sets._bisected_levels), since cone_eval takes the
-    formula itself.
+    formula itself.  Every gallery set but slab_x and radial_custom has a
+    formula, importante's sine branch solved by Newton steps.
 
     Raises:
         ValueError: C is not of the Heisenberg kind (the level formulas
             are Heisenberg dilation levels), or the source set has no
-            level formula.
+            level formula (a polygon, for one).
     """
     if C.kind != "heisenberg":
         raise ValueError(f"closed forms are heisenberg cone functions; {C.source.label} has none for the {C.kind} kind")

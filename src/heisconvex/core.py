@@ -10,7 +10,7 @@ homomorphisms.  Horizontal vectors v = (a, b) exponentiate onto the plane
 t = 0; left translating gives the horizontal plane of a point, the set it
 can reach in one horizontal step.  On top of that this module provides
 the Koranyi and Euclidean norms, the shared numeric tolerances and the
-number kits FLOATS and ARRAYS, from which one formula takes sqrt, sin, pow
+number kits FLOATS and ARRAYS, from which one formula takes sqrt, sin, cos
 and the rest for a point and for coordinate arrays alike, with the same
 rounding.  No state.
 """
@@ -76,21 +76,14 @@ class Kit(NamedTuple):
 
     sqrt: Callable
     sin: Callable
+    cos: Callable
     copysign: Callable
-    pow: Callable
     max: Callable
     min: Callable
 
 
-def _per_element(f: Callable) -> Callable:
-    # f of two floats, applied per element as a float array: np.power
-    # rounds some values differently from math.pow (numpy 2.4.6, x86-64)
-    ufunc = np.frompyfunc(f, 2, 1)
-    return lambda a, b: np.asarray(ufunc(a, b), dtype=float)
-
-
-FLOATS = Kit(math.sqrt, math.sin, math.copysign, math.pow, max, min)
-ARRAYS = Kit(np.sqrt, np.sin, np.copysign, _per_element(math.pow), np.maximum, np.minimum)
+FLOATS = Kit(math.sqrt, math.sin, math.cos, math.copysign, max, min)
+ARRAYS = Kit(np.sqrt, np.sin, np.cos, np.copysign, np.maximum, np.minimum)
 
 
 def group_mul(p: Point3, q: Point3) -> Point3:
@@ -133,12 +126,12 @@ def norm(p: Point3, kind: str = "koranyi", k: Kit = FLOATS) -> float:
     """A norm of p: "koranyi" or "euclidean".
 
     koranyi: ((x^2+y^2)^2 + t^2)^(1/4), homogeneous of degree one under
-    dilations; euclidean: |(x,y,t)|_E.  With k=ARRAYS, p holds coordinate
-    arrays.
+    dilations, as two square roots; euclidean: |(x,y,t)|_E.  With k=ARRAYS,
+    p holds coordinate arrays.
     """
     if kind == "koranyi":
         rho2 = p.x * p.x + p.y * p.y
-        return k.pow(rho2 * rho2 + p.t * p.t, 0.25)
+        return k.sqrt(k.sqrt(rho2 * rho2 + p.t * p.t))
     if kind == "euclidean":
         return k.sqrt(p.x * p.x + p.y * p.y + p.t * p.t)
     raise ValueError(f"unknown norm kind {kind!r}")

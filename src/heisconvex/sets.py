@@ -80,7 +80,8 @@ class SetOracle:
     radial exactly when it carries a profile.
 
     level(p, k), where known, is the dilation level of the set without
-    slack, one formula in arithmetic and k.sqrt: FLOATS and ARRAYS agree.
+    slack, one formula in arithmetic and the kit's functions (importante's
+    runs a fixed number of Newton steps): FLOATS and ARRAYS agree.
 
     contains_many(x, y, t) is the vectorized predicate: it takes coordinate
     arrays of one shape and returns a bool array of that shape, equal to
@@ -196,12 +197,6 @@ def _sym_bbox(hx: float, hy: float, ht: float) -> Bbox:
     return ((-_pad(hx), _pad(hx)), (-_pad(hy), _pad(hy)), (-_pad(ht), _pad(ht)))
 
 
-def _koranyi_level(p: Point3, k: Kit) -> float:
-    # |p|_K by two square roots: ARRAYS.pow runs per element in Python
-    rho2 = p.x * p.x + p.y * p.y
-    return k.sqrt(k.sqrt(rho2 * rho2 + p.t * p.t))
-
-
 def _koranyi_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
     eps = tol.eps_geom
     bound = (r + eps) ** 4
@@ -216,7 +211,7 @@ def _koranyi_ball(tol: Tolerances, r: float = 1.0) -> SetOracle:
         _sym_bbox(r, r, r * r),
         f"koranyi_ball(r={r:g})",
         radial=(r, (-r * r, r * r)),
-        level=lambda p, k=FLOATS: _koranyi_level(p, k) / r,
+        level=lambda p, k=FLOATS: norm(p, "koranyi", k) / r,
     )
 
 
@@ -272,15 +267,52 @@ def _cylinder_hat(tol: Tolerances) -> SetOracle:
         _sym_bbox(1.0, 1.0, 4.0),
         "cylinder_hat",
         radial=(1.0, (-4.0, 4.0)),
-        level=lambda p, k=FLOATS: k.max(k.sqrt(p.x * p.x + p.y * p.y), 0.5 * _koranyi_level(p, k)),
+        level=lambda p, k=FLOATS: k.max(k.sqrt(p.x * p.x + p.y * p.y), 0.5 * norm(p, "koranyi", k)),
     )
 
 
-# constants of the capped-sine radial set, computed once at import
-IMPORTANTE_R_FLAT = ((1.0 + 2.0 ** 0.25) ** 4 - 2.0) ** 0.25
+# constants of the capped-sine radial set, computed once at import: its
+# sine branch at level 1 is rho^4 + sin(t) / 2 = _SINE_C, whose level the
+# square roots of _SINE_C - 1/2, _SINE_C and _SINE_C + 1/2 bound
+_SINE_C = (1.0 + 2.0 ** 0.25) ** 4 - 2.0
+_SINE_ROOTS = tuple(math.sqrt(_SINE_C + d) for d in (-0.5, 0.0, 0.5))
+_NEWTON_STEPS = 4
+IMPORTANTE_R_FLAT = _SINE_C ** 0.25
 IMPORTANTE_R_MAX = ((1.0 + 2.0 ** 0.25) ** 4 - 1.5) ** 0.25
 IMPORTANTE_ANCHOR = Point3(IMPORTANTE_R_MAX, 0.0, 1.5 * math.pi)
 IMPORTANTE_ANCHOR_NORM = norm(IMPORTANTE_ANCHOR, "koranyi")
+
+
+def _importante_level(p: Point3, k: Kit = FLOATS) -> float:
+    """importante's dilation level max(|p|_K / N, 1 / sqrt(s)), N = IMPORTANTE_ANCHOR_NORM.
+
+    p dilated by 1 / level has rho^4 s^2 and t s for rho^4 and t, s =
+    1 / level^2, so the sine branch binds where g(s) = a s^2 + sin(t s) / 2
+    = c, a = rho^4.  On the bracket [sqrt((c - 1/2) / a), min(sqrt((c +
+    1/2) / a), s_g)], s_g = N^2 / sqrt(a + t^2), a s^2 >= c - 1/2 and |t| s
+    <= N^2, so s g'(s) >= 2 c - 1 - N^2 / 2 > 0: the root is unique, or s
+    = s_g when the gauge branch binds first (the bracket is empty).
+    _NEWTON_STEPS Newton steps from sqrt(c / a), each clamped to the
+    bracket, reach it to an ulp.  They run on v = 1 / s, whose bracket
+    [max(rho^2 / sqrt(c + 1/2), (|p|_K / N)^2), rho^2 / sqrt(c - 1/2)]
+    divides by no coordinate, and the level is sqrt(v), at least |p|_K / N.
+    v is 0 only where rho^2 and t^2 are (at e), and there any positive
+    divisor gives a s^2 = t s = 0.
+    """
+    rho2 = p.x * p.x + p.y * p.y
+    gauge = norm(p, "koranyi", k) / IMPORTANTE_ANCHOR_NORM
+    root_lo, root_c, root_hi = _SINE_ROOTS
+    lo, hi = k.max(rho2 / root_hi, gauge * gauge), rho2 / root_lo
+    v = k.max(k.min(rho2 / root_c, hi), lo)
+    for _ in range(_NEWTON_STEPS):
+        d = k.max(v, 2.0 ** -1074)
+        z, w = rho2 / d, p.t / d  # sqrt(a) s and t s
+        quartic = z * z
+        g = quartic + 0.5 * k.sin(w) - _SINE_C
+        # s g'(s), floored at 1 where the bracket is empty and v = lo anyway
+        slope = k.max(quartic + quartic + 0.5 * w * k.cos(w), 1.0)
+        v = k.max(k.min(v / (1.0 - g / slope), hi), lo)
+    return k.sqrt(v)
 
 
 def _importante(tol: Tolerances) -> SetOracle:
@@ -289,7 +321,7 @@ def _importante(tol: Tolerances) -> SetOracle:
     # which is horizontally convex but not homogeneous.  The set is compact,
     # radial and horizontally convex, and its widest horizontal slice sits
     # away from t = 0: the standard counterexample for the radial necessary
-    # conditions.
+    # conditions.  Its level, without slack, is _importante_level.
     eps = tol.eps_geom
     sine_bound = (1.0 + eps + 2.0 ** 0.25) ** 4
     gauge_bound = ((1.0 + eps) * IMPORTANTE_ANCHOR_NORM) ** 4
@@ -303,7 +335,9 @@ def _importante(tol: Tolerances) -> SetOracle:
 
     half_t = IMPORTANTE_ANCHOR_NORM * IMPORTANTE_ANCHOR_NORM
     bbox = _sym_bbox(IMPORTANTE_ANCHOR_NORM, IMPORTANTE_ANCHOR_NORM, half_t)
-    return _formula_oracle(inside, bbox, "importante", radial=(IMPORTANTE_R_MAX, (-half_t, half_t)))
+    return _formula_oracle(
+        inside, bbox, "importante", radial=(IMPORTANTE_R_MAX, (-half_t, half_t)), level=_importante_level
+    )
 
 
 def _slab_x(tol: Tolerances) -> SetOracle:
@@ -766,8 +800,10 @@ def dilation_level(
 ) -> float:
     """Smallest level tau with q inside the tau-scaled copy of K.
 
-    A set with a level formula gets its exact level under the Heisenberg
-    scaling, from dilation_level_many.  Otherwise exponential bracketing
+    A set with a level formula (every gallery set but slab_x and the
+    polygons of radial_custom; importante's solves its sine branch by
+    Newton steps) gets its exact level under the Heisenberg scaling, from
+    dilation_level_many.  Otherwise exponential bracketing
     from tau=1 and bisection, assuming the single-flip monotonicity of
     assumption b.  That loop is the reference _bisected_levels matches bit
     for bit, and stays scalar: one point costs some 12 times as much
@@ -889,8 +925,8 @@ def boundary_sample(
 
     Raises:
         ValueError: non-compact input (rays never exit the box).
-        RuntimeError: a ray fails to exit within 60 doublings, or the
-            identity is not interior.
+        RuntimeError: a ray stays inside K past scale max(1, bbox_scale)
+            * 2**32, or the identity is not interior.
     """
     if not K.is_compact:
         raise ValueError(f"{K.label} is not compact: boundary rays never exit the box")
@@ -922,8 +958,10 @@ def _bisected_rays(K: SetOracle, ux, uy, ut, tol: Tolerances) -> np.ndarray:
         return ~K.contains_many(*scale(s, ux, uy, ut))
 
     lo, hi = np.zeros(ux.size), np.ones(ux.size)
-    # more than 60 doublings from hi = 1 is exactly hi > 2**60
-    if _bracket(lambda *a: ~upper(*a), (ux, uy, ut), hi, lo, np.arange(ux.size), 2.0, 2.0 ** 60).any():
+    # a unit ray leaves the bbox by scale sqrt(3) max(1, bbox_scale), far below
+    # the cap, which is _bisected_levels'
+    limit = max(1.0, bbox_scale(K.bbox)) * 2.0 ** 32
+    if _bracket(lambda *a: ~upper(*a), (ux, uy, ut), hi, lo, np.arange(ux.size), 2.0, limit).any():
         raise RuntimeError(f"ray from e never exits {K.label}: non-compact input?")
     lo, hi = bisect_many(upper, (ux, uy, ut), lo, hi, tol, relative=False)
     # inner bracket end: guaranteed member, still within eps of the boundary

@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from heisconvex import DEFAULT_TOL, ConvexityWitness, FnOracle, HVec, Point3, Tolerances, dilate, exp_h, group_mul
+from heisconvex import DEFAULT_TOL, ORIGIN, ConvexityWitness, FnOracle, HVec, Point3, Tolerances, dilate, exp_h, group_mul
 from heisconvex.chcheck import (
     CURVE_SAMPLES,
     PAIR_CHUNK,
@@ -94,16 +94,16 @@ def reference_ch_escapes(K: SetOracle, budget: int, seed: int = 0, tol: Toleranc
     pool of its group of POOL_GROUP chunks, built when the group is
     reached, pair k is (pool[i], pool[j]) for row k of the stream's
     (PAIR_CHUNK, 2) integers; without one, the stream's uniform points 2k
-    and 2k + 1.  A draw that raises does so after the escapes of every
-    chunk before it.
+    and 2k + 1; only a set that is not compact or leaves e outside has
+    none.  A draw that raises does so after the escapes of every chunk
+    before it.
     """
     thetas = interior_thetas(CURVE_SAMPLES)
     for chunk, start in enumerate(range(0, budget, PAIR_CHUNK)):
         if chunk % POOL_GROUP == 0:
-            try:
+            pool = None
+            if K.is_compact and K.contains(ORIGIN):
                 pool = boundary_sample(K, PAIR_CHUNK, seed, tol, chunk // POOL_GROUP)
-            except (ValueError, RuntimeError):
-                pool = None
         rng = np.random.default_rng([seed, 0xC4, chunk])
         if pool is None:
             pts = uniform_points(K, 2 * PAIR_CHUNK, rng).reshape(PAIR_CHUNK, 2, 3)

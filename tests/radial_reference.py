@@ -105,7 +105,7 @@ def reference_radial_necessary(
         half = n // 2
         for k in range(half):
             r = r_flat * math.sqrt(k / max(1, half - 1)) if half > 1 else 0.0
-            t_abs = math.sqrt(max(r_flat ** 4 - r ** 4, 0.0))
+            t_abs = math.sqrt(max((r_flat * r_flat) * (r_flat * r_flat) - (r * r) * (r * r), 0.0))
             for t in (t_abs, -t_abs):
                 caps_checked += 1
                 if not P.contains2d(r * shrink, t * shrink * shrink):
@@ -116,8 +116,8 @@ def reference_radial_necessary(
                 break
         if thm_i_ok:
             for _ in range(n - 2 * (n // 2) + n // 2):
-                r = r_flat * rng.uniform(0.0, 1.0) ** 0.25
-                t_cap = math.sqrt(max(r_flat ** 4 - r ** 4, 0.0))
+                r = r_flat * math.sqrt(math.sqrt(rng.uniform(0.0, 1.0)))
+                t_cap = math.sqrt(max((r_flat * r_flat) * (r_flat * r_flat) - (r * r) * (r * r), 0.0))
                 t = rng.uniform(-t_cap, t_cap)
                 caps_checked += 1
                 if not P.contains2d(r * shrink, t * shrink * shrink):

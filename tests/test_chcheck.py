@@ -311,6 +311,30 @@ def test_falsify_euclidean_ball_frozen():
     assert replay_ch_witness(K, w)
 
 
+# importante's first witness pair at seeds 0-63 (budget 2000), the same
+# whether its boundary pool is bisected or exact
+IMPORTANTE_PAIRS = [
+    76, 368, 286, 57, 341, 160, 159, 459, 4, 85, 54, 685, 1016, 38, 404, 323, 261, 89,
+    406, 260, 175, 235, 432, 314, 24, 893, 278, 113, 352, 450, 383, 123, 345, 239, 190,
+    428, 159, 1243, 30, 351, 44, 302, 57, 356, 421, 85, 32, 481, 399, 1277, 21, 46, 117,
+    88, 15, 318, 981, 213, 415, 441, 63, 40, 931, 40
+]
+
+
+def test_falsify_importante_pairs_frozen():
+    K = gallery("importante")
+    assert [falsify_ch(K, 2000, seed).pair_index for seed in range(64)] == IMPORTANTE_PAIRS
+
+
+def test_a_failed_pool_stops_the_search():
+    # a set flagged compact with e inside draws its pairs from a boundary
+    # pool; when its rays never exit, the error stands, and no search over
+    # interior pairs takes the pool's place
+    everything = SetOracle(lambda p: True, ((-1.0, 1.0),) * 3, "all", kernel=lambda x, y, t: np.ones(np.shape(x), bool))
+    with pytest.raises(RuntimeError, match="never exits"):
+        falsify_ch(everything, 10)
+
+
 @pytest.mark.parametrize("name", ["cylinder", "euclidean_ball", "importante"])
 def test_falsify_prefix_stable(name):
     # pair i depends on (seed, i) alone: raising the budget extends the
@@ -751,7 +775,7 @@ def _reference_envelope(K, xi0, n, tol=DEFAULT_TOL):
     for k in range(n):
         r = r0 * k / (n - 1)
         psi = envelope_psi(r, r0, t0)
-        cap_res = max(cap_res, abs(r ** 4 + psi * psi - (r0 ** 4 + t0 * t0)))
+        cap_res = max(cap_res, abs((r * r) * (r * r) + psi * psi - ((r0 * r0) * (r0 * r0) + t0 * t0)))
         for t in (sgn * psi, 0.5 * (t0 + sgn * psi)):
             pt = Point3(r * math.cos(k * golden + 1.0), r * math.sin(k * golden + 1.0), t)
             mg = 1.0 - dilation_level(K, pt, fine)

@@ -440,7 +440,9 @@ def test_error_exits(tmp_path):
     out = ["--out", str(tmp_path)]
     assert main(["axioms", "--set", "nonsense"] + out) == 1
     assert main(["radial", "--set", "slab_x"] + out) == 1
-    assert main(["cone", "--set", "importante", "--compare-closed-form"] + out) == 1
+    # a polygon has no level formula to compare with
+    square = json.dumps({"vertices": [[0, -1], [1, -1], [1, 1], [0, 1]]})
+    assert main(["cone", "--set", "radial_custom", "--params", square, "--samples", "100", "--compare-closed-form"] + out) == 1
     # the recorded closed forms are Heisenberg levels: the euclidean kind has none to compare with
     assert main(["cone", "--set", "koranyi_ball", "--kind", "euclidean", "--compare-closed-form"] + out) == 1
     assert main(["export", "--kind", "curve"] + out) == 1

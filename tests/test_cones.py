@@ -89,8 +89,13 @@ def test_euclidean_kind_scales_linearly():
 def test_closed_form_comparison(euclid_cone, koranyi_cone):
     assert compare_closed_form(euclid_cone, 2000, seed=0) <= 1e-6
     assert compare_closed_form(koranyi_cone, 2000, seed=0) <= 1e-6
-    with pytest.raises(ValueError):
-        compare_closed_form(make_cone(gallery("importante"), seed=0), 100)
+    # importante's Newton-solved level is its bisected one within the slack
+    importante = make_cone(gallery("importante"), seed=0)
+    assert compare_closed_form(importante, 2000, seed=0) <= 5.0 * importante.tol.eps_geom
+    # a polygon has no level formula to compare with
+    square = radial_to_oracle(polygon_profile([[0, -1], [1, -1], [1, 1], [0, 1]]), "square")
+    with pytest.raises(ValueError, match="no closed-form"):
+        compare_closed_form(make_cone(square, seed=0), 100)
 
 
 def test_make_cone_refuses_bad_sets():

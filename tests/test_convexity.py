@@ -124,7 +124,7 @@ def test_check_homogeneous_floor_is_a_few_ulps():
     # an exact level deviates by rounding alone, which passes however small
     # eps_eq is; 1e-14 off homogeneity still fails
     tiny = Tolerances(eps_geom=1e-300, eps_eq=1e-300)
-    for name in ("euclidean_ball", "cylinder", "cylinder_hat", "koranyi_ball"):
+    for name in ("euclidean_ball", "cylinder", "cylinder_hat", "koranyi_ball", "importante"):
         K = gallery(name)
         rep = check_homogeneous(FnOracle(K.level, name), 2000, seed=0, tol=tiny, box=K.bbox)
         assert rep.ok and rep.max_dev > 0.0, name
@@ -138,7 +138,7 @@ def test_check_homogeneous_validates_n():
 
 
 def test_closed_form_cones_are_homogeneous():
-    for name in ("euclidean_ball", "cylinder", "cylinder_hat", "koranyi_ball"):
+    for name in ("euclidean_ball", "cylinder", "cylinder_hat", "koranyi_ball", "importante"):
         f = FnOracle(eval=gallery(name).level, label=name)
         rep = check_homogeneous(f, 400, seed=0)
         assert rep.ok, name

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,7 @@ from heisconvex.core import scale as core_scale
 from heisconvex import sets
 from heisconvex.sets import (
     GALLERY_NAMES,
+    IMPORTANTE_ANCHOR_NORM,
     IMPORTANTE_R_FLAT,
     IMPORTANTE_R_MAX,
     SetOracle,
@@ -280,15 +282,24 @@ def test_boundary_sample_members_near_level_one():
 def test_boundary_sample_needs_compact():
     with pytest.raises(ValueError):
         boundary_sample(gallery("slab_x"), 8, seed=0)
-    # a box flagged compact counts as unbounded once a ray stays inside at
-    # scale 2**60 (its 60th doubling); every ray leaves the 2**59 box before
-    for r, exits in ((2.0 ** 59, True), (2.0 ** 61, False)):
+    # the rays double up to max(1, bbox_scale) * 2**32, as the level
+    # brackets do, so every ray leaves a box flagged compact, however large
+    for r in (2.0 ** 59, 2.0 ** 61, 1e70):
         box = box_oracle(((-r, r), (-r, r), (-r * r, r * r)))
-        if exits:
-            assert boundary_sample(box, 8, seed=0).shape == (8, 3)
-        else:
-            with pytest.raises(RuntimeError, match="never exits"):
-                boundary_sample(box, 8, seed=0)
+        assert box.contains_many(*boundary_sample(box, 8, seed=0).T).all()
+    # and a set flagged compact that holds every point counts as unbounded
+    everything = SetOracle(lambda p: True, ((-1.0, 1.0),) * 3, "all", kernel=lambda x, y, t: np.ones(np.shape(x), bool))
+    with pytest.raises(RuntimeError, match="never exits"):
+        boundary_sample(everything, 8, seed=0)
+
+
+@pytest.mark.parametrize("r", [1e19, 1e20, 1e70])
+def test_boundary_sample_on_huge_koranyi_balls(r):
+    # eps_geom is below the ball's float spacing, so exact pool points round
+    # outside K and are bisected; the rays reach the boundary at scale r
+    K = gallery("koranyi_ball", {"r": r})
+    pts = boundary_sample(K, 256, 0)
+    assert K.contains_many(*pts.T).all()
 
 
 def test_interior_thetas_contains_half():
@@ -1046,13 +1057,28 @@ def test_level_formula_matches_bisection(name):
     assert (np.abs(level - bisected) <= tol.eps_geom * (level + np.maximum(1.0, level))).all()
 
 
+def test_importante_level_is_finite_on_the_t_axis_and_at_e():
+    # at rho = 0 the sine branch's bracket ends are 0 and only the gauge
+    # branch binds, and at e every quotient of the Newton steps is 0 / 0
+    # but for its guard: no warning, no ZeroDivisionError, level 0 at e
+    K = gallery("importante")
+    t = np.array([0.0, 1e-150, 1.0, -3.0, 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = K.level(Point3(np.zeros(5), np.zeros(5), t), ARRAYS)
+        floats = [K.level(Point3(0.0, 0.0, v)) for v in t.tolist()]
+        assert dilation_level_many(K, 0.0, 0.0, 0.0).tolist() == [0.0]
+    assert got.tolist() == floats
+    assert got.tolist() == [math.sqrt(abs(v)) / IMPORTANTE_ANCHOR_NORM for v in t.tolist()]
+
+
 @pytest.mark.parametrize("eps_geom", [1e-7, 1e-19, 1e-300])
 def test_boundary_sample_points_test_inside_k(eps_geom):
     # each point is the exact one, dilate(1 / level(u), u) at level 1, or,
     # where that rounds outside K, the bisected one; either tests inside K
     tol = Tolerances(eps_geom=eps_geom, eps_eq=eps_geom)
     fallbacks = 0
-    for name in ("koranyi_ball", "euclidean_ball", "cylinder", "cylinder_hat"):
+    for name in ("koranyi_ball", "euclidean_ball", "cylinder", "cylinder_hat", "importante"):
         K, sizes = _counting(gallery(name, None, tol))
         for group in range(20):
             sizes.clear()
